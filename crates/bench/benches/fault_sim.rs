@@ -9,12 +9,10 @@
 //!   (faults/second) across the word widths of Table 3, on a ≥ 2000-fault
 //!   universe — the experiment behind the paper's Section 5 at production
 //!   scale;
-//! * arena reuse versus fresh-per-fault memories on the 64K-word sweep —
-//!   the A/B behind the `CoverageEngine`'s pooled
-//!   [`twm_mem::FaultyMemory`] arenas and block-copy content restore;
-//! * the bit-parallel 64-lane batched kernel versus the scalar
-//!   one-execution-per-fault baseline (`lane_batching(false)`) on SAF/TF
-//!   universes — the A/B behind [`twm_mem::PackedArena`].
+//! * the bit-parallel 64-lane batched kernel of `CoverageEngine::report`
+//!   versus the scalar one-execution-per-fault path that
+//!   `CoverageEngine::verdicts` streams, on SAF/TF universes — the gap
+//!   [`twm_mem::PackedArena`] buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -22,7 +20,7 @@ use std::hint::black_box;
 use twm_bench::{bench_memory, proposed_test, WIDTHS};
 use twm_bist::{execute_with, ExecutionOptions};
 use twm_coverage::universe::UniverseBuilder;
-use twm_coverage::{ContentPolicy, CoverageEngine, EvaluationOptions, Strategy};
+use twm_coverage::{ContentPolicy, CoverageEngine, CoverageReport, EvaluationOptions, Strategy};
 use twm_march::algorithms::march_c_minus;
 use twm_mem::{BitAddress, Fault, MemoryConfig, SplitMix64, Transition, Word};
 
@@ -173,107 +171,14 @@ fn bench_evaluator(c: &mut Criterion) {
     group.finish();
 }
 
-/// Engine-redesign A/B on the 64K-word sweep: the arena path (pooled
-/// memories re-armed per fault, block-copy content restore, fault-local
-/// footprint sweeps via `detect_lowered_at`) versus the complete
-/// historical PR 1 evaluation path (`memory_reuse(false)`: fresh
-/// `FaultyMemory` per fault, word-by-word restore, full-address sweep).
-/// The footprint sweep dominates the gap at large memories; the arena
-/// eliminates the per-fault allocation on top. Reports are bit-identical;
-/// only the faults/second differ.
-fn bench_engine_reuse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_reuse");
-    group.sample_size(10);
-    let test = march_c_minus();
-    for &words in &[1usize << 12, 1 << 14, 1 << 16] {
-        let config = MemoryConfig::new(words, WIDTH).unwrap();
-        // A modest universe keeps one iteration tractable at 64K words while
-        // still exercising one full re-arm + restore per fault.
-        let faults = UniverseBuilder::new(config)
-            .stuck_at()
-            .transition()
-            .sample_per_class(16, 5)
-            .build();
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed: 11 },
-            contents_per_fault: 1,
-        };
-        let arena = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .build()
-            .unwrap();
-        let fresh = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .memory_reuse(false)
-            .build()
-            .unwrap();
-        assert_eq!(
-            arena.report(&faults).unwrap(),
-            fresh.report(&faults).unwrap(),
-            "modes must stay bit-identical"
-        );
-        group.throughput(Throughput::Elements(faults.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("fresh_per_fault", words),
-            &config,
-            |b, _| {
-                b.iter(|| fresh.report(black_box(&faults)).unwrap());
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("arena", words), &config, |b, _| {
-            b.iter(|| arena.report(black_box(&faults)).unwrap());
-        });
-
-        // Persistent-worker-pool A/B: identical parallel engines, one
-        // keeping its window workers alive across reports (`thread_reuse`,
-        // the default), one spawning scoped threads per window (the
-        // historical behaviour). Reports are bit-identical; only thread
-        // creation overhead differs.
-        let pooled = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Strategy::Parallel { threads: 4 })
-            .build()
-            .unwrap();
-        let spawning = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Strategy::Parallel { threads: 4 })
-            .thread_reuse(false)
-            .build()
-            .unwrap();
-        assert_eq!(
-            pooled.report(&faults).unwrap(),
-            spawning.report(&faults).unwrap(),
-            "thread modes must stay bit-identical"
-        );
-        group.bench_with_input(
-            BenchmarkId::new("spawn_per_window", words),
-            &config,
-            |b, _| {
-                b.iter(|| spawning.report(black_box(&faults)).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("persistent_pool", words),
-            &config,
-            |b, _| {
-                b.iter(|| pooled.report(black_box(&faults)).unwrap());
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Bit-parallel lane-packing A/B: `CoverageEngine::report` over a SAF/TF
-/// universe with the default 64-lane batched kernel
-/// (`PackedArena<Packed64>` + `detect_lowered_batch`, one march execution
-/// per 64 faults) versus the scalar one-execution-per-fault baseline
-/// (`lane_batching(false)`). Reports are asserted bit-identical before
-/// timing; only faults/second differ. Serial strategy keeps the A/B
-/// algorithmic — thread fan-out is measured elsewhere.
+/// Bit-parallel lane packing: `CoverageEngine::report` over a SAF/TF
+/// universe with the 64-lane batched kernel (`PackedArena<Packed64>` +
+/// `detect_lowered_batch`, one march execution per 64 faults) versus the
+/// scalar one-execution-per-fault path, measured by folding the
+/// `verdicts` stream (which never lane-batches) into a report. Reports
+/// are asserted bit-identical before timing; only faults/second differ.
+/// Serial strategy keeps the comparison algorithmic — thread fan-out is
+/// measured elsewhere.
 fn bench_lane_packing(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_packing");
     group.sample_size(10);
@@ -295,87 +200,25 @@ fn bench_lane_packing(c: &mut Criterion) {
             .strategy(Strategy::Serial)
             .build()
             .unwrap();
-        let scalar = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Strategy::Serial)
-            .lane_batching(false)
-            .build()
-            .unwrap();
+        let scalar = |faults: &[Fault]| {
+            let mut report = CoverageReport::new(test.name());
+            for verdict in packed.verdicts(faults) {
+                let verdict = verdict.unwrap();
+                report.record(verdict.fault, verdict.detected);
+            }
+            report
+        };
         assert_eq!(
             packed.report(&faults).unwrap(),
-            scalar.report(&faults).unwrap(),
+            scalar(&faults),
             "lane batching must stay bit-identical"
         );
         group.throughput(Throughput::Elements(faults.len() as u64));
         group.bench_with_input(BenchmarkId::new("scalar", words), &config, |b, _| {
-            b.iter(|| scalar.report(black_box(&faults)).unwrap());
+            b.iter(|| scalar(black_box(&faults)));
         });
         group.bench_with_input(BenchmarkId::new("packed64", words), &config, |b, _| {
             b.iter(|| packed.report(black_box(&faults)).unwrap());
-        });
-    }
-    group.finish();
-}
-
-/// Cheap-first universe ordering A/B: `CoverageEngine::report` on a
-/// deterministically shuffled mixed universe (all five fault classes, so
-/// 1-word SAF/TF runs interleave with 2-word coupling runs), with the
-/// default cheap-first scheduling versus strict in-order evaluation
-/// (`schedule_cheap_first(false)`). Reports are bit-identical; only the
-/// per-window thread balance can differ.
-///
-/// All-zero content keeps the per-fault work footprint-dominated (no
-/// per-run image restore), the search inner loop's shape. The thread
-/// count is pinned (4) so the scheduled path engages even where
-/// `available_parallelism` probes low; on a single-core host both sides
-/// necessarily time-share and the A/B reads as parity — the group then
-/// still guards the scheduling against regressing throughput.
-fn bench_universe_ordering(c: &mut Criterion) {
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-
-    let mut group = c.benchmark_group("universe_ordering");
-    group.sample_size(10);
-    let test = march_c_minus();
-    for &words in &[1usize << 6, 1 << 10] {
-        let config = MemoryConfig::new(words, WIDTH).unwrap();
-        let mut faults = UniverseBuilder::new(config)
-            .all_classes()
-            .sample_per_class(400, 7)
-            .build();
-        // Shuffle so every streaming window mixes cheap and expensive
-        // faults — the adversarial case for contiguous per-thread chunks.
-        faults.shuffle(&mut StdRng::seed_from_u64(23));
-        let options = EvaluationOptions {
-            content: ContentPolicy::Zeros,
-            contents_per_fault: 1,
-        };
-        let cheap_first = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Strategy::Parallel { threads: 4 })
-            .build()
-            .unwrap();
-        let in_order = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Strategy::Parallel { threads: 4 })
-            .schedule_cheap_first(false)
-            .build()
-            .unwrap();
-        assert_eq!(
-            cheap_first.report(&faults).unwrap(),
-            in_order.report(&faults).unwrap(),
-            "scheduling must stay bit-identical"
-        );
-        group.throughput(Throughput::Elements(faults.len() as u64));
-        group.bench_with_input(BenchmarkId::new("in_order", words), &config, |b, _| {
-            b.iter(|| in_order.report(black_box(&faults)).unwrap());
-        });
-        group.bench_with_input(BenchmarkId::new("cheap_first", words), &config, |b, _| {
-            b.iter(|| cheap_first.report(black_box(&faults)).unwrap());
         });
     }
     group.finish();
@@ -386,8 +229,6 @@ criterion_group!(
     bench_single_write,
     bench_execution_scaling,
     bench_evaluator,
-    bench_engine_reuse,
-    bench_lane_packing,
-    bench_universe_ordering
+    bench_lane_packing
 );
 criterion_main!(benches);

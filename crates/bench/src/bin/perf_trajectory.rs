@@ -6,8 +6,9 @@
 //! Metrics, chosen to cover each subsystem's hot loop:
 //!
 //! * `engine_reuse_64k` — coverage-engine faults/second on a 64K-word
-//!   memory, scalar (`lane_batching(false)`, the PR 5 path) versus the
-//!   bit-parallel 64-lane batched kernel, plus the speedup ratio;
+//!   memory, scalar (the fault-local one-fault-per-execution path that
+//!   `verdicts` streams) versus the bit-parallel 64-lane batched kernel
+//!   of `report`, plus the speedup ratio;
 //! * `march_execution` — raw march operations/second of one transparent
 //!   sweep over the 64K-word memory;
 //! * `search_candidates` — candidates scored/second through
@@ -47,7 +48,9 @@ use std::time::Instant;
 use twm_bench::proposed_test;
 use twm_bist::{execute_with, run_scheme_session_staged, ExecutionOptions, Misr};
 use twm_core::scheme::{SchemeId, SchemeRegistry};
-use twm_coverage::{ContentPolicy, CoverageEngine, EvaluationOptions, Strategy, UniverseBuilder};
+use twm_coverage::{
+    ContentPolicy, CoverageEngine, CoverageReport, EvaluationOptions, Strategy, UniverseBuilder,
+};
 use twm_fleet::{
     DeviceReport, FleetConfig, FleetService, Request, Response, ShardKey, SignatureTrail,
 };
@@ -90,9 +93,10 @@ struct EngineReuse {
     speedup: f64,
 }
 
-/// Coverage-engine faults/second at 64K words: the scalar PR 5 path versus
-/// the 64-lane batched kernel, on the same SAF+TF universe and content.
-/// Reports are asserted identical before timing.
+/// Coverage-engine faults/second at 64K words: the scalar fault-local path
+/// (the `verdicts` stream of a serial engine, folded into a report) versus
+/// the 64-lane batched kernel of `report`, on the same SAF+TF universe and
+/// content. Reports are asserted identical before timing.
 fn measure_engine_reuse() -> EngineReuse {
     let words = 1usize << 16;
     let width = 32;
@@ -113,20 +117,22 @@ fn measure_engine_reuse() -> EngineReuse {
         .strategy(Strategy::Serial)
         .build()
         .unwrap();
-    let scalar = CoverageEngine::builder(config)
-        .test(&test)
-        .options(options)
-        .strategy(Strategy::Serial)
-        .lane_batching(false)
-        .build()
-        .unwrap();
+    // `verdicts` never lane-batches: folding its stream is the scalar path.
+    let scalar = || {
+        let mut report = CoverageReport::new(test.name());
+        for verdict in packed.verdicts(&faults) {
+            let verdict = verdict.unwrap();
+            report.record(verdict.fault, verdict.detected);
+        }
+        report
+    };
     assert_eq!(
         packed.report(&faults).unwrap(),
-        scalar.report(&faults).unwrap(),
+        scalar(),
         "packed and scalar reports must stay bit-identical"
     );
 
-    let scalar_secs = time_mean(|| drop(scalar.report(&faults).unwrap()), 2, 0.5);
+    let scalar_secs = time_mean(|| drop(scalar()), 2, 0.5);
     let packed_secs = time_mean(|| drop(packed.report(&faults).unwrap()), 5, 0.5);
     let scalar_rate = faults.len() as f64 / scalar_secs;
     let packed_rate = faults.len() as f64 / packed_secs;

@@ -5,18 +5,14 @@
 //! faulty read stream may compact to the fault-free signature, so the fault
 //! escapes even though some read returned a wrong value. Aliasing is the
 //! stated motivation for the signature-free schemes the paper cites (DPSC,
-//! TOMT). This module quantifies it: every fault of a universe is evaluated
-//! with both the exact-compare oracle and the full two-phase signature flow,
-//! and the faults whose detection is lost to compaction are reported.
+//! TOMT). [`crate::CoverageEngine::aliasing`] quantifies it: every fault of
+//! a universe is evaluated with both the exact-compare oracle and the full
+//! two-phase signature flow, and the faults whose detection is lost to
+//! compaction are collected in an [`AliasingReport`].
 
 use serde::{Deserialize, Serialize};
 
-use twm_bist::Misr;
-use twm_march::MarchTest;
-use twm_mem::{Fault, MemoryConfig};
-
-use crate::evaluator::EvaluationOptions;
-use crate::{CoverageEngine, CoverageError, Strategy};
+use twm_mem::Fault;
 
 /// Result of comparing exact-compare detection with signature detection over
 /// a fault universe.
@@ -45,43 +41,14 @@ impl AliasingReport {
     }
 }
 
-/// Evaluates signature aliasing of a transparent test over a fault list.
-///
-/// For every fault, an arena memory is initialised according to `options`,
-/// the fault is injected, and the full two-phase session (prediction test,
-/// transparent test, MISR comparison) is run with a copy of `misr`.
-///
-/// Convenience wrapper over [`CoverageEngine::aliasing`]: a throwaway
-/// engine is built per call, so repeated scans should construct the engine
-/// once and call its verb directly.
-///
-/// # Errors
-///
-/// Returns [`CoverageError::EmptyUniverse`] for an empty fault list and the
-/// underlying memory/BIST errors otherwise.
-pub fn aliasing_report(
-    transparent_test: &MarchTest,
-    prediction_test: &MarchTest,
-    faults: &[Fault],
-    config: MemoryConfig,
-    misr: &Misr,
-    options: EvaluationOptions,
-) -> Result<AliasingReport, CoverageError> {
-    CoverageEngine::builder(config)
-        .test(transparent_test)
-        .options(options)
-        .strategy(Strategy::Serial)
-        .build()?
-        .aliasing(prediction_test, misr, faults)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::universe::UniverseBuilder;
-    use crate::ContentPolicy;
+    use crate::{ContentPolicy, CoverageEngine, CoverageError};
+    use twm_bist::Misr;
     use twm_core::{TransparentScheme, TwmTa};
     use twm_march::algorithms::march_c_minus;
+    use twm_mem::MemoryConfig;
 
     #[test]
     fn signature_detection_tracks_exact_detection_for_single_faults() {
@@ -97,18 +64,17 @@ mod tests {
             .coupling_inversion()
             .sample_per_class(60, 13)
             .build();
-        let report = aliasing_report(
-            transformed.transparent_test(),
-            transformed.signature_prediction().unwrap(),
-            &faults,
-            config,
-            &Misr::standard(width),
-            EvaluationOptions {
-                content: ContentPolicy::Random { seed: 404 },
-                contents_per_fault: 1,
-            },
-        )
-        .unwrap();
+        let report = CoverageEngine::builder(config)
+            .test(transformed.transparent_test())
+            .content(ContentPolicy::Random { seed: 404 })
+            .build()
+            .unwrap()
+            .aliasing(
+                transformed.signature_prediction().unwrap(),
+                &Misr::standard(width),
+                &faults,
+            )
+            .unwrap();
         assert_eq!(report.total, faults.len());
         // Every sampled SAF/TF/CFin produces at least one wrong read.
         assert_eq!(report.detected_exact, faults.len());
@@ -123,17 +89,49 @@ mod tests {
     }
 
     #[test]
+    fn aliasing_runs_on_the_first_content_round_only() {
+        let width = 4;
+        let config = MemoryConfig::new(6, width).unwrap();
+        let transformed = TwmTa::new(width)
+            .unwrap()
+            .transform(&march_c_minus())
+            .unwrap();
+        let faults = UniverseBuilder::new(config)
+            .all_classes()
+            .sample_per_class(20, 7)
+            .build();
+        let aliasing = |contents_per_fault| {
+            CoverageEngine::builder(config)
+                .test(transformed.transparent_test())
+                .content(ContentPolicy::Random { seed: 31 })
+                .contents_per_fault(contents_per_fault)
+                .build()
+                .unwrap()
+                .aliasing(
+                    transformed.signature_prediction().unwrap(),
+                    &Misr::standard(width),
+                    &faults,
+                )
+                .unwrap()
+        };
+        let one = aliasing(1);
+        assert_eq!(one.total, faults.len());
+        assert_eq!(aliasing(3), one);
+    }
+
+    #[test]
     fn empty_universe_is_rejected() {
         let config = MemoryConfig::new(4, 4).unwrap();
         let transformed = TwmTa::new(4).unwrap().transform(&march_c_minus()).unwrap();
-        let result = aliasing_report(
-            transformed.transparent_test(),
-            transformed.signature_prediction().unwrap(),
-            &[],
-            config,
-            &Misr::standard(4),
-            EvaluationOptions::default(),
-        );
+        let result = CoverageEngine::builder(config)
+            .test(transformed.transparent_test())
+            .build()
+            .unwrap()
+            .aliasing(
+                transformed.signature_prediction().unwrap(),
+                &Misr::standard(4),
+                &[],
+            );
         assert!(matches!(result, Err(CoverageError::EmptyUniverse)));
     }
 }

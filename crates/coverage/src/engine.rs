@@ -13,8 +13,9 @@
 //! The engine exposes three verbs:
 //!
 //! * [`CoverageEngine::report`] — evaluate a fault universe into a
-//!   [`CoverageReport`], bit-identical to the historical
-//!   `evaluate_parallel` / `evaluate_serial` output for any thread count;
+//!   [`CoverageReport`]: stuck-at and transition faults 64 to a march
+//!   execution in bit-parallel lane batches, the rest one at a time on a
+//!   fault-local arena, bit-identical for any thread count;
 //! * [`CoverageEngine::verdicts`] — a streaming iterator of per-fault
 //!   [`FaultVerdict`]s with bounded memory, for universes that do not fit
 //!   in memory (the universe is consumed lazily, a bounded window at a
@@ -23,10 +24,11 @@
 //!   second engine, producing an [`EquivalenceReport`] (the paper's
 //!   Section 5 theorem check).
 //!
-//! Signature-aliasing analysis ([`CoverageEngine::aliasing`]) and the
-//! Figure 1 state-traversal analyses ([`CoverageEngine::cell_pair_states`],
-//! [`CoverageEngine::intra_word_pair_states`]) are routed through the same
-//! engine, so every experiment in the workspace shares one amortised setup.
+//! Signature-aliasing analysis ([`CoverageEngine::aliasing`]) and
+//! multi-fault injections ([`CoverageEngine::injection_detected`]) share
+//! the same amortised setup. Every verdict equals the naive reference
+//! [`crate::fault_detected`] — a fresh memory and a full sweep of the
+//! symbolic test (property-tested in `tests/reference_equivalence.rs`).
 //!
 //! # Example
 //!
@@ -54,8 +56,8 @@
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
-use std::sync::OnceLock;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 #[cfg(feature = "parallel")]
@@ -64,20 +66,15 @@ use crate::pool::WorkerPool;
 use serde::{Deserialize, Serialize};
 
 use twm_bist::flow::run_transparent_session;
-use twm_bist::{
-    detect_lowered_at, detect_lowered_batch, execute_lowered, ExecutionOptions, LoweredTest, Misr,
-};
+use twm_bist::{detect_lowered_at, detect_lowered_batch, LoweredTest, Misr};
 use twm_core::scheme::{SchemeTransform, TransparentScheme};
 use twm_march::MarchTest;
 use twm_mem::{
-    BitStorage, Fault, FaultClass, FaultSet, FaultyMemory, Lanes, MemoryConfig, Packed64,
-    PackedArena, Word,
+    BitStorage, Fault, FaultClass, FaultSet, FaultyMemory, Lanes, MemError, MemoryConfig, Packed64,
+    PackedArena,
 };
 
 use crate::equivalence::Disagreement;
-use crate::states::{
-    analyze_cell_pair, analyze_intra_word_pair, IntraWordPairCoverage, PairStateCoverage,
-};
 use crate::{
     AliasingReport, ContentPolicy, CoverageError, CoverageReport, EquivalenceReport,
     EvaluationOptions,
@@ -86,7 +83,7 @@ use crate::{
 /// How the engine schedules fault-injection runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// Evaluate on the calling thread only — the bit-exact reference path.
+    /// Evaluate on the calling thread only.
     Serial,
     /// Fan out across worker threads, probing
     /// `std::thread::available_parallelism` for the count. The
@@ -157,10 +154,6 @@ pub struct CoverageEngineBuilder {
     transform: Option<SchemeTransform>,
     options: EvaluationOptions,
     strategy: Strategy,
-    reuse_memory: bool,
-    cheap_first: bool,
-    reuse_threads: bool,
-    lane_batching: bool,
 }
 
 impl CoverageEngineBuilder {
@@ -233,85 +226,6 @@ impl CoverageEngineBuilder {
         self
     }
 
-    /// Whether workers re-arm pooled [`FaultyMemory`] arenas instead of
-    /// building a fresh memory per fault (default: `true`).
-    ///
-    /// Disabling this restores the **complete** historical (pre-engine)
-    /// evaluation path, not just the allocation behaviour: a fresh memory
-    /// per fault, word-by-word content restore, and a full-address sweep
-    /// per run (the arena path sweeps only the fault's footprint words via
-    /// [`twm_bist::detect_lowered_at`], which is the dominant saving on
-    /// large memories). It exists as the A/B baseline for the
-    /// `engine_reuse` benchmark and produces bit-identical reports either
-    /// way (property-tested).
-    #[must_use]
-    pub fn memory_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_memory = reuse;
-        self
-    }
-
-    /// Whether [`CoverageEngine::report`] may evaluate cheap-to-detect
-    /// faults first (default: `true`).
-    ///
-    /// The parallel streaming windows split each window into contiguous
-    /// per-thread chunks; on a mixed universe an unlucky chunk of wide-
-    /// footprint coupling faults stalls the whole window barrier. With this
-    /// enabled, `report` evaluates the universe in ascending estimated-cost
-    /// order (fault-local sweep footprint, then fault class) and merges the
-    /// verdicts back into **universe order**, so the produced report stays
-    /// bit-identical either way — only the wall-clock differs (measured in
-    /// the `universe_ordering` group of `benches/fault_sim.rs`). Streaming
-    /// [`CoverageEngine::verdicts`] is never reordered.
-    #[must_use]
-    pub fn schedule_cheap_first(mut self, cheap_first: bool) -> Self {
-        self.cheap_first = cheap_first;
-        self
-    }
-
-    /// Whether parallel streaming windows run on a **persistent** worker
-    /// pool instead of spawning fresh scoped threads per window (default:
-    /// `true`).
-    ///
-    /// The pool is created lazily on the first parallel window, holds
-    /// `threads − 1` workers (the calling thread evaluates one chunk
-    /// itself), and is shared with every [`CoverageEngine::with_test`]
-    /// sibling — so candidate-scoring loops pay thread creation once, not
-    /// once per candidate per window. Verdicts stay merged in window order
-    /// either way, so reports are **bit-identical** for both settings
-    /// (property-tested in `tests/engine_streaming.rs`); only wall-clock
-    /// differs (A/B-measured in the `engine_reuse` group of
-    /// `benches/fault_sim.rs`). Disabling restores the historical
-    /// spawn-per-window behaviour as the A/B baseline.
-    #[must_use]
-    pub fn thread_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_threads = reuse;
-        self
-    }
-
-    /// Whether [`CoverageEngine::report`] may evaluate single-bit faults
-    /// in bit-parallel lane batches (default: `true`).
-    ///
-    /// With this enabled, `report` packs the universe's SAF/TF faults into
-    /// [`twm_mem::PackedArena`] batches of up to 64 lanes, runs the lowered
-    /// op stream **once per batch** ([`twm_bist::detect_lowered_batch`])
-    /// instead of once per fault, routes the remainder (coupling faults)
-    /// through the scalar fault-local path, and merges all verdicts back in
-    /// **universe order** — so the produced report stays bit-identical to
-    /// the scalar path for any strategy (property-tested in
-    /// `tests/packed_equivalence.rs`); only the wall-clock differs
-    /// (A/B-measured in the `lane_packing` group of
-    /// `benches/fault_sim.rs`). Streaming [`CoverageEngine::verdicts`] and
-    /// [`CoverageEngine::compare`] never batch. Disabling restores the
-    /// one-fault-per-execution behaviour as the A/B baseline; batching is
-    /// also bypassed when [`CoverageEngineBuilder::schedule_cheap_first`]
-    /// or [`CoverageEngineBuilder::memory_reuse`] are disabled, since those
-    /// knobs pin the historical evaluation paths.
-    #[must_use]
-    pub fn lane_batching(mut self, batching: bool) -> Self {
-        self.lane_batching = batching;
-        self
-    }
-
     /// Finalises the engine: lowers the test, pre-generates the initial
     /// contents and resolves the worker-thread count.
     ///
@@ -327,23 +241,15 @@ impl CoverageEngineBuilder {
         let threads = self.strategy.worker_threads()?;
         let lowered =
             LoweredTest::new(&test, self.config.width()).map_err(twm_bist::BistError::from)?;
-        let (content_words, content_images) =
-            prepared_contents(self.config, self.options, self.reuse_memory);
         Ok(CoverageEngine {
             config: self.config,
             test,
             transform: self.transform,
             lowered,
             options: self.options,
-            content_words: Arc::new(content_words),
-            content_images: Arc::new(content_images),
+            content_images: Arc::new(prepared_contents(self.config, self.options)),
             threads,
-            reuse_memory: self.reuse_memory,
-            cheap_first: self.cheap_first,
-            reuse_threads: self.reuse_threads,
-            lane_batching: self.lane_batching,
             pool: Mutex::new(Vec::new()),
-            #[cfg(feature = "parallel")]
             scratch: Mutex::new(Vec::new()),
             #[cfg(feature = "parallel")]
             workers: Arc::new(OnceLock::new()),
@@ -351,35 +257,27 @@ impl CoverageEngineBuilder {
     }
 }
 
-/// The initial contents every fault-injection run starts from: one content
-/// per round for the random policy, or none for the all-zero policy (a
-/// reset memory is already zeroed). A content is kept in the form its
-/// engine mode restores from — raw [`BitStorage`] images for the arena
-/// path (O(blocks) copies via [`FaultyMemory::load_image`]) or word
-/// vectors for the historical fresh-per-fault path (word-by-word
-/// [`FaultyMemory::load`]); the unused form is never materialised.
+/// The initial contents every fault-injection run starts from, as raw
+/// [`BitStorage`] images restored with block copies
+/// ([`FaultyMemory::load_image`]): one per content round for the random
+/// policy, none for the all-zero policy (a reset memory is already zeroed).
 ///
 /// Generated through [`FaultyMemory::fill_random`] itself so shared
 /// contents can never drift from what a per-fault fill would produce.
 pub(crate) fn prepared_contents(
     config: MemoryConfig,
     options: EvaluationOptions,
-    as_images: bool,
-) -> (Vec<Vec<Word>>, Vec<BitStorage>) {
-    let mut words = Vec::new();
-    let mut images = Vec::new();
-    if let ContentPolicy::Random { seed } = options.content {
-        let mut scratch = FaultyMemory::fault_free(config);
-        for round in 0..options.contents_per_fault.max(1) {
+) -> Vec<BitStorage> {
+    let ContentPolicy::Random { seed } = options.content else {
+        return Vec::new();
+    };
+    let mut scratch = FaultyMemory::fault_free(config);
+    (0..options.contents_per_fault.max(1))
+        .map(|round| {
             scratch.fill_random(seed.wrapping_add(round as u64));
-            if as_images {
-                images.push(scratch.snapshot());
-            } else {
-                words.push(scratch.content());
-            }
-        }
-    }
-    (words, images)
+            scratch.snapshot()
+        })
+        .collect()
 }
 
 /// Number of faults pulled from the universe per worker thread per
@@ -387,12 +285,9 @@ pub(crate) fn prepared_contents(
 /// [`CoverageEngine::verdicts`] stays bounded-memory.
 const STREAM_CHUNK: usize = 32;
 
-/// Number of faults a parallel worker claims per steal from a streaming
-/// window's shared atomic cursor: small enough that a ragged tail of
-/// expensive faults rebalances across workers (the historical contiguous
-/// 32-fault chunks stalled the window barrier on an unlucky chunk), large
-/// enough to keep cursor contention negligible.
-#[cfg(feature = "parallel")]
+/// Number of scalar faults a worker claims per steal from a shared atomic
+/// cursor: small enough that a ragged tail of expensive faults rebalances
+/// across workers, large enough to keep cursor contention negligible.
 const STEAL_GRAIN: usize = 4;
 
 /// Process-wide engine counters in the [`twm_obs::global`] registry.
@@ -408,13 +303,10 @@ struct EngineObs {
     packed_batches: twm_obs::Counter,
     /// Faults evaluated through packed lanes.
     packed_faults: twm_obs::Counter,
-    /// Faults evaluated on the scalar fault-local path of a batched
-    /// report.
+    /// Faults evaluated on the scalar fault-local path of a report.
     scalar_faults: twm_obs::Counter,
-    /// Work items claimed from a shared steal cursor (batched-report
-    /// items and streaming-window grains). Only the parallel feature
-    /// has a cursor to steal from.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
+    /// Work items claimed from a shared cursor (report items and
+    /// streaming-window grains).
     window_steals: twm_obs::Counter,
     /// Streaming windows evaluated by `verdicts`.
     verdict_windows: twm_obs::Counter,
@@ -444,19 +336,18 @@ fn engine_obs() -> &'static EngineObs {
     })
 }
 
-/// One parallel worker's slot-tagged verdict output for a streaming window:
+/// One worker's slot-tagged verdict output for a streaming window:
 /// `(window slot, verdict)` pairs, merged back in slot order so work-stealing
 /// never changes the stream. Pooled on the engine across windows.
-#[cfg(feature = "parallel")]
 type VerdictScratch = Vec<(usize, Result<bool, CoverageError>)>;
 
-/// Estimated relative cost of one fault-injection run, used by
-/// [`CoverageEngine::report`]'s cheap-first evaluation order: the
-/// fault-local sweep visits the fault's word footprint, so a two-word
-/// (inter-word coupling) fault costs roughly twice a single-word fault;
-/// within a footprint size, stuck-at faults mismatch on the earliest read
-/// (`stop_at_first_mismatch` exits early) while coupling faults need their
-/// excitation sequence first, so classes break ties.
+/// Estimated relative cost of one scalar fault-injection run, used to order
+/// [`CoverageEngine::report`]'s scalar work cheap-first: the fault-local
+/// sweep visits the fault's word footprint, so a two-word (inter-word
+/// coupling) fault costs roughly twice a single-word fault; within a
+/// footprint size, stuck-at faults mismatch on the earliest read while
+/// coupling faults need their excitation sequence first, so classes break
+/// ties.
 fn fault_cost_rank(fault: &Fault) -> u32 {
     let footprint = match fault.aggressor() {
         Some(aggressor) if aggressor.word != fault.victim().word => 2u32,
@@ -480,29 +371,21 @@ pub struct CoverageEngine {
     transform: Option<SchemeTransform>,
     lowered: LoweredTest,
     options: EvaluationOptions,
-    /// Initial contents as word vectors — populated only in the historical
-    /// fresh-per-fault mode, which restores word by word. Shared (`Arc`) so
-    /// [`CoverageEngine::with_test`] siblings reuse one generation.
-    content_words: Arc<Vec<Vec<Word>>>,
-    /// Initial contents as raw storage images — populated in arena mode,
-    /// restored with block copies. Shared like `content_words`.
+    /// Initial contents as raw storage images, restored with block copies.
+    /// Shared (`Arc`) so [`CoverageEngine::with_test`] siblings reuse one
+    /// generation.
     content_images: Arc<Vec<BitStorage>>,
     threads: usize,
-    reuse_memory: bool,
-    cheap_first: bool,
-    reuse_threads: bool,
-    lane_batching: bool,
     /// Checked-in arena memories, re-armed per fault by workers. Bounded by
     /// the maximum number of concurrent checkouts (≤ worker threads).
     pool: Mutex<Vec<FaultyMemory>>,
-    /// Checked-in per-worker verdict scratch buffers for parallel streaming
-    /// windows, so long verdict streams reallocate nothing per window.
-    /// Bounded like `pool`.
-    #[cfg(feature = "parallel")]
+    /// Checked-in per-worker verdict scratch buffers for streaming windows,
+    /// so long verdict streams reallocate nothing per window. Bounded like
+    /// `pool`.
     scratch: Mutex<Vec<VerdictScratch>>,
-    /// Persistent window workers, created lazily on the first parallel
-    /// window and shared (`Arc`) with [`CoverageEngine::with_test`]
-    /// siblings so candidate loops amortise thread creation too.
+    /// Persistent workers, created lazily on the first parallel fan-out and
+    /// shared (`Arc`) with [`CoverageEngine::with_test`] siblings so
+    /// candidate loops amortise thread creation too.
     #[cfg(feature = "parallel")]
     workers: Arc<OnceLock<WorkerPool>>,
 }
@@ -517,10 +400,6 @@ impl CoverageEngine {
             transform: None,
             options: EvaluationOptions::default(),
             strategy: Strategy::default(),
-            reuse_memory: true,
-            cheap_first: true,
-            reuse_threads: true,
-            lane_batching: true,
         }
     }
 
@@ -547,15 +426,9 @@ impl CoverageEngine {
             transform: None,
             lowered,
             options: self.options,
-            content_words: Arc::clone(&self.content_words),
             content_images: Arc::clone(&self.content_images),
             threads: self.threads,
-            reuse_memory: self.reuse_memory,
-            cheap_first: self.cheap_first,
-            reuse_threads: self.reuse_threads,
-            lane_batching: self.lane_batching,
             pool: Mutex::new(Vec::new()),
-            #[cfg(feature = "parallel")]
             scratch: Mutex::new(Vec::new()),
             #[cfg(feature = "parallel")]
             workers: Arc::clone(&self.workers),
@@ -598,8 +471,8 @@ impl CoverageEngine {
 
     /// Starts a builder whose test is produced by a transformation scheme:
     /// the scheme-generic constructor behind cross-scheme workloads
-    /// (`source` is transformed immediately; content policy, strategy and
-    /// the other builder knobs remain settable before `build`).
+    /// (`source` is transformed immediately; content policy and strategy
+    /// remain settable before `build`).
     ///
     /// ```
     /// use twm_core::scheme::{SchemeId, SchemeRegistry};
@@ -673,9 +546,17 @@ impl CoverageEngine {
 
     /// Evaluates the fault coverage of the engine's test over a universe.
     ///
-    /// The produced report is **bit-identical** to the single-threaded
-    /// reference for any worker-thread count — verdicts are merged back in
-    /// universe order (property-tested in `tests/engine_streaming.rs`).
+    /// Single-bit faults (SAF/TF) are packed into
+    /// [`PackedArena`]`<`[`Packed64`]`>` lane batches — sorted by victim
+    /// word so each batch's footprint stays compact — and each batch is
+    /// resolved by **one** march execution
+    /// ([`twm_bist::detect_lowered_batch`]); the other faults take the
+    /// scalar fault-local arena in cheap-first order. Batches and scalar
+    /// runs form one work queue that the workers drain by stealing from an
+    /// atomic cursor. Verdicts are merged back in **universe order**, so
+    /// the report is bit-identical to the reference
+    /// [`crate::fault_detected`] for any worker-thread count
+    /// (property-tested in `tests/reference_equivalence.rs`).
     ///
     /// # Errors
     ///
@@ -701,24 +582,13 @@ impl CoverageEngine {
         if universe.is_empty() {
             return Err(CoverageError::EmptyUniverse);
         }
-        if self.lane_batching && self.cheap_first && self.reuse_memory && universe.len() > 1 {
-            if let Some(report) = self.report_batched(universe)? {
-                return Ok(report);
-            }
-            // Too few packable faults to batch, or an injection error
-            // occurred; fall through to the scalar paths (which carry the
-            // documented earliest-error semantics).
+        if let Some(report) = self.report_batched(universe) {
+            return Ok(report);
         }
-        if self.cheap_first && self.threads > 1 && universe.len() > 1 {
-            if let Some(report) = self.report_cheap_first(universe)? {
-                return Ok(report);
-            }
-            // An injection error occurred somewhere in the (reordered)
-            // universe; fall through to the in-order path so the error of
-            // the earliest offending fault in universe order is returned,
-            // as documented. Errors are deterministic properties of a
-            // (fault, memory shape) pair, so the re-run hits one too.
-        }
+        // A fault failed to inject somewhere in the batched pass. Errors
+        // are deterministic properties of a (fault, memory shape) pair, so
+        // an in-order walk hits one too and returns the error of the
+        // earliest offending fault in universe order, as documented.
         let mut report = CoverageReport::new(self.test.name());
         for verdict in self.verdicts(universe) {
             let verdict = verdict?;
@@ -727,221 +597,80 @@ impl CoverageEngine {
         Ok(report)
     }
 
-    /// The cheap-first evaluation order behind [`CoverageEngine::report`]:
-    /// faults are evaluated in ascending estimated-cost order so the
-    /// contiguous per-thread chunks of each streaming window carry
-    /// comparable work, and verdicts are merged back in universe order
-    /// (the report is bit-identical to the in-order path, property-tested
-    /// in `tests/engine_streaming.rs`). Returns `Ok(None)` when a fault
-    /// fails to inject, deferring to the in-order path for its documented
-    /// earliest-error semantics.
-    fn report_cheap_first(
-        &self,
-        universe: &[Fault],
-    ) -> Result<Option<CoverageReport>, CoverageError> {
-        let mut order: Vec<usize> = (0..universe.len()).collect();
-        order.sort_by_key(|&i| (fault_cost_rank(&universe[i]), i));
-        let permuted: Vec<Fault> = order.iter().map(|&i| universe[i]).collect();
-        let mut detected = vec![false; universe.len()];
-        for (&slot, verdict) in order.iter().zip(self.verdicts(&permuted)) {
-            match verdict {
-                Ok(v) => detected[slot] = v.detected,
-                Err(_) => return Ok(None),
-            }
-        }
-        let mut report = CoverageReport::new(self.test.name());
-        for (&fault, &hit) in universe.iter().zip(&detected) {
-            report.record(fault, hit);
-        }
-        Ok(Some(report))
-    }
-
-    /// The bit-parallel evaluation path behind [`CoverageEngine::report`]:
-    /// single-bit faults (SAF/TF) are packed into
-    /// [`PackedArena`]`<`[`Packed64`]`>` lane batches — sorted by victim
-    /// word so each batch's footprint stays compact — and each batch is
-    /// resolved by **one** march execution
-    /// ([`twm_bist::detect_lowered_batch`]); coupling faults take the
-    /// scalar fault-local path in cheap-first order. Under a parallel
-    /// strategy, batches and scalar chunks form one work queue that
-    /// workers drain by stealing from an atomic cursor. Verdicts are
-    /// merged back in **universe order**, so the report is bit-identical
-    /// to every scalar path (property-tested in
-    /// `tests/packed_equivalence.rs`).
-    ///
-    /// Returns `Ok(None)` when fewer than two faults are packable (the
-    /// scalar paths are not worse there) or when any fault fails to
-    /// inject, deferring to the in-order path for its documented
-    /// earliest-error semantics.
-    fn report_batched(&self, universe: &[Fault]) -> Result<Option<CoverageReport>, CoverageError> {
-        let mut packed: Vec<usize> = Vec::new();
-        let mut scalar: Vec<usize> = Vec::new();
-        for (i, fault) in universe.iter().enumerate() {
-            match fault.class() {
-                FaultClass::Saf | FaultClass::Tf => packed.push(i),
-                _ => scalar.push(i),
-            }
-        }
-        if packed.len() < 2 {
-            return Ok(None);
-        }
+    /// The evaluation pass behind [`CoverageEngine::report`]. Returns
+    /// `None` when any fault fails to inject or execute (the whole pass is
+    /// then discarded).
+    fn report_batched(&self, universe: &[Fault]) -> Option<CoverageReport> {
+        let (mut packed, mut scalar): (Vec<usize>, Vec<usize>) = (0..universe.len())
+            .partition(|&i| matches!(universe[i].class(), FaultClass::Saf | FaultClass::Tf));
         // Word-major batches keep each arena's footprint (and so its
-        // bit-plane count) small; the index tiebreak keeps the grouping
+        // bit-plane count) small; the index tiebreaks keep the grouping
         // deterministic.
         packed.sort_by_key(|&i| (universe[i].victim().word, i));
         scalar.sort_by_key(|&i| (fault_cost_rank(&universe[i]), i));
         let batches: Vec<&[usize]> = packed.chunks(Packed64::COUNT).collect();
+        let scalar_runs: Vec<&[usize]> = scalar.chunks(STEAL_GRAIN).collect();
         let obs = engine_obs();
         obs.packed_batches.add(batches.len() as u64);
         obs.packed_faults.add(packed.len() as u64);
         obs.scalar_faults.add(scalar.len() as u64);
 
-        let mut detected: Vec<Option<bool>> = vec![None; universe.len()];
-        if self.threads <= 1 {
-            if self
-                .batched_serial(universe, &batches, &scalar, &mut detected)
-                .is_err()
-            {
-                return Ok(None);
-            }
-        } else {
-            #[cfg(feature = "parallel")]
-            {
-                if !self.batched_parallel(universe, &batches, &scalar, &mut detected) {
-                    return Ok(None);
+        let total = batches.len() + scalar_runs.len();
+        let cursor = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let per_worker = self.fan_out(total, || {
+            // `PackedArena::new` allocates nothing until a batch is armed,
+            // and the scalar arena is checked out on the first scalar run.
+            let mut arena = PackedArena::<Packed64>::new(self.config);
+            let mut memory: Option<FaultyMemory> = None;
+            let mut faults = Vec::new();
+            let mut out: Vec<(usize, bool)> = Vec::new();
+            let mut steals = 0u64;
+            while !failed.load(Ordering::Relaxed) {
+                let item = cursor.fetch_add(1, Ordering::Relaxed);
+                if item >= total {
+                    break;
+                }
+                steals += 1;
+                let outcome = if let Some(batch) = batches.get(item) {
+                    self.batch_detected(&mut arena, universe, batch, &mut faults)
+                        .map(|mask| {
+                            let lanes = batch.iter().enumerate();
+                            out.extend(lanes.map(|(lane, &slot)| (slot, mask >> lane & 1 == 1)));
+                        })
+                } else {
+                    let memory = memory.get_or_insert_with(|| self.checkout());
+                    scalar_runs[item - batches.len()]
+                        .iter()
+                        .try_for_each(|&slot| {
+                            self.detected(memory, universe[slot])
+                                .map(|hit| out.push((slot, hit)))
+                        })
+                };
+                if outcome.is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                    break;
                 }
             }
-            #[cfg(not(feature = "parallel"))]
-            {
-                unreachable!("threads resolve to 1 without the parallel feature")
+            engine_obs().window_steals.add(steals);
+            if let Some(memory) = memory {
+                self.checkin(memory);
             }
+            out
+        });
+        if failed.load(Ordering::Relaxed) {
+            return None;
         }
 
+        let mut detected: Vec<Option<bool>> = vec![None; universe.len()];
+        for (slot, hit) in per_worker.into_iter().flatten() {
+            detected[slot] = Some(hit);
+        }
         let mut report = CoverageReport::new(self.test.name());
         for (&fault, hit) in universe.iter().zip(&detected) {
             report.record(fault, hit.expect("every universe slot evaluated"));
         }
-        Ok(Some(report))
-    }
-
-    /// Serial leg of [`CoverageEngine::report_batched`]: one packed arena
-    /// for every lane batch, one pooled scalar arena for the remainder.
-    fn batched_serial(
-        &self,
-        universe: &[Fault],
-        batches: &[&[usize]],
-        scalar: &[usize],
-        detected: &mut [Option<bool>],
-    ) -> Result<(), CoverageError> {
-        let mut arena = PackedArena::<Packed64>::new(self.config);
-        let mut faults = Vec::with_capacity(Packed64::COUNT);
-        for batch in batches {
-            let mask = self.batch_detected(&mut arena, universe, batch, &mut faults)?;
-            for (lane, &slot) in batch.iter().enumerate() {
-                detected[slot] = Some(mask >> lane & 1 == 1);
-            }
-        }
-        let mut scalar_arena = self.checkout();
-        let result = (|| {
-            for &slot in scalar {
-                detected[slot] = Some(self.fault_detected(&mut scalar_arena, universe[slot])?);
-            }
-            Ok(())
-        })();
-        self.checkin(scalar_arena);
-        result
-    }
-
-    /// Parallel leg of [`CoverageEngine::report_batched`]: lane batches and
-    /// scalar chunks form one item queue that the workers drain by stealing
-    /// from an atomic cursor, each tagging its verdicts with their universe
-    /// slots so the merge is order-independent. Returns `false` if any
-    /// fault errored (the whole pass is then discarded).
-    #[cfg(feature = "parallel")]
-    fn batched_parallel(
-        &self,
-        universe: &[Fault],
-        batches: &[&[usize]],
-        scalar: &[usize],
-        detected: &mut [Option<bool>],
-    ) -> bool {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-        let scalar_chunks: Vec<&[usize]> = scalar.chunks(STEAL_GRAIN.max(1)).collect();
-        let total = batches.len() + scalar_chunks.len();
-        let workers = self.threads.min(total).max(1);
-        let cursor = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let cursor = &cursor;
-        let failed = &failed;
-        let batches = &batches;
-        let scalar_chunks = &scalar_chunks;
-        let jobs: Vec<_> = (0..workers)
-            .map(|_| {
-                move || {
-                    let mut arena: Option<PackedArena<Packed64>> = None;
-                    let mut scalar_arena: Option<FaultyMemory> = None;
-                    let mut faults = Vec::new();
-                    let mut out: Vec<(usize, bool)> = Vec::new();
-                    let mut steals = 0u64;
-                    while !failed.load(Ordering::Relaxed) {
-                        let item = cursor.fetch_add(1, Ordering::Relaxed);
-                        if item >= total {
-                            break;
-                        }
-                        steals += 1;
-                        let outcome = if item < batches.len() {
-                            let batch = batches[item];
-                            let arena = arena
-                                .get_or_insert_with(|| PackedArena::<Packed64>::new(self.config));
-                            self.batch_detected(arena, universe, batch, &mut faults)
-                                .map(|mask| {
-                                    out.extend(
-                                        batch
-                                            .iter()
-                                            .enumerate()
-                                            .map(|(lane, &slot)| (slot, mask >> lane & 1 == 1)),
-                                    );
-                                })
-                        } else {
-                            let chunk = scalar_chunks[item - batches.len()];
-                            if scalar_arena.is_none() {
-                                scalar_arena = self.checkout();
-                            }
-                            chunk.iter().try_for_each(|&slot| {
-                                self.fault_detected(&mut scalar_arena, universe[slot])
-                                    .map(|hit| out.push((slot, hit)))
-                            })
-                        };
-                        if outcome.is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    engine_obs().window_steals.add(steals);
-                    self.checkin(scalar_arena);
-                    out
-                }
-            })
-            .collect();
-        let per_worker: Vec<Vec<(usize, bool)>> = if self.reuse_threads {
-            self.workers().run(jobs)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("coverage worker panicked"))
-                    .collect()
-            })
-        };
-        if failed.load(Ordering::Relaxed) {
-            return false;
-        }
-        for (slot, hit) in per_worker.into_iter().flatten() {
-            detected[slot] = Some(hit);
-        }
-        true
+        Some(report)
     }
 
     /// Whether each fault of one lane batch is detected (under every tried
@@ -959,16 +688,13 @@ impl CoverageEngine {
     ) -> Result<u64, CoverageError> {
         faults.clear();
         faults.extend(batch.iter().map(|&slot| universe[slot]));
-        if self.content_images.is_empty() {
-            arena.arm(faults, None)?;
-            return Ok(detect_lowered_batch(&self.lowered, arena)?);
-        }
         let mut mask = u64::MAX;
-        for (round, image) in self.content_images.iter().enumerate() {
+        for round in 0..self.content_images.len().max(1) {
+            let image = self.content_images.get(round);
             if round == 0 {
-                arena.arm(faults, Some(image))?;
+                arena.arm(faults, image)?;
             } else {
-                arena.reload(Some(image))?;
+                arena.reload(image)?;
             }
             mask &= detect_lowered_batch(&self.lowered, arena)?;
             if mask == 0 {
@@ -985,9 +711,10 @@ impl CoverageEngine {
     /// The universe may be any iterator of faults (owned or borrowed); it
     /// is consumed lazily, one bounded window at a time (serial strategy:
     /// one fault at a time; parallel: `threads ×` [a small constant] faults
-    /// per window), and verdicts are yielded **in universe order**. An
-    /// empty universe yields an empty stream — only [`CoverageEngine::report`]
-    /// treats emptiness as an error.
+    /// per window), and verdicts are yielded **in universe order**. Every
+    /// fault runs on the scalar fault-local arena; the stream never
+    /// lane-batches. An empty universe yields an empty stream — only
+    /// [`CoverageEngine::report`] treats emptiness as an error.
     ///
     /// Each item is a `Result`: a fault that cannot be injected or executed
     /// yields an `Err` at its position in the stream, and the stream ends
@@ -1060,8 +787,9 @@ impl CoverageEngine {
     /// Evaluates MISR-signature aliasing of the engine's (transparent) test
     /// over a universe: every fault is run through the full two-phase
     /// session (prediction test, transparent test, MISR comparison) with a
-    /// copy of `misr`, on an arena memory initialised under the engine's
-    /// content policy.
+    /// copy of `misr`, on an arena memory initialised with the engine's
+    /// **first** content round only — `contents_per_fault` does not
+    /// multiply the sessions.
     ///
     /// # Errors
     ///
@@ -1077,17 +805,19 @@ impl CoverageEngine {
             return Err(CoverageError::EmptyUniverse);
         }
         let mut report = AliasingReport::default();
-        let mut arena = self.checkout();
+        let mut memory = self.checkout();
         let result = (|| {
             for &fault in universe {
-                let memory = self.arm(&mut arena, fault)?;
+                memory.reset_with_fault(fault)?;
                 if let Some(image) = self.content_images.first() {
                     memory.load_image(image)?;
-                } else if let Some(words) = self.content_words.first() {
-                    memory.load(words)?;
                 }
-                let outcome =
-                    run_transparent_session(&self.test, prediction_test, memory, misr.clone())?;
+                let outcome = run_transparent_session(
+                    &self.test,
+                    prediction_test,
+                    &mut memory,
+                    misr.clone(),
+                )?;
                 report.total += 1;
                 if outcome.fault_detected_exact() {
                     report.detected_exact += 1;
@@ -1098,45 +828,11 @@ impl CoverageEngine {
                 if outcome.aliased() {
                     report.aliased.push(fault);
                 }
-                if !self.reuse_memory {
-                    arena = None;
-                }
             }
             Ok(report)
         })();
-        self.checkin(arena);
+        self.checkin(memory);
         result
-    }
-
-    /// The Figure 1(a) state-traversal analysis for a pair of cells of the
-    /// engine's memory, run over the engine's (bit-oriented) test.
-    ///
-    /// # Errors
-    ///
-    /// See [`analyze_cell_pair`]; the engine supplies its own test and cell
-    /// count.
-    pub fn cell_pair_states(
-        &self,
-        lower: usize,
-        higher: usize,
-    ) -> Result<PairStateCoverage, CoverageError> {
-        analyze_cell_pair(&self.test, lower, higher, self.config.cells())
-    }
-
-    /// The Figure 1(b) intra-word pair analysis for two bits of a word,
-    /// starting from `initial` content, run over the engine's word-oriented
-    /// test.
-    ///
-    /// # Errors
-    ///
-    /// See [`analyze_intra_word_pair`].
-    pub fn intra_word_pair_states(
-        &self,
-        bit_a: usize,
-        bit_b: usize,
-        initial: Word,
-    ) -> Result<IntraWordPairCoverage, CoverageError> {
-        analyze_intra_word_pair(&self.test, bit_a, bit_b, initial)
     }
 
     /// Whether a *set* of simultaneously injected faults is detected by the
@@ -1144,10 +840,10 @@ impl CoverageEngine {
     /// diagnosis-style multi-fault counterpart of a per-fault verdict.
     ///
     /// The sweep visits only the union of the faults' word footprints
-    /// ([`FaultSet::word_footprint`]), which is verdict-equivalent to a
-    /// full-address sweep (property-tested in
-    /// `crates/bist/tests/multi_fault_local.rs` and against the historical
-    /// full-sweep path in `tests/engine_streaming.rs`).
+    /// ([`FaultSet::word_footprint`]), which is verdict-equivalent to the
+    /// full-address sweep of the reference [`crate::fault_detected`]
+    /// (property-tested in `crates/bist/tests/multi_fault_local.rs` and
+    /// `tests/reference_equivalence.rs`).
     ///
     /// # Errors
     ///
@@ -1159,120 +855,43 @@ impl CoverageEngine {
             return Err(CoverageError::EmptyUniverse);
         }
         let set = FaultSet::from_faults(faults.iter().copied());
-        if !self.reuse_memory {
-            // Historical full-sweep path: fresh memory per content round.
-            let exec = ExecutionOptions {
-                record_reads: false,
-                stop_at_first_mismatch: true,
-            };
-            if self.content_words.is_empty() {
-                let mut memory = FaultyMemory::with_faults(self.config, set)?;
-                return Ok(execute_lowered(&self.lowered, &mut memory, exec)?.detected());
-            }
-            for words in self.content_words.iter() {
-                let mut memory = FaultyMemory::with_faults(self.config, set.clone())?;
-                memory.load(words)?;
-                if !execute_lowered(&self.lowered, &mut memory, exec)?.detected() {
-                    return Ok(false);
-                }
-            }
-            return Ok(true);
-        }
-
         let footprint = set.word_footprint();
-        let mut arena = self.checkout();
-        let result = (|| {
-            let memory = arena.as_mut().expect("arena mode checked out a memory");
-            if self.content_images.is_empty() {
-                memory.reset_with_faults(set)?;
-                return Ok(detect_lowered_at(&self.lowered, memory, &footprint)?);
-            }
-            for image in self.content_images.iter() {
-                memory.reset_with_faults(set.clone())?;
-                memory.load_image(image)?;
-                if !detect_lowered_at(&self.lowered, memory, &footprint)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        })();
-        self.checkin(arena);
+        let mut memory = self.checkout();
+        let result = self.detected_under_contents(&mut memory, &footprint, |memory| {
+            memory.reset_with_faults(set.clone())
+        });
+        self.checkin(memory);
         result
     }
 
-    /// Checks an arena memory out of the pool (or decides to run in the
-    /// historical fresh-per-fault mode when reuse is disabled).
-    fn checkout(&self) -> Option<FaultyMemory> {
-        if !self.reuse_memory {
-            return None;
+    /// Checks an arena memory out of the pool, building one if it is empty.
+    fn checkout(&self) -> FaultyMemory {
+        let memory = self.pool.lock().expect("arena pool lock poisoned").pop();
+        match memory {
+            Some(memory) => {
+                engine_obs().pool_idle_arenas.decr();
+                memory
+            }
+            None => FaultyMemory::fault_free(self.config),
         }
-        let mut pool = self.pool.lock().expect("arena pool lock poisoned");
-        let memory = pool.pop();
-        if memory.is_some() {
-            engine_obs().pool_idle_arenas.decr();
-        }
-        Some(memory.unwrap_or_else(|| FaultyMemory::fault_free(self.config)))
     }
 
     /// Returns an arena memory to the pool.
-    fn checkin(&self, arena: Option<FaultyMemory>) {
-        if let Some(memory) = arena {
-            self.pool
-                .lock()
-                .expect("arena pool lock poisoned")
-                .push(memory);
-            engine_obs().pool_idle_arenas.incr();
-        }
+    fn checkin(&self, memory: FaultyMemory) {
+        self.pool
+            .lock()
+            .expect("arena pool lock poisoned")
+            .push(memory);
+        engine_obs().pool_idle_arenas.incr();
     }
 
-    /// Produces a memory carrying exactly `fault` on zeroed content: the
-    /// arena is re-armed in place, or a fresh memory is built when reuse is
-    /// disabled. Either way the result is indistinguishable from
-    /// [`FaultyMemory::with_faults`] over the same fault.
-    fn arm<'a>(
-        &self,
-        arena: &'a mut Option<FaultyMemory>,
-        fault: Fault,
-    ) -> Result<&'a mut FaultyMemory, CoverageError> {
-        match arena {
-            Some(memory) => {
-                memory.reset_with_fault(fault)?;
-                Ok(memory)
-            }
-            None => {
-                *arena = Some(FaultyMemory::with_faults(
-                    self.config,
-                    FaultSet::from_faults([fault]),
-                )?);
-                Ok(arena.as_mut().expect("just inserted"))
-            }
-        }
-    }
-
-    /// Whether one fault is detected (under every tried initial content),
-    /// using the engine's lowered test, shared contents and the given arena
-    /// slot.
-    fn fault_detected(
-        &self,
-        arena: &mut Option<FaultyMemory>,
-        fault: Fault,
-    ) -> Result<bool, CoverageError> {
-        match arena {
-            Some(memory) => self.detected_arena(memory, fault),
-            None => self.detected_fresh(fault),
-        }
-    }
-
-    /// Arena-mode detection: the pooled memory is re-armed per fault, the
+    /// Whether one fault is detected (under every tried initial content) on
+    /// an arena memory: the memory is re-armed per content round, the
     /// shared content restored with a block copy, and only the fault's
     /// footprint words are swept ([`twm_bist::detect_lowered_at`] — a word
     /// no fault touches can neither misread nor disturb anything, so the
     /// verdict equals a full sweep's at a fraction of the cost).
-    fn detected_arena(
-        &self,
-        memory: &mut FaultyMemory,
-        fault: Fault,
-    ) -> Result<bool, CoverageError> {
+    fn detected(&self, memory: &mut FaultyMemory, fault: Fault) -> Result<bool, CoverageError> {
         // The footprint is at most two words: the victim's and, for
         // coupling faults, the aggressor's — sorted, deduplicated, and
         // built without per-fault allocation.
@@ -1285,15 +904,26 @@ impl CoverageEngine {
             }
             _ => 1,
         };
-        let footprint = &footprint[..words];
+        self.detected_under_contents(memory, &footprint[..words], |memory| {
+            memory.reset_with_fault(fault)
+        })
+    }
 
-        if self.content_images.is_empty() {
-            memory.reset_with_fault(fault)?;
-            return Ok(detect_lowered_at(&self.lowered, memory, footprint)?);
-        }
-        for image in self.content_images.iter() {
-            memory.reset_with_fault(fault)?;
-            memory.load_image(image)?;
+    /// Runs the lowered test once per content round (once on zeroed
+    /// content for the all-zero policy), re-arming the memory with `arm`
+    /// and restoring the round's content before each sweep of `footprint`;
+    /// detected means detected under **every** round.
+    fn detected_under_contents(
+        &self,
+        memory: &mut FaultyMemory,
+        footprint: &[usize],
+        mut arm: impl FnMut(&mut FaultyMemory) -> Result<(), MemError>,
+    ) -> Result<bool, CoverageError> {
+        for round in 0..self.content_images.len().max(1) {
+            arm(memory)?;
+            if let Some(image) = self.content_images.get(round) {
+                memory.load_image(image)?;
+            }
             if !detect_lowered_at(&self.lowered, memory, footprint)? {
                 return Ok(false);
             }
@@ -1301,45 +931,15 @@ impl CoverageEngine {
         Ok(true)
     }
 
-    /// The historical fresh-per-fault detection path: a new memory is built
-    /// per run, the content rebuilt word by word, and the full address
-    /// space swept. Kept behind [`CoverageEngineBuilder::memory_reuse`]
-    /// `(false)` as the A/B baseline; bit-identical verdicts to
-    /// [`CoverageEngine::report`]'s arena path are property-tested.
-    fn detected_fresh(&self, fault: Fault) -> Result<bool, CoverageError> {
-        let exec = ExecutionOptions {
-            record_reads: false,
-            stop_at_first_mismatch: true,
-        };
-        if self.content_words.is_empty() {
-            let mut memory =
-                FaultyMemory::with_faults(self.config, FaultSet::from_faults([fault]))?;
-            let result = execute_lowered(&self.lowered, &mut memory, exec)?;
-            return Ok(result.detected());
-        }
-        for words in self.content_words.iter() {
-            let mut memory =
-                FaultyMemory::with_faults(self.config, FaultSet::from_faults([fault]))?;
-            memory.load(words)?;
-            let result = execute_lowered(&self.lowered, &mut memory, exec)?;
-            if !result.detected() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     /// Evaluates one bounded window of faults into `slots` (index `i` gets
-    /// fault `i`'s result), fanning across the worker threads when the
-    /// engine is parallel.
+    /// fault `i`'s result), fanning across the worker threads.
     ///
-    /// Parallel windows are drained by **work stealing**: workers claim
+    /// Windows are drained by **work stealing**: workers claim
     /// [`STEAL_GRAIN`]-sized runs of the window from a shared atomic
     /// cursor, so a ragged tail of expensive faults rebalances instead of
-    /// stalling the window barrier behind one unlucky contiguous chunk
-    /// (the historical fixed per-thread split). Each worker tags results
-    /// with their window slots, so the slot-indexed merge is identical for
-    /// any steal interleaving — verdict order never depends on timing.
+    /// stalling the window barrier. Each worker tags results with their
+    /// window slots, so the slot-indexed merge is identical for any steal
+    /// interleaving — verdict order never depends on timing.
     ///
     /// `slots` is cleared and refilled; the caller owns it so streaming
     /// windows reuse one allocation. Worker-side result buffers come from
@@ -1352,74 +952,52 @@ impl CoverageEngine {
         slots.clear();
         slots.resize_with(window.len(), || None);
         engine_obs().verdict_windows.incr();
-        let threads = self.threads.min(window.len()).max(1);
-        if threads <= 1 {
-            let mut arena = self.checkout();
-            for (slot, &fault) in window.iter().enumerate() {
-                slots[slot] = Some(self.fault_detected(&mut arena, fault));
-            }
-            self.checkin(arena);
-            return;
-        }
-        #[cfg(feature = "parallel")]
-        {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-
-            let cursor = AtomicUsize::new(0);
-            let cursor = &cursor;
-            let jobs: Vec<_> = (0..threads)
-                .map(|_| {
-                    move || {
-                        let mut arena = self.checkout();
-                        let mut out = self.take_scratch();
-                        let mut steals = 0u64;
-                        loop {
-                            let start = cursor.fetch_add(STEAL_GRAIN, Ordering::Relaxed);
-                            if start >= window.len() {
-                                break;
-                            }
-                            steals += 1;
-                            let end = (start + STEAL_GRAIN).min(window.len());
-                            for (offset, &fault) in window[start..end].iter().enumerate() {
-                                out.push((start + offset, self.fault_detected(&mut arena, fault)));
-                            }
-                        }
-                        engine_obs().window_steals.add(steals);
-                        self.checkin(arena);
-                        out
-                    }
-                })
-                .collect();
-            let per_worker: Vec<VerdictScratch> = if self.reuse_threads {
-                // Persistent pool: workers live across windows (and across
-                // `with_test` siblings).
-                self.workers().run(jobs)
-            } else {
-                // Historical spawn-per-window baseline (A/B in the
-                // `engine_reuse` bench group).
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("coverage worker panicked"))
-                        .collect()
-                })
-            };
-            for mut out in per_worker {
-                for (slot, result) in out.drain(..) {
-                    slots[slot] = Some(result);
+        let cursor = AtomicUsize::new(0);
+        let per_worker = self.fan_out(window.len().div_ceil(STEAL_GRAIN), || {
+            let mut memory = self.checkout();
+            let mut out = self.take_scratch();
+            let mut steals = 0u64;
+            loop {
+                let start = cursor.fetch_add(STEAL_GRAIN, Ordering::Relaxed);
+                if start >= window.len() {
+                    break;
                 }
-                self.return_scratch(out);
+                steals += 1;
+                let end = (start + STEAL_GRAIN).min(window.len());
+                for (offset, &fault) in window[start..end].iter().enumerate() {
+                    out.push((start + offset, self.detected(&mut memory, fault)));
+                }
             }
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            unreachable!("threads resolve to 1 without the parallel feature")
+            engine_obs().window_steals.add(steals);
+            self.checkin(memory);
+            out
+        });
+        for mut out in per_worker {
+            for (slot, result) in out.drain(..) {
+                slots[slot] = Some(result);
+            }
+            self.return_scratch(out);
         }
     }
 
+    /// Runs `job` on `min(threads, items)` workers — the calling thread
+    /// plus the persistent pool — and returns each worker's result. One
+    /// worker runs on the calling thread alone.
+    fn fan_out<T: Send>(&self, items: usize, job: impl Fn() -> T + Sync) -> Vec<T> {
+        #[cfg(feature = "parallel")]
+        {
+            let workers = self.threads.min(items);
+            if workers > 1 {
+                let job = &job;
+                return self.workers().run((0..workers).map(|_| job).collect());
+            }
+        }
+        #[cfg(not(feature = "parallel"))]
+        let _ = items;
+        vec![job()]
+    }
+
     /// Checks a verdict scratch buffer out of the persistent pool.
-    #[cfg(feature = "parallel")]
     fn take_scratch(&self) -> VerdictScratch {
         self.scratch
             .lock()
@@ -1429,7 +1007,6 @@ impl CoverageEngine {
     }
 
     /// Returns a (cleared) verdict scratch buffer to the persistent pool.
-    #[cfg(feature = "parallel")]
     fn return_scratch(&self, mut buffer: VerdictScratch) {
         buffer.clear();
         self.scratch
@@ -1438,7 +1015,7 @@ impl CoverageEngine {
             .push(buffer);
     }
 
-    /// The engine's persistent window workers, created on first use.
+    /// The engine's persistent workers, created on first use.
     #[cfg(feature = "parallel")]
     fn workers(&self) -> &WorkerPool {
         self.workers
@@ -1474,16 +1051,14 @@ where
 {
     /// Pulls and evaluates the next window of faults from the universe.
     fn refill(&mut self) {
-        if self.engine.threads <= 1 {
+        let engine = self.engine;
+        if engine.threads <= 1 {
             // Serial: stream strictly one fault at a time with a held arena.
             if let Some(fault) = self.universe.next() {
                 let fault = *fault.borrow();
-                if self.arena.is_none() {
-                    self.arena = self.engine.checkout();
-                }
-                let verdict = self
-                    .engine
-                    .fault_detected(&mut self.arena, fault)
+                let memory = self.arena.get_or_insert_with(|| engine.checkout());
+                let verdict = engine
+                    .detected(memory, fault)
                     .map(|detected| FaultVerdict { fault, detected });
                 self.buffer.push_back(verdict);
             }
@@ -1493,14 +1068,13 @@ where
         self.window.extend(
             self.universe
                 .by_ref()
-                .take(self.engine.threads * STREAM_CHUNK)
+                .take(engine.threads * STREAM_CHUNK)
                 .map(|fault| *fault.borrow()),
         );
         if self.window.is_empty() {
             return;
         }
-        self.engine
-            .evaluate_window_into(&self.window, &mut self.slots);
+        engine.evaluate_window_into(&self.window, &mut self.slots);
         self.buffer.extend(
             self.window
                 .iter()
@@ -1539,6 +1113,8 @@ where
 
 impl<I> Drop for Verdicts<'_, I> {
     fn drop(&mut self) {
-        self.engine.checkin(self.arena.take());
+        if let Some(memory) = self.arena.take() {
+            self.engine.checkin(memory);
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! under one content and escape under another — but over a fault universe
 //! that is *closed under content translation* (every polarity/transition
 //! variant of every cell pair is present), the number of detected faults per
-//! class is identical. This module measures exactly that.
+//! class is identical. [`crate::CoverageEngine::compare`] measures exactly
+//! that into an [`EquivalenceReport`].
 //!
 //! One caveat the paper's abstract analysis glosses over and the bit-true
 //! simulation makes visible: a *state* coupling fault (CFst) whose aggressor
@@ -23,11 +24,9 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use twm_march::MarchTest;
-use twm_mem::{Fault, FaultClass, MemoryConfig};
+use twm_mem::{Fault, FaultClass};
 
-use crate::evaluator::EvaluationOptions;
-use crate::{CoverageEngine, CoverageError, CoverageReport, Strategy};
+use crate::CoverageReport;
 
 /// Per-fault disagreement between two tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,57 +95,27 @@ impl EquivalenceReport {
     }
 }
 
-/// Compares the fault coverage of two march tests over the same fault list
-/// and memory configuration.
-///
-/// Each test is evaluated under its own options; the paper's theorem is
-/// stated for a transparent test under arbitrary content
-/// ([`crate::ContentPolicy::Random`]) against a non-transparent test that
-/// initialises the memory itself ([`crate::ContentPolicy::Zeros`]).
-///
-/// # Errors
-///
-/// Returns [`CoverageError::EmptyUniverse`] for an empty fault list and the
-/// evaluator's errors for tests that cannot run on the configuration.
-pub fn coverage_equivalence(
-    first: &MarchTest,
-    second: &MarchTest,
-    faults: &[Fault],
-    config: MemoryConfig,
-    first_options: EvaluationOptions,
-    second_options: EvaluationOptions,
-) -> Result<EquivalenceReport, CoverageError> {
-    if faults.is_empty() {
-        return Err(CoverageError::EmptyUniverse);
-    }
-    // One engine per test amortises the per-run setup: each test is lowered
-    // once and its initial contents generated once, shared across every
-    // fault-injection run. The serial strategy keeps this convenience
-    // wrapper deterministic and dependency-light; build the engines with an
-    // explicit parallel strategy to fan the comparison out.
-    let first_engine = CoverageEngine::builder(config)
-        .test(first)
-        .options(first_options)
-        .strategy(Strategy::Serial)
-        .build()?;
-    let second_engine = CoverageEngine::builder(config)
-        .test(second)
-        .options(second_options)
-        .strategy(Strategy::Serial)
-        .build()?;
-    first_engine.compare(&second_engine, faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::universe::{CouplingScope, UniverseBuilder};
+    use crate::{ContentPolicy, CoverageEngine, CoverageError};
     use twm_core::atmarch::amarch;
     use twm_core::{TransparentScheme, TwmTa};
     use twm_march::algorithms::{march_c_minus, mats_plus};
+    use twm_march::MarchTest;
+    use twm_mem::MemoryConfig;
 
     fn config(words: usize, width: usize) -> MemoryConfig {
         MemoryConfig::new(words, width).unwrap()
+    }
+
+    fn engine(test: &MarchTest, config: MemoryConfig, content: ContentPolicy) -> CoverageEngine {
+        CoverageEngine::builder(config)
+            .test(test)
+            .content(content)
+            .build()
+            .unwrap()
     }
 
     /// The non-transparent word-oriented counterpart of TWMarch:
@@ -178,21 +147,14 @@ mod tests {
         // test initialises the memory itself and is evaluated from all-zero
         // content. Under content translation these settings correspond, so
         // per-class detected counts must be identical.
-        let report = coverage_equivalence(
+        let transparent = engine(
             transformed.transparent_test(),
-            &counterpart,
-            &faults,
             c,
-            EvaluationOptions {
-                content: crate::ContentPolicy::Random { seed: 2024 },
-                contents_per_fault: 1,
-            },
-            EvaluationOptions {
-                content: crate::ContentPolicy::Zeros,
-                contents_per_fault: 1,
-            },
-        )
-        .unwrap();
+            ContentPolicy::Random { seed: 2024 },
+        );
+        let report = transparent
+            .compare(&engine(&counterpart, c, ContentPolicy::Zeros), &faults)
+            .unwrap();
         // Exact equality for the fault classes whose detection is purely
         // operation-driven.
         assert!(
@@ -231,15 +193,10 @@ mod tests {
             .coupling_scope(CouplingScope::AllPairs)
             .sample_per_class(100, 5)
             .build();
-        let report = coverage_equivalence(
-            &mats_plus(),
-            &march_c_minus(),
-            &faults,
-            c,
-            EvaluationOptions::default(),
-            EvaluationOptions::default(),
-        )
-        .unwrap();
+        let content = crate::EvaluationOptions::default().content;
+        let report = engine(&mats_plus(), c, content)
+            .compare(&engine(&march_c_minus(), c, content), &faults)
+            .unwrap();
         assert!(!report.class_counts_equal());
         assert!(!report.fault_by_fault_equal());
         assert!(!report.disagreements.is_empty());
@@ -248,14 +205,9 @@ mod tests {
     #[test]
     fn empty_universe_is_rejected() {
         let c = config(2, 2);
-        let result = coverage_equivalence(
-            &mats_plus(),
-            &march_c_minus(),
-            &[],
-            c,
-            EvaluationOptions::default(),
-            EvaluationOptions::default(),
-        );
+        let content = ContentPolicy::Zeros;
+        let result =
+            engine(&mats_plus(), c, content).compare(&engine(&march_c_minus(), c, content), &[]);
         assert!(matches!(result, Err(CoverageError::EmptyUniverse)));
     }
 }

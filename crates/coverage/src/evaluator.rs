@@ -14,14 +14,11 @@
 //! contents and a pool of reusable memory arenas, and exposes
 //! [`report`](crate::CoverageEngine::report) /
 //! [`verdicts`](crate::CoverageEngine::verdicts) /
-//! [`compare`](crate::CoverageEngine::compare). The historical `evaluate*`
-//! free-function zoo was deprecated when the engine landed and has been
-//! removed; see the MIGRATION table in the repository's `CHANGES.md` for
-//! the one-line replacements.
+//! [`compare`](crate::CoverageEngine::compare).
 //!
 //! This module defines the option types the engine consumes —
-//! [`ContentPolicy`] and [`EvaluationOptions`] — plus the one-off
-//! [`fault_detected`] query.
+//! [`ContentPolicy`] and [`EvaluationOptions`] — plus [`fault_detected`],
+//! the deliberately naive reference every engine path is tested against.
 
 use serde::{Deserialize, Serialize};
 
@@ -67,28 +64,41 @@ impl Default for EvaluationOptions {
     }
 }
 
-/// Whether a single fault is detected by the test (under every tried initial
-/// content).
+/// Whether a set of simultaneously injected faults is detected by the test
+/// (under every tried initial content) — the reference semantics of fault
+/// coverage, computed the naive way.
 ///
-/// A one-off query that interprets the symbolic test directly; for sweeps
-/// over many faults, build a [`crate::CoverageEngine`] and stream
-/// [`verdicts`](crate::CoverageEngine::verdicts) instead.
+/// Each content round builds a fresh [`FaultyMemory`] carrying `faults`,
+/// fills it with [`FaultyMemory::fill_random`] (or leaves it zeroed under
+/// [`ContentPolicy::Zeros`]) and executes the test over the **whole**
+/// address space. Nothing is shared, pooled, packed or footprint-limited:
+/// this is the paper's literal experiment, and every
+/// [`crate::CoverageEngine`] verdict — lane-batched, fault-local, parallel
+/// or streaming — must equal it (property-tested in
+/// `tests/reference_equivalence.rs`). It is slow on large memories; sweeps
+/// belong on the engine.
 ///
 /// # Errors
 ///
-/// Same as [`crate::CoverageEngine::report`].
+/// * [`CoverageError::EmptyUniverse`] if `faults` is empty.
+/// * [`CoverageError::Mem`] if a fault does not fit the memory shape.
+/// * [`CoverageError::Bist`] if the test cannot be executed.
 pub fn fault_detected(
     test: &MarchTest,
-    fault: Fault,
+    faults: &[Fault],
     config: MemoryConfig,
     options: EvaluationOptions,
 ) -> Result<bool, CoverageError> {
+    if faults.is_empty() {
+        return Err(CoverageError::EmptyUniverse);
+    }
     let tries = match options.content {
         ContentPolicy::Zeros => 1,
         ContentPolicy::Random { .. } => options.contents_per_fault.max(1),
     };
     for round in 0..tries {
-        let mut memory = FaultyMemory::with_faults(config, FaultSet::from_faults([fault]))?;
+        let mut memory =
+            FaultyMemory::with_faults(config, FaultSet::from_faults(faults.iter().copied()))?;
         if let ContentPolicy::Random { seed } = options.content {
             memory.fill_random(seed.wrapping_add(round as u64));
         }

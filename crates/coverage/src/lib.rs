@@ -75,8 +75,9 @@
 //! default [`Strategy::Auto`] — available parallelism, overridable with the
 //! documented `TWM_COVERAGE_THREADS` environment-variable fallback.
 //! Verdicts are merged back in universe order, so the produced
-//! [`CoverageReport`] is **bit-identical** to the serial reference for any
-//! thread count (property-tested in `tests/engine_streaming.rs`).
+//! [`CoverageReport`] is **bit-identical** for any thread count, and every
+//! verdict equals the naive reference [`fault_detected`] (property-tested
+//! in `tests/reference_equivalence.rs`).
 //!
 //! ## Migrating from the free-function API
 //!
@@ -101,9 +102,9 @@ pub mod report;
 pub mod states;
 pub mod universe;
 
-pub use aliasing::{aliasing_report, AliasingReport};
+pub use aliasing::AliasingReport;
 pub use engine::{CoverageEngine, CoverageEngineBuilder, FaultVerdict, Strategy, Verdicts};
-pub use equivalence::{coverage_equivalence, EquivalenceReport};
+pub use equivalence::EquivalenceReport;
 pub use error::CoverageError;
 pub use evaluator::{fault_detected, ContentPolicy, EvaluationOptions};
 pub use matrix::{scheme_matrix, MatrixOptions, SchemeMatrix, SchemeMatrixRow};

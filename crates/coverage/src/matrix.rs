@@ -132,7 +132,7 @@ pub fn scheme_matrix(
     // One shared fault-free memory image for the session checks, generated
     // exactly like the engines' contents so the dynamic transparency check
     // runs on representative data.
-    let (_, images) = prepared_contents(config, evaluation, true);
+    let images = prepared_contents(config, evaluation);
 
     let mut rows = Vec::with_capacity(registry.len());
     for scheme in registry.iter() {

@@ -1,20 +1,19 @@
-//! A persistent scoped worker pool for the engine's streaming windows.
+//! A persistent scoped worker pool for the engine's fan-outs.
 //!
-//! [`crate::CoverageEngine`] evaluates parallel universes in bounded
-//! windows; historically every window spawned (and joined) a fresh set of
-//! `std::thread::scope` workers, paying thread creation once per window.
-//! [`WorkerPool`] keeps the workers alive across windows — and, because the
-//! pool is shared (`Arc`) with [`crate::CoverageEngine::with_test`]
-//! siblings, across the thousands of candidate engines a search loop
-//! builds.
+//! [`crate::CoverageEngine`] fans each report and each streaming window
+//! across its worker threads. [`WorkerPool`] keeps those workers alive
+//! across fan-outs — and, because the pool is shared (`Arc`) with
+//! [`crate::CoverageEngine::with_test`] siblings, across the thousands of
+//! candidate engines a search loop builds — so thread creation is paid
+//! once per engine family, not once per window.
 //!
 //! The pool offers a *scoped* execution primitive: [`WorkerPool::run`]
 //! accepts closures that borrow from the caller's stack frame and does not
 //! return until every closure has finished (or the pool panics the caller
 //! after all of them have finished), which is what makes the lifetime
-//! erasure below sound. Results come back indexed by job slot, so window
-//! verdict ordering — and therefore every report — is bit-identical to the
-//! spawn-per-window path (A/B-measured in the `engine_reuse` bench group).
+//! erasure below sound. Results come back indexed by job slot, and the
+//! engine merges verdicts by universe slot, so every report is
+//! bit-identical for any thread count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};

@@ -115,44 +115,6 @@ proptest! {
         }
     }
 
-    /// Arena reuse is unobservable: an engine with memory reuse disabled
-    /// (the historical fresh-allocation-per-fault behaviour, word-by-word
-    /// content restore) produces bit-identical reports to the arena engine
-    /// (image-restore path), for several contents per fault.
-    #[test]
-    fn arena_and_fresh_modes_are_bit_identical(
-        width in prop_oneof![Just(1usize), Just(4), Just(8)],
-        words in 2usize..7,
-        universe_seed in 0u64..1_000,
-        content_seed in 0u64..1_000,
-        contents_per_fault in 1usize..3,
-    ) {
-        let config = MemoryConfig::new(words, width).unwrap();
-        let faults = UniverseBuilder::new(config)
-            .all_classes()
-            .sample_per_class(15, universe_seed)
-            .build();
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed: content_seed },
-            contents_per_fault,
-        };
-        for strategy in thread_strategies() {
-            let arena = engine(&march_c_minus(), config, options, strategy);
-            let fresh = CoverageEngine::builder(config)
-                .test(&march_c_minus())
-                .options(options)
-                .strategy(strategy)
-                .memory_reuse(false)
-                .build()
-                .unwrap();
-            prop_assert_eq!(
-                arena.report(&faults).unwrap(),
-                fresh.report(&faults).unwrap(),
-                "strategy {:?}", strategy
-            );
-        }
-    }
-
     /// The stream accepts a lazy fault iterator (never materialised by the
     /// caller) and yields verdicts in universe order.
     #[test]
@@ -178,31 +140,6 @@ proptest! {
             prop_assert_eq!(&order, &faults, "strategy {:?}", strategy);
         }
     }
-}
-
-/// Mid-stream abandonment returns arenas to the pool and a subsequent full
-/// evaluation on the same engine is unaffected.
-#[test]
-fn abandoned_stream_does_not_disturb_later_evaluations() {
-    let config = MemoryConfig::new(6, 4).unwrap();
-    let faults = UniverseBuilder::new(config)
-        .all_classes()
-        .sample_per_class(30, 3)
-        .build();
-    let e = engine(
-        &march_c_minus(),
-        config,
-        EvaluationOptions::default(),
-        Exec::Auto,
-    );
-    let reference = e.report(&faults).unwrap();
-    {
-        let mut stream = e.verdicts(&faults);
-        let _ = stream.next();
-        let _ = stream.next();
-        // Dropped mid-stream here.
-    }
-    assert_eq!(e.report(&faults).unwrap(), reference);
 }
 
 /// An empty universe is an empty stream (only `report` treats it as an
@@ -286,47 +223,6 @@ fn invalid_fault_errors_surface_in_order() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Multi-fault injections: the engine's fault-local
-    /// `injection_detected` agrees with the historical full-sweep path
-    /// (`memory_reuse(false)`) for any fault subset, content seed and
-    /// contents-per-fault count.
-    #[test]
-    fn injection_detected_matches_full_sweep_reference(
-        pick in prop::collection::vec(0usize..1000, 1..5),
-        seed in any::<u64>(),
-        contents in 1usize..3,
-    ) {
-        let config = MemoryConfig::new(10, 4).unwrap();
-        let pool = UniverseBuilder::new(config)
-            .all_classes()
-            .coupling_scope(CouplingScope::AllPairs)
-            .sample_per_class(40, 5)
-            .build();
-        let faults: Vec<Fault> = pick.iter().map(|&i| pool[i % pool.len()]).collect();
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed },
-            contents_per_fault: contents,
-        };
-        let test = march_c_minus();
-        let local = engine(&test, config, options, Exec::Serial)
-            .injection_detected(&faults)
-            .unwrap();
-        let full = CoverageEngine::builder(config)
-            .test(&test)
-            .options(options)
-            .strategy(Exec::Serial)
-            .memory_reuse(false)
-            .build()
-            .unwrap()
-            .injection_detected(&faults)
-            .unwrap();
-        prop_assert_eq!(local, full);
-    }
-}
-
 #[test]
 fn injection_detected_rejects_an_empty_set() {
     let config = MemoryConfig::new(8, 4).unwrap();
@@ -340,121 +236,4 @@ fn injection_detected_rejects_an_empty_set() {
         e.injection_detected(&[]),
         Err(CoverageError::EmptyUniverse)
     ));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// `report` may evaluate cheap-to-detect faults first
-    /// (`schedule_cheap_first`, on by default), but the produced report
-    /// must stay bit-identical to the strictly in-order evaluation for any
-    /// universe permutation and thread count.
-    #[test]
-    fn cheap_first_scheduling_is_bit_identical(
-        seed in any::<u64>(),
-        rotate in 0usize..500,
-    ) {
-        let config = MemoryConfig::new(6, 4).unwrap();
-        let mut faults = UniverseBuilder::new(config)
-            .all_classes()
-            .sample_per_class(60, 13)
-            .build();
-        // An arbitrary rotation mixes fault classes across the streaming
-        // windows, the case the scheduling targets.
-        let pivot = rotate % faults.len();
-        faults.rotate_left(pivot);
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed },
-            contents_per_fault: 1,
-        };
-        let reference = engine(&march_c_minus(), config, options, Exec::Serial)
-            .report(&faults)
-            .unwrap();
-        for strategy in thread_strategies() {
-            let scheduled = engine(&march_c_minus(), config, options, strategy)
-                .report(&faults)
-                .unwrap();
-            prop_assert_eq!(&scheduled, &reference);
-            let in_order = CoverageEngine::builder(config)
-                .test(&march_c_minus())
-                .options(options)
-                .strategy(strategy)
-                .schedule_cheap_first(false)
-                .build()
-                .unwrap()
-                .report(&faults)
-                .unwrap();
-            prop_assert_eq!(&in_order, &reference);
-        }
-    }
-
-    /// The persistent window worker pool (`thread_reuse`, on by default)
-    /// must produce bit-identical reports to the historical
-    /// spawn-per-window path and the serial reference, for any thread
-    /// count — including through `with_test` siblings, which share the
-    /// pool.
-    #[test]
-    fn persistent_worker_pool_is_bit_identical(seed in any::<u64>()) {
-        let config = MemoryConfig::new(6, 4).unwrap();
-        let faults = UniverseBuilder::new(config)
-            .all_classes()
-            .sample_per_class(60, 17)
-            .build();
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed },
-            contents_per_fault: 1,
-        };
-        let reference = engine(&march_c_minus(), config, options, Exec::Serial)
-            .report(&faults)
-            .unwrap();
-        for strategy in thread_strategies() {
-            let build = |reuse: bool| {
-                CoverageEngine::builder(config)
-                    .test(&march_c_minus())
-                    .options(options)
-                    .strategy(strategy)
-                    .thread_reuse(reuse)
-                    .build()
-                    .unwrap()
-            };
-            let pooled = build(true);
-            // Repeated reports reuse the same workers.
-            prop_assert_eq!(&pooled.report(&faults).unwrap(), &reference);
-            prop_assert_eq!(&pooled.report(&faults).unwrap(), &reference);
-            let sibling = pooled.with_test(&march_c_minus()).unwrap();
-            prop_assert_eq!(&sibling.report(&faults).unwrap(), &reference);
-            let spawning = build(false);
-            prop_assert_eq!(&spawning.report(&faults).unwrap(), &reference);
-        }
-    }
-
-    /// `with_test` siblings (shared prepared contents, fresh lowering)
-    /// must report exactly like an engine built from scratch for the same
-    /// test — the contract `twm-search` scores candidates through.
-    #[test]
-    fn with_test_sibling_matches_fresh_engine(seed in any::<u64>()) {
-        let config = MemoryConfig::new(8, 4).unwrap();
-        let faults = UniverseBuilder::new(config)
-            .all_classes()
-            .sample_per_class(40, 3)
-            .build();
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed },
-            contents_per_fault: 2,
-        };
-        let template = engine(&mats_plus(), config, options, Exec::Serial);
-        let scheme = TwmTa::new(4).unwrap();
-        let candidate = scheme.transform(&march_c_minus()).unwrap();
-        let sibling = template.with_test(candidate.transparent_test()).unwrap();
-        let fresh = engine(candidate.transparent_test(), config, options, Exec::Serial);
-        prop_assert_eq!(
-            sibling.report(&faults).unwrap(),
-            fresh.report(&faults).unwrap()
-        );
-        // The template keeps reporting for its own test afterwards.
-        prop_assert_eq!(
-            template.report(&faults).unwrap(),
-            engine(&mats_plus(), config, options, Exec::Serial).report(&faults).unwrap()
-        );
-    }
 }

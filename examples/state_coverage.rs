@@ -1,6 +1,5 @@
-//! Reproduces the analysis behind the paper's Figure 1, driven through the
-//! [`CoverageEngine`] — one engine per march test serves both the
-//! state-traversal analyses shown here and any fault-injection experiment.
+//! Reproduces the analysis behind the paper's Figure 1 with the
+//! state-traversal analyses of `twm::coverage::states`.
 //!
 //! * Figure 1(a): a march test detects 100 % of the coupling faults between
 //!   two arbitrary cells only if it drives the pair through all states and
@@ -18,16 +17,15 @@
 //! ```
 
 use twm::core::{SchemeId, SchemeRegistry, SchemeTransform};
-use twm::coverage::CoverageEngine;
+use twm::coverage::states::{analyze_cell_pair, analyze_intra_word_pair};
 use twm::march::algorithms::{march_c_minus, mats_plus};
 use twm::mem::{MemoryConfig, Word};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Figure 1(a): two-cell excitation conditions (bit-oriented) ==");
-    let bit_config = MemoryConfig::bit_oriented(16)?;
+    let cells = MemoryConfig::bit_oriented(16)?.cells();
     for test in [march_c_minus(), mats_plus()] {
-        let engine = CoverageEngine::builder(bit_config).test(&test).build()?;
-        let coverage = engine.cell_pair_states(2, 9)?;
+        let coverage = analyze_cell_pair(&test, 2, 9, cells)?;
         println!(
             "{:<10} states visited: {}/4, coupling conditions covered: {}/8",
             test.name(),
@@ -41,16 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== Figure 1(b): intra-word pair conditions (word-oriented, W = 8) ==");
     let width = 8;
-    let word_config = MemoryConfig::new(16, width)?;
     let transformed = SchemeRegistry::all(width)?.transform(SchemeId::TwmTa, &march_c_minus())?;
-    // One engine for the partial test (TSMarch only), one for the full
-    // transparent TWMarch.
-    let tsmarch = CoverageEngine::builder(word_config)
-        .test(transformed.stage(SchemeTransform::STAGE_TSMARCH).unwrap())
-        .build()?;
-    let twmarch = CoverageEngine::builder(word_config)
-        .test(transformed.transparent_test())
-        .build()?;
+    // The partial test (TSMarch only) against the full transparent TWMarch.
+    let tsmarch = transformed.stage(SchemeTransform::STAGE_TSMARCH).unwrap();
+    let twmarch = transformed.transparent_test();
     let initial = Word::from_bits(0b1011_0010, width)?;
     println!("initial word content: {initial}");
     println!(
@@ -58,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "bit pair", "TSMarch conditions", "TWMarch conditions"
     );
     for (a, b) in [(0usize, 1usize), (1, 2), (0, 7), (3, 6)] {
-        let partial = tsmarch.intra_word_pair_states(a, b, initial)?;
-        let full = twmarch.intra_word_pair_states(a, b, initial)?;
+        let partial = analyze_intra_word_pair(tsmarch, a, b, initial)?;
+        let full = analyze_intra_word_pair(twmarch, a, b, initial)?;
         println!(
             "{:>10} {:>22} {:>22}",
             format!("({a},{b})"),

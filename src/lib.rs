@@ -157,13 +157,13 @@
 //! Under the hood the engine packs stuck-at and transition faults 64 to a
 //! `u64` (one bit-sliced lane per fault) and evaluates a whole batch in a
 //! single march execution — ~20× faster than one-fault-per-pass on 64K-word
-//! memories, and guaranteed bit-identical (property-tested in
-//! `crates/coverage/tests/packed_equivalence.rs`). Coupling faults, whose
-//! lanes would entangle across cells, transparently take the scalar path.
-//! [`CoverageEngineBuilder::lane_batching`](coverage::CoverageEngineBuilder::lane_batching)`(false)`
-//! pins the scalar kernel for A/B comparison, and
-//! `cargo run --release -p twm-bench --bin perf_trajectory` measures both
-//! (CI publishes the result as `BENCH_<pr>.json`).
+//! memories. Coupling faults, whose lanes would entangle across cells, take
+//! the scalar fault-local path. Every verdict is bit-identical to the naive
+//! reference [`coverage::fault_detected`] (property-tested in
+//! `crates/coverage/tests/reference_equivalence.rs`), and
+//! `cargo run --release -p twm-bench --bin perf_trajectory` measures the
+//! packed kernel against the scalar path (CI publishes the result as
+//! `BENCH_<pr>.json`).
 //!
 //! ## Searching for better march tests
 //!
