@@ -166,7 +166,13 @@ pub fn execute_lowered<M: MemoryAccess>(
     let initial_content = memory.content();
     let words = memory.words();
 
+    // Size the read log once: sessions record every read, and growing the
+    // log by doubling costs a chain of large reallocations per execution.
     let mut reads = Vec::new();
+    if options.record_reads {
+        let ops = test.elements().iter().flat_map(|element| &element.ops);
+        reads.reserve_exact(ops.filter(|op| op.kind == OpKind::Read).count() * words);
+    }
     let mut mismatches = 0usize;
     let mut reads_performed = 0usize;
     let mut writes_performed = 0usize;

@@ -60,9 +60,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-#[cfg(feature = "parallel")]
-use crate::pool::WorkerPool;
-
 use serde::{Deserialize, Serialize};
 
 use twm_bist::flow::run_transparent_session;
@@ -77,7 +74,7 @@ use twm_mem::{
 use crate::equivalence::Disagreement;
 use crate::{
     AliasingReport, ContentPolicy, CoverageError, CoverageReport, EquivalenceReport,
-    EvaluationOptions,
+    EvaluationOptions, WorkerPool,
 };
 
 /// How the engine schedules fault-injection runs.
@@ -248,11 +245,8 @@ impl CoverageEngineBuilder {
             lowered,
             options: self.options,
             content_images: Arc::new(prepared_contents(self.config, self.options)),
-            threads,
             pool: Mutex::new(Vec::new()),
-            scratch: Mutex::new(Vec::new()),
-            #[cfg(feature = "parallel")]
-            workers: Arc::new(OnceLock::new()),
+            workers: Arc::new(WorkerPool::new(threads - 1)),
         })
     }
 }
@@ -336,11 +330,6 @@ fn engine_obs() -> &'static EngineObs {
     })
 }
 
-/// One worker's slot-tagged verdict output for a streaming window:
-/// `(window slot, verdict)` pairs, merged back in slot order so work-stealing
-/// never changes the stream. Pooled on the engine across windows.
-type VerdictScratch = Vec<(usize, Result<bool, CoverageError>)>;
-
 /// Estimated relative cost of one scalar fault-injection run, used to order
 /// [`CoverageEngine::report`]'s scalar work cheap-first: the fault-local
 /// sweep visits the fault's word footprint, so a two-word (inter-word
@@ -375,19 +364,13 @@ pub struct CoverageEngine {
     /// Shared (`Arc`) so [`CoverageEngine::with_test`] siblings reuse one
     /// generation.
     content_images: Arc<Vec<BitStorage>>,
-    threads: usize,
     /// Checked-in arena memories, re-armed per fault by workers. Bounded by
     /// the maximum number of concurrent checkouts (≤ worker threads).
     pool: Mutex<Vec<FaultyMemory>>,
-    /// Checked-in per-worker verdict scratch buffers for streaming windows,
-    /// so long verdict streams reallocate nothing per window. Bounded like
-    /// `pool`.
-    scratch: Mutex<Vec<VerdictScratch>>,
-    /// Persistent workers, created lazily on the first parallel fan-out and
-    /// shared (`Arc`) with [`CoverageEngine::with_test`] siblings so
-    /// candidate loops amortise thread creation too.
-    #[cfg(feature = "parallel")]
-    workers: Arc<OnceLock<WorkerPool>>,
+    /// Persistent workers (`threads - 1`; their threads spawn on the first
+    /// parallel fan-out), shared (`Arc`) with [`CoverageEngine::with_test`]
+    /// siblings so candidate loops amortise thread creation too.
+    workers: Arc<WorkerPool>,
 }
 
 impl CoverageEngine {
@@ -427,10 +410,7 @@ impl CoverageEngine {
             lowered,
             options: self.options,
             content_images: Arc::clone(&self.content_images),
-            threads: self.threads,
             pool: Mutex::new(Vec::new()),
-            scratch: Mutex::new(Vec::new()),
-            #[cfg(feature = "parallel")]
             workers: Arc::clone(&self.workers),
         })
     }
@@ -541,7 +521,7 @@ impl CoverageEngine {
     /// The resolved worker-thread count (1 = serial).
     #[must_use]
     pub fn worker_threads(&self) -> usize {
-        self.threads
+        self.workers.width()
     }
 
     /// Evaluates the fault coverage of the engine's test over a universe.
@@ -618,7 +598,9 @@ impl CoverageEngine {
         let total = batches.len() + scalar_runs.len();
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
-        let per_worker = self.fan_out(total, || {
+        // One job per worker, each with its own arenas, claiming items from
+        // the shared cursor.
+        let job = || {
             // `PackedArena::new` allocates nothing until a batch is armed,
             // and the scalar arena is checked out on the first scalar run.
             let mut arena = PackedArena::<Packed64>::new(self.config);
@@ -657,7 +639,9 @@ impl CoverageEngine {
                 self.checkin(memory);
             }
             out
-        });
+        };
+        let workers = self.workers.width().min(total);
+        let per_worker = self.workers.run((0..workers).map(|_| &job).collect());
         if failed.load(Ordering::Relaxed) {
             return None;
         }
@@ -709,11 +693,10 @@ impl CoverageEngine {
     /// memory.
     ///
     /// The universe may be any iterator of faults (owned or borrowed); it
-    /// is consumed lazily, one bounded window at a time (serial strategy:
-    /// one fault at a time; parallel: `threads ×` [a small constant] faults
-    /// per window), and verdicts are yielded **in universe order**. Every
-    /// fault runs on the scalar fault-local arena; the stream never
-    /// lane-batches. An empty universe yields an empty stream — only
+    /// is consumed lazily, one bounded window of `threads ×` [a small
+    /// constant] faults at a time, and verdicts are yielded **in universe
+    /// order**. Every fault runs on the scalar fault-local arena; the
+    /// stream never lane-batches. An empty universe yields an empty stream — only
     /// [`CoverageEngine::report`] treats emptiness as an error.
     ///
     /// Each item is a `Result`: a fault that cannot be injected or executed
@@ -728,9 +711,6 @@ impl CoverageEngine {
             engine: self,
             universe: universe.into_iter(),
             buffer: VecDeque::new(),
-            window: Vec::new(),
-            slots: Vec::new(),
-            arena: None,
             poisoned: false,
         }
     }
@@ -931,115 +911,38 @@ impl CoverageEngine {
         Ok(true)
     }
 
-    /// Evaluates one bounded window of faults into `slots` (index `i` gets
-    /// fault `i`'s result), fanning across the worker threads.
-    ///
-    /// Windows are drained by **work stealing**: workers claim
-    /// [`STEAL_GRAIN`]-sized runs of the window from a shared atomic
-    /// cursor, so a ragged tail of expensive faults rebalances instead of
-    /// stalling the window barrier. Each worker tags results with their
-    /// window slots, so the slot-indexed merge is identical for any steal
-    /// interleaving — verdict order never depends on timing.
-    ///
-    /// `slots` is cleared and refilled; the caller owns it so streaming
-    /// windows reuse one allocation. Worker-side result buffers come from
-    /// the engine's persistent scratch pool for the same reason.
-    fn evaluate_window_into(
-        &self,
-        window: &[Fault],
-        slots: &mut Vec<Option<Result<bool, CoverageError>>>,
-    ) {
-        slots.clear();
-        slots.resize_with(window.len(), || None);
-        engine_obs().verdict_windows.incr();
-        let cursor = AtomicUsize::new(0);
-        let per_worker = self.fan_out(window.len().div_ceil(STEAL_GRAIN), || {
+    /// Evaluates one bounded window of faults, returning its verdicts in
+    /// window order. Workers claim [`STEAL_GRAIN`]-sized runs of the window
+    /// from the pool's shared cursor, so a ragged tail of expensive faults
+    /// rebalances instead of stalling the window barrier, and the verdict
+    /// order never depends on timing.
+    fn evaluate_window(&self, window: &[Fault]) -> Vec<Result<bool, CoverageError>> {
+        let runs: Vec<&[Fault]> = window.chunks(STEAL_GRAIN).collect();
+        let obs = engine_obs();
+        obs.verdict_windows.incr();
+        obs.window_steals.add(runs.len() as u64);
+        let per_run = self.workers.map(&runs, |run| {
             let mut memory = self.checkout();
-            let mut out = self.take_scratch();
-            let mut steals = 0u64;
-            loop {
-                let start = cursor.fetch_add(STEAL_GRAIN, Ordering::Relaxed);
-                if start >= window.len() {
-                    break;
-                }
-                steals += 1;
-                let end = (start + STEAL_GRAIN).min(window.len());
-                for (offset, &fault) in window[start..end].iter().enumerate() {
-                    out.push((start + offset, self.detected(&mut memory, fault)));
-                }
-            }
-            engine_obs().window_steals.add(steals);
+            let verdicts: Vec<_> = run
+                .iter()
+                .map(|&fault| self.detected(&mut memory, fault))
+                .collect();
             self.checkin(memory);
-            out
+            verdicts
         });
-        for mut out in per_worker {
-            for (slot, result) in out.drain(..) {
-                slots[slot] = Some(result);
-            }
-            self.return_scratch(out);
-        }
-    }
-
-    /// Runs `job` on `min(threads, items)` workers — the calling thread
-    /// plus the persistent pool — and returns each worker's result. One
-    /// worker runs on the calling thread alone.
-    fn fan_out<T: Send>(&self, items: usize, job: impl Fn() -> T + Sync) -> Vec<T> {
-        #[cfg(feature = "parallel")]
-        {
-            let workers = self.threads.min(items);
-            if workers > 1 {
-                let job = &job;
-                return self.workers().run((0..workers).map(|_| job).collect());
-            }
-        }
-        #[cfg(not(feature = "parallel"))]
-        let _ = items;
-        vec![job()]
-    }
-
-    /// Checks a verdict scratch buffer out of the persistent pool.
-    fn take_scratch(&self) -> VerdictScratch {
-        self.scratch
-            .lock()
-            .expect("scratch pool lock poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a (cleared) verdict scratch buffer to the persistent pool.
-    fn return_scratch(&self, mut buffer: VerdictScratch) {
-        buffer.clear();
-        self.scratch
-            .lock()
-            .expect("scratch pool lock poisoned")
-            .push(buffer);
-    }
-
-    /// The engine's persistent workers, created on first use.
-    #[cfg(feature = "parallel")]
-    fn workers(&self) -> &WorkerPool {
-        self.workers
-            .get_or_init(|| WorkerPool::new(self.threads.saturating_sub(1)))
+        per_run.into_iter().flatten().collect()
     }
 }
 
 /// Streaming per-fault verdict iterator — see [`CoverageEngine::verdicts`].
 ///
-/// Holds at most one bounded window of pending verdicts; dropping the
-/// iterator mid-stream returns its arena memory to the engine's pool.
+/// Holds at most one bounded window of pending verdicts; arena memories
+/// go back to the engine's pool after every window.
 #[derive(Debug)]
 pub struct Verdicts<'e, I> {
     engine: &'e CoverageEngine,
     universe: I,
     buffer: VecDeque<Result<FaultVerdict, CoverageError>>,
-    /// The current window's faults, reused across refills so long streams
-    /// allocate one window, not one per window.
-    window: Vec<Fault>,
-    /// Slot-indexed window results, reused like `window`.
-    slots: Vec<Option<Result<bool, CoverageError>>>,
-    /// Arena held across `next()` calls on the serial path, so one-at-a-time
-    /// streaming still reuses a single memory.
-    arena: Option<FaultyMemory>,
     /// Set after yielding an error; the stream is over.
     poisoned: bool,
 }
@@ -1052,38 +955,21 @@ where
     /// Pulls and evaluates the next window of faults from the universe.
     fn refill(&mut self) {
         let engine = self.engine;
-        if engine.threads <= 1 {
-            // Serial: stream strictly one fault at a time with a held arena.
-            if let Some(fault) = self.universe.next() {
-                let fault = *fault.borrow();
-                let memory = self.arena.get_or_insert_with(|| engine.checkout());
-                let verdict = engine
-                    .detected(memory, fault)
-                    .map(|detected| FaultVerdict { fault, detected });
-                self.buffer.push_back(verdict);
-            }
+        let window: Vec<Fault> = self
+            .universe
+            .by_ref()
+            .take(engine.worker_threads() * STREAM_CHUNK)
+            .map(|fault| *fault.borrow())
+            .collect();
+        if window.is_empty() {
             return;
         }
-        self.window.clear();
-        self.window.extend(
-            self.universe
-                .by_ref()
-                .take(engine.threads * STREAM_CHUNK)
-                .map(|fault| *fault.borrow()),
-        );
-        if self.window.is_empty() {
-            return;
-        }
-        engine.evaluate_window_into(&self.window, &mut self.slots);
+        let verdicts = engine.evaluate_window(&window);
         self.buffer.extend(
-            self.window
-                .iter()
-                .zip(self.slots.drain(..))
-                .map(|(&fault, result)| {
-                    result
-                        .expect("every window slot evaluated")
-                        .map(|detected| FaultVerdict { fault, detected })
-                }),
+            window
+                .into_iter()
+                .zip(verdicts)
+                .map(|(fault, result)| result.map(|detected| FaultVerdict { fault, detected })),
         );
     }
 }
@@ -1108,13 +994,5 @@ where
             self.buffer.clear();
         }
         item
-    }
-}
-
-impl<I> Drop for Verdicts<'_, I> {
-    fn drop(&mut self) {
-        if let Some(memory) = self.arena.take() {
-            self.engine.checkin(memory);
-        }
     }
 }

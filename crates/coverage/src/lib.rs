@@ -68,8 +68,10 @@
 //! ## Execution strategy and the `parallel` feature
 //!
 //! Fault-injection runs are independent, so the engine fans the universe
-//! across worker threads when the `parallel` feature is enabled (it is on
-//! by default). The strategy is explicit on the builder:
+//! across the threads of its [`WorkerPool`] — the workspace's one fan-out
+//! primitive. The `parallel` feature (on by default) only decides what
+//! [`Strategy`] resolves to; without it every strategy resolves to one
+//! thread and the pool runs inline. The strategy is explicit on the builder:
 //! [`Strategy::Serial`], [`Strategy::Parallel`]` { threads }` (zero is
 //! rejected with [`CoverageError::ZeroThreads`], never clamped), or the
 //! default [`Strategy::Auto`] — available parallelism, overridable with the
@@ -96,7 +98,6 @@ pub mod equivalence;
 mod error;
 pub mod evaluator;
 pub mod matrix;
-#[cfg(feature = "parallel")]
 mod pool;
 pub mod report;
 pub mod states;
@@ -108,5 +109,6 @@ pub use equivalence::EquivalenceReport;
 pub use error::CoverageError;
 pub use evaluator::{fault_detected, ContentPolicy, EvaluationOptions};
 pub use matrix::{scheme_matrix, MatrixOptions, SchemeMatrix, SchemeMatrixRow};
+pub use pool::WorkerPool;
 pub use report::{ClassCoverage, CoverageReport};
 pub use universe::{CouplingScope, UniverseBuilder};

@@ -420,7 +420,7 @@ fn report_returns_the_earliest_error_in_universe_order() {
     }
 }
 
-/// Streams abandoned mid-window return their arenas and scratch buffers;
+/// Streams abandoned mid-window leave the engine reusable:
 /// later reports and streams on the same engine still match the reference.
 #[test]
 fn abandoned_streams_leave_the_engine_matching_reference() {

@@ -1,148 +1,132 @@
-//! A std-only thread-pool dispatch path over [`FleetService::handle`].
-//!
-//! [`Dispatcher::submit`] enqueues a request and returns a [`Ticket`];
-//! worker threads drain the queue and post each response back through
-//! the ticket's channel. Responses are per-request, so out-of-order
-//! completion across tickets is fine — each caller blocks only on its
-//! own [`Ticket::wait`].
+//! An admission limiter over [`FleetService::handle`]: [`Dispatcher::submit`]
+//! waits for one of a fixed number of slots, then runs the request on the
+//! calling thread and returns a resolved [`Ticket`]. The fan-out inside a
+//! request runs on the service's own worker pool. A request that panics
+//! answers [`Response::Error`] and frees its slot.
 
-use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::service::{FleetService, Request, Response};
 
-struct Job {
-    request: Request,
-    reply: mpsc::Sender<Response>,
-}
-
-#[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-struct Shared {
-    service: Arc<FleetService>,
-    queue: Mutex<QueueState>,
-    available: Condvar,
-}
-
-/// A pending response; redeem with [`Ticket::wait`].
+/// A handled request's response; redeem with [`Ticket::wait`].
 #[derive(Debug)]
 pub struct Ticket {
-    receiver: mpsc::Receiver<Response>,
+    response: Response,
 }
 
 impl Ticket {
-    /// Blocks until the request's response is ready.
+    /// The request's response (already computed by [`Dispatcher::submit`]).
     #[must_use]
     pub fn wait(self) -> Response {
-        self.receiver.recv().unwrap_or_else(|_| Response::Error {
-            message: "dispatcher shut down before the request completed".to_string(),
-        })
+        self.response
     }
 }
 
-/// A fixed pool of worker threads feeding one [`FleetService`].
+/// Runs at most `workers` requests at a time against one [`FleetService`].
 pub struct Dispatcher {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
+    service: Arc<FleetService>,
+    /// Slots not taken by a running request.
+    free: Mutex<usize>,
+    freed: Condvar,
 }
 
 impl Dispatcher {
-    /// Spawns `workers` threads (at least one) over the service.
+    /// A limiter with `workers` slots (at least one) over the service.
     #[must_use]
     pub fn new(service: Arc<FleetService>, workers: usize) -> Self {
-        let shared = Arc::new(Shared {
+        Self {
             service,
-            queue: Mutex::new(QueueState::default()),
-            available: Condvar::new(),
-        });
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker(&shared))
-            })
-            .collect();
-        Self { shared, handles }
+            free: Mutex::new(workers.max(1)),
+            freed: Condvar::new(),
+        }
     }
 
-    /// Enqueues a request; the returned ticket resolves to its response.
+    /// Handles a request on the calling thread once a slot is free,
+    /// blocking while all slots are busy.
     #[must_use]
     pub fn submit(&self, request: Request) -> Ticket {
-        let (reply, receiver) = mpsc::channel();
-        {
-            let mut queue = self.shared.queue.lock().expect("queue lock");
-            queue.jobs.push_back(Job { request, reply });
-        }
-        self.shared.available.notify_one();
-        Ticket { receiver }
+        let free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let free = self.freed.wait_while(free, |free| *free == 0);
+        let mut free = free.unwrap_or_else(PoisonError::into_inner);
+        *free -= 1;
+        drop(free);
+        let response = catch_unwind(AssertUnwindSafe(|| self.service.handle(request)))
+            .unwrap_or_else(|_| Response::Error {
+                message: "the request handler panicked".to_string(),
+            });
+        *self.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.freed.notify_one();
+        Ticket { response }
     }
 
-    /// The service behind the pool.
+    /// The service behind the limiter.
     #[must_use]
     pub fn service(&self) -> &Arc<FleetService> {
-        &self.shared.service
-    }
-}
-
-impl Drop for Dispatcher {
-    fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("queue lock");
-            queue.closed = true;
-        }
-        self.shared.available.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker(shared: &Shared) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    break job;
-                }
-                if queue.closed {
-                    return;
-                }
-                queue = shared.available.wait(queue).expect("queue lock");
-            }
-        };
-        let response = shared.service.handle(job.request);
-        // The submitter may have dropped its ticket; that is not an error.
-        let _ = job.reply.send(response);
+        &self.service
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::FleetConfig;
+    use crate::service::{DeviceReport, FleetConfig};
+    use crate::shard::ShardKey;
+    use std::sync::Barrier;
+    use twm_core::scheme::SchemeId;
     use twm_coverage::Strategy;
+    use twm_march::algorithms::march_c_minus;
+    use twm_mem::MemoryConfig;
+    use twm_repair::SignatureTrail;
 
-    #[test]
-    fn dispatches_and_drains_on_drop() {
-        let service = Arc::new(
+    fn serial_service() -> Arc<FleetService> {
+        Arc::new(
             FleetService::new(FleetConfig {
                 strategy: Strategy::Serial,
                 ..FleetConfig::default()
             })
             .unwrap(),
-        );
-        let dispatcher = Dispatcher::new(service, 2);
+        )
+    }
+
+    #[test]
+    fn dispatches_every_request() {
+        let dispatcher = Dispatcher::new(serial_service(), 2);
         let tickets: Vec<Ticket> = (0..8)
             .map(|_| dispatcher.submit(Request::ListShards))
             .collect();
         for ticket in tickets {
             assert_eq!(ticket.wait(), Response::Shards(Vec::new()));
         }
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_slot_and_get_their_own_responses() {
+        let dispatcher = Dispatcher::new(serial_service(), 1);
+        let config = MemoryConfig::new(4, 4).unwrap();
+        let shard = ShardKey::new(config, SchemeId::TwmTa, &march_c_minus());
+        let start = Barrier::new(8);
+        std::thread::scope(|scope| {
+            for caller in 0..8 {
+                let (dispatcher, start) = (&dispatcher, &start);
+                scope.spawn(move || {
+                    let device = format!("device-{caller}");
+                    let request = Request::DiagnoseBatch {
+                        reports: vec![DeviceReport {
+                            device: device.clone(),
+                            shard,
+                            trail: SignatureTrail::new(Vec::new()),
+                            spares: 0,
+                        }],
+                    };
+                    start.wait(); // every caller contends for the one slot
+                    let Response::Batch(batch) = dispatcher.submit(request).wait() else {
+                        panic!("a batch request answers a batch");
+                    };
+                    assert_eq!(batch.outcomes.len(), 1);
+                    assert_eq!(batch.outcomes[0].device, device);
+                });
+            }
+        });
     }
 }

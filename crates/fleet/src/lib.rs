@@ -21,12 +21,12 @@
 //!   [`twm_coverage::CoverageEngine::with_scheme`] sibling path so
 //!   shards of one memory shape share prepared contents.
 //! * [`service`] — [`FleetService::handle`]: the synchronous
-//!   [`Request`] → [`Response`] core. [`Request::DiagnoseBatch`] fans
-//!   devices across worker threads and merges outcomes back into
-//!   submission order, **bit-identical to the serial path** for any
-//!   thread count.
-//! * [`dispatch`] — [`Dispatcher`]: a std-only thread pool for callers
-//!   that want queued, concurrent request handling.
+//!   [`Request`] → [`Response`] core. [`Request::DiagnoseBatch`] maps
+//!   devices over the service's [`twm_coverage::WorkerPool`] and returns
+//!   outcomes in submission order, **bit-identical to the serial path**
+//!   for any thread count.
+//! * [`dispatch`] — [`Dispatcher`]: an admission limiter that runs each
+//!   request on its caller's thread, at most a fixed number at a time.
 //!   With [`FleetConfig::metrics_http`] set, the service also serves a
 //!   pull-based `GET /metrics` + `GET /healthz` HTTP endpoint (a
 //!   [`twm_obs::MetricsServer`] over the process-wide registry) from a

@@ -4,12 +4,12 @@
 //! The service is deliberately transport-free — callers hand it a
 //! [`Request`] value (decoded from the [`crate::wire`] format or built
 //! in-process) and get a [`Response`] value back. A socket server, a CI
-//! harness and the [`crate::Dispatcher`] thread pool all wrap the same
-//! `handle`.
+//! harness and the [`crate::Dispatcher`] admission limiter all wrap the
+//! same `handle`.
 //!
 //! ## Determinism
 //!
-//! Batched diagnosis fans devices across worker threads, but every
+//! Batched diagnosis maps devices over a worker pool, but every
 //! per-device verdict is a pure function of the shard runtime and the
 //! report, results are merged back into submission order, and batch
 //! statistics are folded serially from that order — so a batch response
@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use twm_core::scheme::SchemeId;
-use twm_coverage::{ContentPolicy, Strategy, UniverseBuilder};
+use twm_coverage::{ContentPolicy, Strategy, UniverseBuilder, WorkerPool};
 use twm_march::MarchTest;
 use twm_mem::{FaultyMemory, MemoryConfig, RepairableMemory};
 use twm_obs::{
@@ -392,7 +392,9 @@ fn batch_devices_obs() -> &'static Counter {
 #[derive(Debug)]
 pub struct FleetService {
     verify_repairs: bool,
-    workers: usize,
+    /// Batch fan-out: the calling thread plus `threads - 1` workers,
+    /// spawned on the first batch that needs them.
+    pool: WorkerPool,
     store: Mutex<DictionaryStore>,
     cache: Mutex<RuntimeCache>,
     stats: Mutex<FleetStatistics>,
@@ -414,7 +416,7 @@ impl FleetService {
     /// count (`Parallel { threads: 0 }`), [`FleetError::Io`] when the
     /// metrics endpoint cannot bind its address.
     pub fn new(config: FleetConfig) -> Result<Self, FleetError> {
-        let workers = config.strategy.worker_threads()?;
+        let pool = WorkerPool::new(config.strategy.worker_threads()? - 1);
         let store = match config.spill {
             Some(spill) => DictionaryStore::with_spill(spill),
             None => DictionaryStore::new(),
@@ -425,7 +427,7 @@ impl FleetService {
         };
         Ok(Self {
             verify_repairs: config.verify_repairs,
-            workers,
+            pool,
             store: Mutex::new(store),
             cache: Mutex::new(RuntimeCache::new(config.cache_capacity, config.strategy)?),
             stats: Mutex::new(FleetStatistics::default()),
@@ -460,7 +462,7 @@ impl FleetService {
     /// The resolved batch fan-out width.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.pool.width()
     }
 
     /// The resolved address of the HTTP metrics endpoint, when
@@ -632,7 +634,7 @@ impl FleetService {
         let mut span = twm_obs::span("fleet.batch");
         span.field("devices", reports.len());
         span.field("shards", shards.len());
-        span.field("workers", self.workers);
+        span.field("workers", self.pool.width());
         let mut runtimes: BTreeMap<ShardKey, Result<Arc<ShardRuntime>, String>> = BTreeMap::new();
         {
             let mut store = self.store.lock().expect("store lock");
@@ -657,8 +659,11 @@ impl FleetService {
             }
         }
 
+        // The pool returns outcomes in submission order and each verdict is
+        // a pure function of (runtime, report), so the result is
+        // bit-identical to the serial loop.
         let verify = self.verify_repairs;
-        let handle_one = |report: &DeviceReport| -> DeviceOutcome {
+        let outcomes = self.pool.map(reports, |report| {
             let verdict = match runtimes.get(&report.shard) {
                 None => DeviceVerdict::UnknownShard,
                 Some(Err(message)) => DeviceVerdict::Failed {
@@ -670,31 +675,7 @@ impl FleetService {
                 device: report.device.clone(),
                 verdict,
             }
-        };
-
-        let outcomes: Vec<DeviceOutcome> = if self.workers > 1 && reports.len() > 1 {
-            // Contiguous chunks, merged back by slot: submission order is
-            // preserved and each verdict is a pure function of (runtime,
-            // report), so the result is bit-identical to the serial loop.
-            let chunk = reports.len().div_ceil(self.workers);
-            let mut slots: Vec<Option<DeviceOutcome>> = vec![None; reports.len()];
-            std::thread::scope(|scope| {
-                for (report_chunk, slot_chunk) in reports.chunks(chunk).zip(slots.chunks_mut(chunk))
-                {
-                    scope.spawn(|| {
-                        for (report, slot) in report_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            *slot = Some(handle_one(report));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every slot is written by its chunk"))
-                .collect()
-        } else {
-            reports.iter().map(handle_one).collect()
-        };
+        });
 
         // Fold statistics serially, in submission order.
         let mut statistics = FleetStatistics::default();

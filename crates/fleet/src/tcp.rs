@@ -9,12 +9,13 @@
 //! conversation cleanly.
 //!
 //! Deliberately std-only and blocking. [`TcpFront::run`] serves one
-//! connection at a time; [`TcpFront::run_concurrent`] puts the
-//! [`crate::Dispatcher`] thread pool behind the front — one lightweight
-//! thread per live connection feeding a fixed pool of handler workers —
-//! so multiple connections are served simultaneously. The framing
-//! guards both sides with [`MAX_FRAME`] so a corrupt or hostile length
-//! prefix cannot drive an unbounded allocation.
+//! connection at a time; [`TcpFront::run_concurrent`] serves each live
+//! connection on a lightweight thread of its own, with a
+//! [`crate::Dispatcher`] bounding how many requests run at once, so
+//! multiple connections are served simultaneously. The framing guards
+//! both sides with [`MAX_FRAME`], and [`read_frame`] grows its buffer only
+//! as payload bytes arrive, so a corrupt or hostile length prefix cannot
+//! drive an unbounded allocation.
 //!
 //! The front is instrumented as an access log: a connection gauge
 //! (`twm_fleet_connections`) plus frame/byte/error counters in the
@@ -68,6 +69,9 @@ fn front_obs() -> &'static FrontObs {
 /// it is treated as a malformed stream, not an allocation request.
 pub const MAX_FRAME: usize = 1 << 30;
 
+/// The most payload bytes [`read_frame`] reserves ahead of their arrival.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Writes one length-prefixed frame.
 ///
 /// # Errors
@@ -97,20 +101,12 @@ pub fn write_frame<W: Write + ?Sized>(writer: &mut W, payload: &[u8]) -> Result<
 /// length prefix exceeds [`MAX_FRAME`]; [`FleetError::Io`] for other
 /// read failures.
 pub fn read_frame<R: Read + ?Sized>(reader: &mut R) -> Result<Option<Vec<u8>>, FleetError> {
+    let ended_inside = |part| FleetError::Wire(format!("stream ended inside a frame's {part}"));
     let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match reader.read(&mut prefix[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(FleetError::Wire(
-                    "stream ended inside a frame's length prefix".into(),
-                ))
-            }
-            Ok(count) => filled += count,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FleetError::Io(e)),
-        }
+    match fill(reader, &mut prefix)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(ended_inside("length prefix")),
     }
     let len = u32::from_le_bytes(prefix) as usize;
     if len > MAX_FRAME {
@@ -118,15 +114,31 @@ pub fn read_frame<R: Read + ?Sized>(reader: &mut R) -> Result<Option<Vec<u8>>, F
             "frame length {len} exceeds the {MAX_FRAME}-byte bound"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FleetError::Wire("stream ended inside a frame's payload".into())
-        } else {
-            FleetError::Io(e)
+    // Grow the buffer as bytes arrive: a length prefix alone reserves at
+    // most one chunk, however large it claims the frame is.
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + READ_CHUNK), 0);
+        if fill(reader, &mut payload[start..])? < payload.len() - start {
+            return Err(ended_inside("payload"));
         }
-    })?;
+    }
     Ok(Some(payload))
+}
+
+/// Reads until `buf` is full or the stream ends; returns the bytes read.
+fn fill<R: Read + ?Sized>(reader: &mut R, buf: &mut [u8]) -> Result<usize, FleetError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(count) => filled += count,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FleetError::Io(e)),
+        }
+    }
+    Ok(filled)
 }
 
 /// A blocking TCP front over a shared [`FleetService`].
@@ -179,8 +191,8 @@ impl TcpFront {
         self.serve_stream(stream, None)
     }
 
-    /// The shared conversation loop: decode, handle (in-process or
-    /// through a dispatcher pool), respond — logging every frame.
+    /// The shared conversation loop: decode, handle (directly or through
+    /// a dispatcher's admission limit), respond — logging every frame.
     fn serve_stream(
         &self,
         mut stream: TcpStream,
@@ -201,7 +213,7 @@ impl TcpFront {
                 let (response, outcome) = match wire::from_bytes::<Request>(&payload) {
                     Ok(request) => {
                         let response = match dispatcher {
-                            Some(pool) => pool.submit(request).wait(),
+                            Some(dispatcher) => dispatcher.submit(request).wait(),
                             None => self.service.handle(request),
                         };
                         (response, "ok")
@@ -255,10 +267,10 @@ impl TcpFront {
         }
     }
 
-    /// Accepts and serves connections forever, **concurrently**: a
-    /// [`Dispatcher`] pool of `workers` threads handles requests while
-    /// one lightweight thread per live connection owns its stream's
-    /// framing, so slow or held-open peers never block each other.
+    /// Accepts and serves connections forever, **concurrently**: one
+    /// lightweight thread per live connection owns its stream's framing
+    /// and handles its requests, at most `workers` at a time through a
+    /// [`Dispatcher`], so slow or held-open peers never block each other.
     ///
     /// # Errors
     ///
@@ -353,12 +365,16 @@ mod tests {
 
     #[test]
     fn frames_round_trip() {
+        // A frame longer than the read chunk arrives whole, too.
+        let long: Vec<u8> = (0..3 * READ_CHUNK + 5).map(|i| i as u8).collect();
         let mut stream = Vec::new();
         write_frame(&mut stream, b"hello").unwrap();
         write_frame(&mut stream, b"").unwrap();
+        write_frame(&mut stream, &long).unwrap();
         let mut reader = stream.as_slice();
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), long);
         assert_eq!(read_frame(&mut reader).unwrap(), None);
     }
 
@@ -373,5 +389,24 @@ mod tests {
         let giant = (u32::try_from(MAX_FRAME).unwrap() + 1).to_le_bytes();
         let mut reader = &giant[..];
         assert!(matches!(read_frame(&mut reader), Err(FleetError::Wire(_))));
+    }
+
+    /// A reader over `.0` that records the largest buffer it is asked to
+    /// fill in `.1`.
+    struct Recording<'a>(&'a [u8], usize);
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 = self.1.max(buf.len());
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_maximal_prefix_reserves_one_chunk_before_any_payload() {
+        let prefix = u32::try_from(MAX_FRAME).unwrap().to_le_bytes();
+        let mut reader = Recording(&prefix, 0);
+        assert!(matches!(read_frame(&mut reader), Err(FleetError::Wire(_))));
+        assert!(reader.1 <= READ_CHUNK, "asked to fill {} bytes", reader.1);
     }
 }

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use twm_bist::{run_scheme_session_staged, Misr};
 use twm_core::scheme::SchemeId;
-use twm_coverage::{ContentPolicy, CoverageEngine, Strategy};
+use twm_coverage::{ContentPolicy, CoverageEngine, Strategy, WorkerPool};
 use twm_mem::{Fault, FaultSet, FaultyMemory, MemoryConfig, SplitMix64, Word};
 
 use crate::RepairError;
@@ -630,9 +630,9 @@ pub(crate) fn apply_content(memory: &mut FaultyMemory, content: ContentPolicy) {
     }
 }
 
-/// Computes every injection's signature trail, fanning chunks across
-/// `threads` workers. Chunk boundaries preserve order, so the merged
-/// result is identical for any thread count.
+/// Computes every injection's signature trail on a pool `threads` wide.
+/// The pool returns trails in injection order, so the result is identical
+/// for any thread count.
 fn compute_trails(
     injections: &[Vec<Fault>],
     config: MemoryConfig,
@@ -641,30 +641,16 @@ fn compute_trails(
     misr: &Misr,
     threads: usize,
 ) -> Result<Vec<SignatureTrail>, RepairError> {
-    let trail_of = |injection: &Vec<Fault>| -> Result<SignatureTrail, RepairError> {
-        let mut memory =
-            FaultyMemory::with_faults(config, FaultSet::from_faults(injection.iter().copied()))?;
-        apply_content(&mut memory, content);
-        let staged = run_scheme_session_staged(transform, &mut memory, misr.clone())?;
-        Ok(SignatureTrail::new(staged.signature_trail()))
-    };
-
-    let workers = threads.min(injections.len()).max(1);
-    if workers <= 1 {
-        return injections.iter().map(trail_of).collect();
-    }
-    let chunk_size = injections.len().div_ceil(workers);
-    let results: Vec<Result<SignatureTrail, RepairError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = injections
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(trail_of).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("dictionary worker panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
+    WorkerPool::new(threads - 1)
+        .map(injections, |injection| -> Result<_, RepairError> {
+            let faults = FaultSet::from_faults(injection.iter().copied());
+            let mut memory = FaultyMemory::with_faults(config, faults)?;
+            apply_content(&mut memory, content);
+            let staged = run_scheme_session_staged(transform, &mut memory, misr.clone())?;
+            Ok(SignatureTrail::new(staged.signature_trail()))
+        })
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! per score), the fault universe, and the optional
 //! [`SchemeRegistry`] the transparent cost is computed against.
 //!
-//! [`Objective::score_batch`] fans a batch of candidates across the worker
-//! threads of the configured [`Strategy`]; every candidate is scored
+//! [`Objective::score_batch`] maps a batch of candidates over the
+//! objective's [`twm_coverage::WorkerPool`], as wide as the configured
+//! [`Strategy`]; every candidate is scored
 //! independently on a serial engine and the results are merged back in
 //! candidate order, so batches are **bit-identical for any thread count**
 //! (property-tested in `tests/determinism.rs`).
@@ -19,7 +20,7 @@ use std::sync::OnceLock;
 use serde::{Deserialize, Serialize};
 
 use twm_core::scheme::SchemeRegistry;
-use twm_coverage::{ContentPolicy, CoverageEngine, EvaluationOptions, Strategy};
+use twm_coverage::{ContentPolicy, CoverageEngine, EvaluationOptions, Strategy, WorkerPool};
 use twm_march::{MarchElement, MarchTest, Operation};
 use twm_mem::{Fault, MemoryConfig};
 
@@ -175,7 +176,9 @@ pub struct Objective {
     /// own streaming windows (and its cheap-first scheduling) provide the
     /// parallelism instead of the batch.
     wide_template: Option<CoverageEngine>,
-    threads: usize,
+    /// Fans [`Objective::score_batch`] candidates out: the calling thread
+    /// plus `threads - 1` workers, spawned on the first batch.
+    pool: WorkerPool,
 }
 
 impl Objective {
@@ -249,7 +252,7 @@ impl Objective {
             registry,
             template,
             wide_template,
-            threads,
+            pool: WorkerPool::new(threads - 1),
         })
     }
 
@@ -274,7 +277,7 @@ impl Objective {
     /// The resolved batch worker count (1 = serial).
     #[must_use]
     pub fn worker_threads(&self) -> usize {
-        self.threads
+        self.pool.width()
     }
 
     /// Scores one candidate. Returns `Ok(None)` when the candidate is
@@ -292,12 +295,6 @@ impl Objective {
     /// cannot be lowered, or a fault that does not fit the memory shape).
     pub fn score(&self, test: &MarchTest) -> Result<Option<Score>, SearchError> {
         self.score_on(self.wide_template.as_ref().unwrap_or(&self.template), test)
-    }
-
-    /// Serial-engine scoring, used by batch workers (each worker is one
-    /// thread; the batch provides the parallelism).
-    fn score_serial(&self, test: &MarchTest) -> Result<Option<Score>, SearchError> {
-        self.score_on(&self.template, test)
     }
 
     fn score_on(
@@ -331,35 +328,14 @@ impl Objective {
     /// See [`Objective::score`]; the earliest failing candidate's error is
     /// returned.
     pub fn score_batch(&self, tests: &[MarchTest]) -> Result<Vec<Option<Score>>, SearchError> {
-        if self.threads <= 1 || tests.len() <= 1 {
+        if tests.len() <= 1 {
             return tests.iter().map(|test| self.score(test)).collect();
         }
-        #[cfg(feature = "parallel")]
-        {
-            let chunk_size = tests.len().div_ceil(self.threads);
-            let results: Vec<Result<Option<Score>, SearchError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = tests
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|test| self.score_serial(test))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("search worker panicked"))
-                    .collect()
-            });
-            results.into_iter().collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            tests.iter().map(|test| self.score(test)).collect()
-        }
+        // Each candidate on a serial engine: the batch is the parallelism.
+        self.pool
+            .map(tests, |test| self.score_on(&self.template, test))
+            .into_iter()
+            .collect()
     }
 
     /// The transparent session cost of a candidate, or `None` when a
