@@ -2,7 +2,8 @@
 //! waits for one of a fixed number of slots, then runs the request on the
 //! calling thread and returns a resolved [`Ticket`]. The fan-out inside a
 //! request runs on the service's own worker pool. A request that panics
-//! answers [`Response::Error`] and frees its slot.
+//! answers [`Response::Error`] (through `guarded`, which the TCP
+//! front's direct path shares) and frees its slot.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -51,10 +52,7 @@ impl Dispatcher {
         let mut free = free.unwrap_or_else(PoisonError::into_inner);
         *free -= 1;
         drop(free);
-        let response = catch_unwind(AssertUnwindSafe(|| self.service.handle(request)))
-            .unwrap_or_else(|_| Response::Error {
-                message: "the request handler panicked".to_string(),
-            });
+        let response = guarded(|| self.service.handle(request));
         *self.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         self.freed.notify_one();
         Ticket { response }
@@ -65,6 +63,15 @@ impl Dispatcher {
     pub fn service(&self) -> &Arc<FleetService> {
         &self.service
     }
+}
+
+/// Runs a request handler, answering a panic with [`Response::Error`]
+/// so it fails that one request, never its connection. Every path into
+/// [`FleetService::handle`] from the TCP front goes through here.
+pub(crate) fn guarded(handle: impl FnOnce() -> Response) -> Response {
+    catch_unwind(AssertUnwindSafe(handle)).unwrap_or_else(|_| Response::Error {
+        message: "the request handler panicked".to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -87,6 +94,20 @@ mod tests {
             })
             .unwrap(),
         )
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_an_error() {
+        assert_eq!(
+            guarded(|| panic!("boom")),
+            Response::Error {
+                message: "the request handler panicked".to_string()
+            }
+        );
+        assert_eq!(
+            guarded(|| Response::Shards(Vec::new())),
+            Response::Shards(Vec::new())
+        );
     }
 
     #[test]

@@ -145,6 +145,36 @@ fn malformed_frames_get_error_responses_not_disconnects() {
     server.join().unwrap().unwrap();
 }
 
+/// Sequential small round trips do not wait on the loopback stack's
+/// delayed-acknowledgement timer. With a frame sent as two writes and
+/// Nagle on, each trip waits for one or both ends' ~40 ms timer (2.6 to
+/// 5.6 s for 64 trips on Linux loopback); one write per frame on
+/// no-delay streams takes milliseconds, so the 1 s bound leaves ample
+/// headroom on a loaded host.
+#[test]
+fn sequential_round_trips_do_not_stall_on_acknowledgement_timers() {
+    let service = Arc::new(FleetService::new(FleetConfig::default()).unwrap());
+    let front = TcpFront::bind("127.0.0.1:0", service).unwrap();
+    let addr = front.local_addr().unwrap();
+    let server = std::thread::spawn(move || front.accept_one());
+
+    let mut client = FleetClient::connect(addr).unwrap();
+    let start = std::time::Instant::now();
+    for _ in 0..64 {
+        assert_eq!(
+            client.request(&Request::ListShards).unwrap(),
+            Response::Shards(Vec::new())
+        );
+    }
+    let elapsed = start.elapsed();
+    drop(client);
+    server.join().unwrap().unwrap();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "64 round trips took {elapsed:?}"
+    );
+}
+
 /// Tentpole integration: with a 1-slot runtime cache and a spill
 /// directory, the cold shard demotes to its paged file — and its next
 /// diagnosis, served from disk, is bit-identical to the resident one.

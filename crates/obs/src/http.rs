@@ -19,7 +19,8 @@
 //! Anything else is answered with a typed error: `405` (with `Allow:
 //! GET`) for a wrong method on a known path, `404` for an unknown
 //! path, `400` for an oversized, non-UTF-8 or malformed request head.
-//! Connections are HTTP/1.1 `Connection: close` — one request each —
+//! Connections are HTTP/1.1 `Connection: close` — one request each,
+//! answered by a single write of head and body on a no-delay stream —
 //! and served either serially ([`MetricsServer::run`]) or
 //! thread-per-connection ([`MetricsServer::run_concurrent`]), the same
 //! split the fleet's TCP front uses.
@@ -224,6 +225,7 @@ impl MetricsServer {
 
     fn try_serve(&self, mut stream: TcpStream) -> io::Result<()> {
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        let _ = stream.set_nodelay(true);
         let head = match read_head(&mut stream) {
             Ok(head) => head,
             Err(HeadError::Io(error)) => return Err(error),
@@ -393,6 +395,10 @@ fn respond(
     )
 }
 
+/// Writes a complete `Connection: close` response — status line,
+/// headers, blank line and body — with one `write_all` from one buffer,
+/// so the body never waits behind the head for the peer's delayed
+/// acknowledgement (the accepted stream has no-delay set as well).
 fn respond_with_type(
     stream: &mut TcpStream,
     status: u16,
@@ -410,8 +416,9 @@ fn respond_with_type(
         let _ = write!(head, "{name}: {value}\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut response = head.into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
