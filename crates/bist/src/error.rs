@@ -35,6 +35,9 @@ pub enum BistError {
     },
     /// The idle-window model contains no windows.
     EmptyWindowModel,
+    /// A fault-local sweep was given addresses that are not strictly
+    /// ascending.
+    UnsortedAddresses,
 }
 
 impl fmt::Display for BistError {
@@ -56,6 +59,9 @@ impl fmt::Display for BistError {
             }
             BistError::InvalidMisr { detail } => write!(f, "invalid misr configuration: {detail}"),
             BistError::EmptyWindowModel => write!(f, "idle-window model contains no windows"),
+            BistError::UnsortedAddresses => {
+                write!(f, "sweep addresses must be strictly ascending")
+            }
         }
     }
 }

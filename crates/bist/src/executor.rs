@@ -157,6 +157,19 @@ pub fn execute_lowered<M: MemoryAccess>(
     memory: &mut M,
     options: ExecutionOptions,
 ) -> Result<ExecutionResult, BistError> {
+    execute_lowered_observed(test, memory, options, |_| {})
+}
+
+/// [`execute_lowered`] that also hands every read, in execution order, to
+/// `on_read` — how the session flow compacts read streams without keeping
+/// a read log.
+#[inline]
+pub(crate) fn execute_lowered_observed<M: MemoryAccess>(
+    test: &LoweredTest,
+    memory: &mut M,
+    options: ExecutionOptions,
+    mut on_read: impl FnMut(&ReadRecord),
+) -> Result<ExecutionResult, BistError> {
     if test.width() != memory.width() {
         return Err(BistError::LoweredWidthMismatch {
             lowered: test.width(),
@@ -199,6 +212,7 @@ pub fn execute_lowered<M: MemoryAccess>(
                         if record.is_mismatch() {
                             mismatches += 1;
                         }
+                        on_read(&record);
                         if options.record_reads {
                             reads.push(record);
                         }

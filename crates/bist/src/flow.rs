@@ -18,12 +18,12 @@
 use serde::{Deserialize, Serialize};
 
 use twm_core::scheme::SchemeTransform;
-use twm_march::MarchTest;
-use twm_mem::{MemoryAccess, Word};
+use twm_march::{MarchTest, OpKind};
+use twm_mem::{AddressOrder, AddressSequence, BitStorage, MemoryAccess, Word};
 
-use crate::executor::{execute_with, ExecutionOptions, ExecutionResult};
+use crate::executor::{execute_lowered_observed, ExecutionOptions, ExecutionResult};
 use crate::misr::Misr;
-use crate::BistError;
+use crate::{BistError, LoweredTest};
 
 /// The outcome of a transparent BIST session.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,7 +88,7 @@ pub fn run_transparent_session<M: MemoryAccess>(
     memory: &mut M,
     misr: Misr,
 ) -> Result<SessionOutcome, BistError> {
-    run_transparent_session_staged(transparent_test, prediction_test, memory, misr)
+    run_session(transparent_test, Some(prediction_test), memory, misr, false)
         .map(|staged| staged.outcome)
 }
 
@@ -141,88 +141,106 @@ pub fn run_transparent_session_staged<M: MemoryAccess>(
     memory: &mut M,
     misr: Misr,
 ) -> Result<StagedSessionOutcome, BistError> {
+    run_session(transparent_test, Some(prediction_test), memory, misr, true)
+}
+
+/// The one session implementation behind every flow entry point.
+///
+/// Phase 1 (with a prediction test) compacts the raw read data; without
+/// one — concurrent checking — the predicted signature is compacted from
+/// the fault-free expected data of every test-phase read. Phase 2
+/// compacts the offset-compensated test reads, snapshotting the MISR at
+/// every element boundary. Reads are compacted as they execute; the
+/// test-phase read log is kept only when `record_reads` is set.
+fn run_session<M: MemoryAccess>(
+    transparent_test: &MarchTest,
+    prediction_test: Option<&MarchTest>,
+    memory: &mut M,
+    misr: Misr,
+    record_reads: bool,
+) -> Result<StagedSessionOutcome, BistError> {
     if misr.width() != memory.width() {
         return Err(BistError::WidthMismatch {
             misr: misr.width(),
             memory: memory.width(),
         });
     }
-    let content_before = memory.content();
+    let mut predicted = misr.clone();
+    predicted.reset();
+    let mut tested = misr;
+    tested.reset();
 
-    // Phase 1: signature prediction — raw read data.
-    let mut prediction_misr = misr.clone();
-    prediction_misr.reset();
-    let prediction = execute_with(
-        prediction_test,
-        memory,
-        ExecutionOptions {
-            record_reads: true,
+    // Each execution snapshots the content before and after it runs.
+    let mut content_before = None;
+    let mut prediction_operations = 0;
+    if let Some(prediction_test) = prediction_test {
+        let lowered = LoweredTest::new(prediction_test, memory.width())?;
+        let options = ExecutionOptions {
+            record_reads: false,
             stop_at_first_mismatch: false,
-        },
-    )?;
-    for record in &prediction.reads {
-        prediction_misr.absorb(record.observed);
+        };
+        let prediction = execute_lowered_observed(&lowered, memory, options, |record| {
+            predicted.absorb(record.observed);
+        })?;
+        prediction_operations = prediction.operations();
+        content_before = Some(prediction.initial_content);
     }
 
-    // Phase 2: transparent test — offset-compensated read data, with the
-    // MISR state snapshotted at every element boundary.
-    let mut test_misr = misr;
-    test_misr.reset();
-    let test = execute_with(
-        transparent_test,
-        memory,
-        ExecutionOptions {
-            record_reads: true,
-            stop_at_first_mismatch: false,
-        },
-    )?;
-    let element_signatures = absorb_by_element(
-        &mut test_misr,
-        transparent_test,
-        memory.words(),
-        &test,
-        |record| record.compensated(),
-    );
+    // Cumulative read counts at the element boundaries: a full execution
+    // visits each element's reads contiguously.
+    let lowered = LoweredTest::new(transparent_test, memory.width())?;
+    let words = memory.words();
+    let boundaries: Vec<usize> = lowered
+        .elements()
+        .iter()
+        .scan(0usize, |reads, element| {
+            *reads += element
+                .ops
+                .iter()
+                .filter(|op| op.kind == OpKind::Read)
+                .count()
+                * words;
+            Some(*reads)
+        })
+        .collect();
+    let mut element_signatures = Vec::with_capacity(boundaries.len());
+    let mut absorbed = 0usize;
+    let mut reach_boundaries = |tested: &Misr, absorbed: usize| {
+        while boundaries.get(element_signatures.len()) == Some(&absorbed) {
+            element_signatures.push(tested.signature());
+        }
+    };
+    reach_boundaries(&tested, absorbed);
+    let options = ExecutionOptions {
+        record_reads,
+        stop_at_first_mismatch: false,
+    };
+    let test = execute_lowered_observed(&lowered, memory, options, |record| {
+        tested.absorb(record.compensated());
+        if prediction_test.is_none() {
+            // The concurrent checker knows the fault-free expected word
+            // for every read; compensate both streams identically so a
+            // fault-free memory produces matching signatures.
+            predicted.absorb(record.expected ^ record.offset);
+        }
+        absorbed += 1;
+        reach_boundaries(&tested, absorbed);
+    })?;
+    debug_assert_eq!(element_signatures.len(), boundaries.len());
 
-    let content_after = memory.content();
-
+    let content_before = content_before.as_ref().unwrap_or(&test.initial_content);
     Ok(StagedSessionOutcome {
         outcome: SessionOutcome {
-            predicted_signature: prediction_misr.signature(),
-            test_signature: test_misr.signature(),
+            predicted_signature: predicted.signature(),
+            test_signature: tested.signature(),
             mismatches: test.mismatches,
-            content_preserved: content_before == content_after,
-            prediction_operations: prediction.operations(),
+            content_preserved: *content_before == test.final_content,
+            prediction_operations,
             test_operations: test.operations(),
         },
         element_signatures,
         test_execution: test,
     })
-}
-
-/// Absorbs an execution's reads into `misr` element by element, returning
-/// the cumulative signature at each element boundary. The read stream of a
-/// full (non-short-circuited) execution visits each element's reads
-/// contiguously — `reads-per-address × words` records per element.
-fn absorb_by_element(
-    misr: &mut Misr,
-    test: &MarchTest,
-    words: usize,
-    execution: &ExecutionResult,
-    data: impl Fn(&crate::ReadRecord) -> Word,
-) -> Vec<Word> {
-    let mut signatures = Vec::with_capacity(test.element_count());
-    let mut cursor = 0usize;
-    for element in test.elements() {
-        let reads = element.length().reads * words;
-        for record in &execution.reads[cursor..cursor + reads] {
-            misr.absorb(data(record));
-        }
-        cursor += reads;
-        signatures.push(misr.signature());
-    }
-    debug_assert_eq!(cursor, execution.reads.len());
-    signatures
 }
 
 /// Runs the BIST session described by any [`SchemeTransform`] on the given
@@ -246,11 +264,22 @@ pub fn run_scheme_session<M: MemoryAccess>(
     memory: &mut M,
     misr: Misr,
 ) -> Result<SessionOutcome, BistError> {
-    run_scheme_session_staged(transform, memory, misr).map(|staged| staged.outcome)
+    run_session(
+        transform.transparent_test(),
+        transform.signature_prediction(),
+        memory,
+        misr,
+        false,
+    )
+    .map(|staged| staged.outcome)
 }
 
 /// [`run_scheme_session`] with the per-element signature trail and the
 /// test-phase execution kept — see [`StagedSessionOutcome`].
+///
+/// This is the naive trail oracle: it executes every operation on every
+/// word. [`run_scheme_session_local`], which sweeps only the words a fault
+/// can make diverge, is property-tested against it.
 ///
 /// For prediction-free (concurrent-checking) schemes the predicted
 /// signature is compacted from the fault-free expected data, exactly as in
@@ -264,59 +293,364 @@ pub fn run_scheme_session_staged<M: MemoryAccess>(
     memory: &mut M,
     misr: Misr,
 ) -> Result<StagedSessionOutcome, BistError> {
-    if let Some(prediction) = transform.signature_prediction() {
-        return run_transparent_session_staged(
-            transform.transparent_test(),
+    run_session(
+        transform.transparent_test(),
+        transform.signature_prediction(),
+        memory,
+        misr,
+        true,
+    )
+}
+
+/// A scheme session lowered once, with the fault-free session it produces
+/// on a fixed initial content precomputed — the reference side of
+/// [`run_scheme_session_local`].
+///
+/// Building one lowers the scheme's tests for the content's word width
+/// and simulates the fault-free session word by word over a plain copy
+/// of the content (stored values only: no memory model, no read log).
+/// The result carries the fault-free signature trail, exact-compare
+/// mismatch count and number of words whose content the session
+/// changes. [`run_scheme_session_staged`] on a fault-free memory holding
+/// the same content produces the same trail and counts
+/// (property-tested in `tests/fault_local_session.rs`). The simulation
+/// is kept apart from that executor path because a fleet runtime builds
+/// one reference per cold start: it is about 3× faster than running the
+/// executor on a fault-free memory (1K×32 and 64K×32, TWM_TA × March C−,
+/// 2-vCPU Xeon).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionReference {
+    prediction: Option<LoweredTest>,
+    test: LoweredTest,
+    misr: Misr,
+    image: BitStorage,
+    trail: Vec<Word>,
+    mismatches: usize,
+    altered: usize,
+}
+
+impl SessionReference {
+    /// Lowers `transform` for the content's word width and runs its
+    /// fault-free session over the content `image`.
+    ///
+    /// # Errors
+    ///
+    /// * [`BistError::WidthMismatch`] if the MISR is not as wide as the
+    ///   content words.
+    /// * [`BistError::March`] if a pattern cannot be lowered for the
+    ///   width.
+    pub fn new(
+        transform: &SchemeTransform,
+        image: BitStorage,
+        misr: Misr,
+    ) -> Result<Self, BistError> {
+        let width = image.width();
+        if misr.width() != width {
+            return Err(BistError::WidthMismatch {
+                misr: misr.width(),
+                memory: width,
+            });
+        }
+        let prediction = transform
+            .signature_prediction()
+            .map(|test| LoweredTest::new(test, width))
+            .transpose()?;
+        let test = LoweredTest::new(transform.transparent_test(), width)?;
+        let mut misr = misr;
+        misr.reset();
+
+        let content = image.to_words();
+        let words = content.len();
+        let mut stored = content.clone();
+        let mut predicted = misr.clone();
+        if let Some(prediction) = &prediction {
+            for element in prediction.elements() {
+                for address in AddressSequence::new(words, element.order) {
+                    for op in &element.ops {
+                        match op.kind {
+                            OpKind::Write => stored[address] = op.value(content[address]),
+                            OpKind::Read => predicted.absorb(stored[address]),
+                        }
+                    }
+                }
+            }
+        }
+        let initial = stored.clone();
+        let mut tested = misr.clone();
+        let mut trail = vec![Word::zeros(width)];
+        let mut mismatches = 0usize;
+        for element in test.elements() {
+            for address in AddressSequence::new(words, element.order) {
+                for op in &element.ops {
+                    let value = op.value(initial[address]);
+                    match op.kind {
+                        OpKind::Write => stored[address] = value,
+                        OpKind::Read => {
+                            mismatches += usize::from(stored[address] != value);
+                            tested.absorb(stored[address] ^ op.pattern);
+                            if prediction.is_none() {
+                                predicted.absorb(value ^ op.pattern);
+                            }
+                        }
+                    }
+                }
+            }
+            trail.push(tested.signature());
+        }
+        trail[0] = predicted.signature();
+        let altered = stored
+            .iter()
+            .zip(&content)
+            .filter(|(after, before)| after != before)
+            .count();
+        Ok(Self {
             prediction,
-            memory,
+            test,
             misr,
-        );
+            image,
+            trail,
+            mismatches,
+            altered,
+        })
     }
-    if misr.width() != memory.width() {
+
+    /// The fault-free signature trail (see
+    /// [`StagedSessionOutcome::signature_trail`]).
+    #[must_use]
+    pub fn trail(&self) -> &[Word] {
+        &self.trail
+    }
+
+    /// Exact-compare mismatches of the fault-free session (0 for every
+    /// registered scheme).
+    #[must_use]
+    pub fn mismatches(&self) -> usize {
+        self.mismatches
+    }
+
+    /// Whether the fault-free session preserves the content.
+    #[must_use]
+    pub fn content_preserved(&self) -> bool {
+        self.altered == 0
+    }
+
+    /// The initial content the reference was run on.
+    #[must_use]
+    pub fn image(&self) -> &BitStorage {
+        &self.image
+    }
+}
+
+/// The outcome of [`run_scheme_session_local`]: what
+/// [`run_scheme_session_staged`] would report for the whole memory.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LocalSessionOutcome {
+    /// The signature trail (see
+    /// [`StagedSessionOutcome::signature_trail`]).
+    pub trail: Vec<Word>,
+    /// Exact-compare mismatches of the test phase over the whole memory.
+    pub mismatches: usize,
+    /// Whether the whole memory's content was preserved: the swept words
+    /// checked directly, every other word as in the fault-free reference.
+    pub content_preserved: bool,
+}
+
+impl LocalSessionOutcome {
+    /// Whether the session is clean: the predicted signature equals the
+    /// test signature, no read mismatched and the content was preserved —
+    /// [`crate::SessionOutcome`]'s three checks.
+    #[must_use]
+    pub fn clean(&self) -> bool {
+        self.trail.first() == self.trail.last() && self.mismatches == 0 && self.content_preserved
+    }
+}
+
+/// Fault-local scheme session: the signature trail, mismatch count and
+/// content verdict of [`run_scheme_session_staged`] over the whole memory,
+/// computed by sweeping only `addresses`.
+///
+/// In a word-oriented march every write to a word depends only on that
+/// word's own initial content, so a word that hosts no faulty cell, no
+/// coupling aggressor and no remapped spare evolves exactly as in the
+/// fault-free session. `addresses` must list every other word, strictly
+/// ascending: the fault set's [`twm_mem::FaultSet::word_footprint`],
+/// plus the remapped words of a [`twm_mem::RepairableMemory`]. The sweep
+/// visits them in each element's order on `memory`, and alongside
+/// simulates what the fault-free memory stores there — the prediction
+/// phase and a concurrent checker read raw content, so the fault-free
+/// stream is not simply each operation's expected value.
+///
+/// Every read whose data differ is an error word `eₜ` at its position
+/// `t` in the full read stream. MISR compaction is linear over GF(2),
+/// so each signature equals the fault-free one XOR
+/// `Σ eₜ · x^(T−1−t) mod P` over the errors before it. The sum is folded
+/// by Horner's rule with one [`Misr::jump`] per gap between consecutive
+/// errors and element boundaries. Cost: O(ops per word · |addresses| +
+/// (errors + elements) · width² · log T), independent of the memory size.
+///
+/// The memory is left as the full session would leave the swept words;
+/// other words are not touched.
+///
+/// # Errors
+///
+/// * [`BistError::WidthMismatch`] if the memory is not as wide as the
+///   reference.
+/// * [`BistError::Mem`] ([`twm_mem::MemError::LoadLengthMismatch`]) if it
+///   does not hold as many words; address errors for addresses outside
+///   it.
+/// * [`BistError::UnsortedAddresses`] if `addresses` is not strictly
+///   ascending.
+pub fn run_scheme_session_local<M: MemoryAccess>(
+    reference: &SessionReference,
+    memory: &mut M,
+    addresses: &[usize],
+) -> Result<LocalSessionOutcome, BistError> {
+    let words = reference.image.words();
+    if memory.width() != reference.misr.width() {
         return Err(BistError::WidthMismatch {
-            misr: misr.width(),
+            misr: reference.misr.width(),
             memory: memory.width(),
         });
     }
-    let content_before = memory.content();
-    let mut predicted_misr = misr.clone();
-    predicted_misr.reset();
-    let mut test_misr = misr;
-    test_misr.reset();
-    let test = execute_with(
-        transform.transparent_test(),
-        memory,
-        ExecutionOptions {
-            record_reads: true,
-            stop_at_first_mismatch: false,
-        },
-    )?;
-    for record in &test.reads {
-        // The concurrent checker knows the fault-free expected word for
-        // every read; compensate both streams identically so a fault-free
-        // memory produces matching signatures.
-        predicted_misr.absorb(record.expected ^ record.offset);
+    if memory.words() != words {
+        return Err(BistError::Mem(twm_mem::MemError::LoadLengthMismatch {
+            found: memory.words(),
+            expected: words,
+        }));
     }
-    let element_signatures = absorb_by_element(
-        &mut test_misr,
-        transform.transparent_test(),
-        memory.words(),
-        &test,
-        |record| record.compensated(),
-    );
-    let content_after = memory.content();
-    Ok(StagedSessionOutcome {
-        outcome: SessionOutcome {
-            predicted_signature: predicted_misr.signature(),
-            test_signature: test_misr.signature(),
-            mismatches: test.mismatches,
-            content_preserved: content_before == content_after,
-            prediction_operations: 0,
-            test_operations: test.operations(),
-        },
-        element_signatures,
-        test_execution: test,
+    if addresses.windows(2).any(|pair| pair[0] >= pair[1]) {
+        return Err(BistError::UnsortedAddresses);
+    }
+    let before = addresses
+        .iter()
+        .map(|&address| memory.peek_word(address))
+        .collect::<Result<Vec<_>, _>>()?;
+    let reference_before = addresses
+        .iter()
+        .map(|&address| reference.image.word(address))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut fault_free = reference_before.clone();
+
+    // Horner accumulators of the error stream: `absorbed()` is the
+    // stream position the accumulated sum is taken at.
+    let mut predicted = reference.misr.clone();
+    let mut tested = reference.misr.clone();
+    let fold = |errors: &mut Misr, position: u64, error: Word| {
+        if !error.is_zero() {
+            errors.jump(position - errors.absorbed());
+            errors.absorb(error);
+        }
+    };
+
+    if let Some(prediction) = &reference.prediction {
+        let mut start = 0u64;
+        for element in prediction.elements() {
+            let reads = reads_per_address(element);
+            for (index, &address) in sweep(addresses, element.order) {
+                let mut position = start + reads * slot(address, words, element.order);
+                for op in &element.ops {
+                    match op.kind {
+                        OpKind::Write => {
+                            memory.write_word(address, op.value(before[index]))?;
+                            fault_free[index] = op.value(reference_before[index]);
+                        }
+                        OpKind::Read => {
+                            let observed = memory.read_word(address)?;
+                            fold(&mut predicted, position, observed ^ fault_free[index]);
+                            position += 1;
+                        }
+                    }
+                }
+            }
+            start += reads * words as u64;
+        }
+        predicted.jump(start - predicted.absorbed());
+    }
+
+    let initial = addresses
+        .iter()
+        .map(|&address| memory.peek_word(address))
+        .collect::<Result<Vec<_>, _>>()?;
+    let fault_free_initial = fault_free.clone();
+    let mut trail = reference.trail.clone();
+    let mut mismatches = 0usize;
+    let mut fault_free_mismatches = 0usize;
+    let mut start = 0u64;
+    for (stage, element) in reference.test.elements().iter().enumerate() {
+        let reads = reads_per_address(element);
+        for (index, &address) in sweep(addresses, element.order) {
+            let mut position = start + reads * slot(address, words, element.order);
+            for op in &element.ops {
+                let value = op.value(initial[index]);
+                let fault_free_value = op.value(fault_free_initial[index]);
+                match op.kind {
+                    OpKind::Write => {
+                        memory.write_word(address, value)?;
+                        fault_free[index] = fault_free_value;
+                    }
+                    OpKind::Read => {
+                        let observed = memory.read_word(address)?;
+                        mismatches += usize::from(observed != value);
+                        fault_free_mismatches += usize::from(fault_free[index] != fault_free_value);
+                        // Both streams compensate by the same offset.
+                        fold(&mut tested, position, observed ^ fault_free[index]);
+                        if reference.prediction.is_none() {
+                            fold(&mut predicted, position, value ^ fault_free_value);
+                        }
+                        position += 1;
+                    }
+                }
+            }
+        }
+        start += reads * words as u64;
+        tested.jump(start - tested.absorbed());
+        trail[stage + 1] = trail[stage + 1] ^ tested.signature();
+    }
+    if reference.prediction.is_none() {
+        predicted.jump(start - predicted.absorbed());
+    }
+    trail[0] = trail[0] ^ predicted.signature();
+
+    let mut altered = 0usize;
+    let mut fault_free_altered = 0usize;
+    for (index, &address) in addresses.iter().enumerate() {
+        altered += usize::from(memory.peek_word(address)? != before[index]);
+        fault_free_altered += usize::from(fault_free[index] != reference_before[index]);
+    }
+    Ok(LocalSessionOutcome {
+        trail,
+        mismatches: reference.mismatches - fault_free_mismatches + mismatches,
+        content_preserved: reference.altered - fault_free_altered + altered == 0,
     })
+}
+
+/// Read operations an element applies per address.
+fn reads_per_address(element: &crate::LoweredElement) -> u64 {
+    element
+        .ops
+        .iter()
+        .filter(|op| op.kind == OpKind::Read)
+        .count() as u64
+}
+
+/// The index of `address` in an element's full sweep.
+fn slot(address: usize, words: usize, order: AddressOrder) -> u64 {
+    match order {
+        AddressOrder::Ascending | AddressOrder::Any => address as u64,
+        AddressOrder::Descending => (words - 1 - address) as u64,
+    }
+}
+
+/// The swept addresses (with their indices) in an element's order.
+fn sweep(
+    addresses: &[usize],
+    order: AddressOrder,
+) -> Box<dyn Iterator<Item = (usize, &usize)> + '_> {
+    let forward = addresses.iter().enumerate();
+    match order {
+        AddressOrder::Ascending | AddressOrder::Any => Box::new(forward),
+        AddressOrder::Descending => Box::new(forward.rev()),
+    }
 }
 
 #[cfg(test)]

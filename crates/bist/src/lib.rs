@@ -62,8 +62,9 @@ pub use executor::{
     probe_lowered_at, ExecutionOptions, ExecutionResult, ReadRecord,
 };
 pub use flow::{
-    run_scheme_session, run_scheme_session_staged, run_transparent_session,
-    run_transparent_session_staged, SessionOutcome, StagedSessionOutcome,
+    run_scheme_session, run_scheme_session_local, run_scheme_session_staged,
+    run_transparent_session, run_transparent_session_staged, LocalSessionOutcome, SessionOutcome,
+    SessionReference, StagedSessionOutcome,
 };
 pub use lowered::{LoweredElement, LoweredOp, LoweredTest};
 pub use misr::Misr;

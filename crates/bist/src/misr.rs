@@ -125,6 +125,7 @@ impl Misr {
     /// # Panics
     ///
     /// Panics if the word width differs from the register width.
+    #[inline]
     pub fn absorb(&mut self, word: Word) {
         assert_eq!(
             word.width(),
@@ -133,15 +134,62 @@ impl Misr {
             self.width,
             word.width()
         );
-        let mask = Word::ones(self.width).to_bits();
-        let feedback = (self.state >> (self.width - 1)) & 1;
-        let mut next = (self.state << 1) & mask;
-        if feedback == 1 {
-            next ^= self.polynomial;
-        }
-        next ^= word.to_bits();
-        self.state = next & mask;
+        self.state = self.times_x(self.state) ^ word.to_bits();
         self.absorbed += 1;
+    }
+
+    /// Advances the register by `k` all-zero words — exactly `k` calls of
+    /// [`Misr::absorb`] with a zero word, in O(width² · log k) time.
+    ///
+    /// Absorbing is linear over GF(2): with the feedback polynomial
+    /// `P(x) = x^width + taps`, the state after a stream `w₀ … w_{T−1}`
+    /// is `Σ wₜ · x^(T−1−t) mod P`. A zero word only multiplies the state
+    /// by `x`, so `k` of them multiply it by `x^k mod P`, which
+    /// square-and-multiply computes in `log₂ k` squarings. This is what
+    /// lets a signature be corrected for a handful of erroneous reads far
+    /// apart in a long stream without replaying the stream
+    /// ([`crate::run_scheme_session_local`]).
+    pub fn jump(&mut self, k: u64) {
+        self.absorbed += k;
+        if self.state == 0 || k == 0 {
+            return;
+        }
+        if k <= self.width as u64 {
+            for _ in 0..k {
+                self.state = self.times_x(self.state);
+            }
+            return;
+        }
+        let mut power = 1u128;
+        for bit in (0..u64::BITS - k.leading_zeros()).rev() {
+            power = self.mul_mod(power, power);
+            if (k >> bit) & 1 == 1 {
+                power = self.times_x(power);
+            }
+        }
+        self.state = self.mul_mod(self.state, power);
+    }
+
+    /// `value · x mod P`: one shift with feedback, the absorb step for a
+    /// zero word. Branch-free (the feedback bit of a signature stream is
+    /// unpredictable), and with no variable shift on the state's
+    /// dependency chain.
+    fn times_x(&self, value: u128) -> u128 {
+        let top = 1u128 << (self.width - 1);
+        let shifted = (value << 1) & (top | (top - 1));
+        shifted ^ (self.polynomial & 0u128.wrapping_sub(u128::from(value & top != 0)))
+    }
+
+    /// `a · b mod P` by Horner's rule over the bits of `b`.
+    fn mul_mod(&self, a: u128, b: u128) -> u128 {
+        let mut product = 0u128;
+        for bit in (0..self.width).rev() {
+            product = self.times_x(product);
+            if (b >> bit) & 1 == 1 {
+                product ^= a;
+            }
+        }
+        product
     }
 
     /// The current signature.
@@ -213,6 +261,64 @@ mod tests {
         misr.reset();
         assert_eq!(misr.signature(), Word::zeros(8));
         assert_eq!(misr.absorbed(), 0);
+    }
+
+    /// A register of `width` bits in a pseudo-random state.
+    fn random_state(width: usize, rng: &mut twm_mem::SplitMix64) -> Misr {
+        let mut misr = Misr::standard(width);
+        misr.absorb(Word::from_bits(rng.next_u128(), width).unwrap());
+        misr.absorb(Word::from_bits(rng.next_u128(), width).unwrap());
+        misr
+    }
+
+    const JUMP_WIDTHS: [usize; 10] = [2, 3, 4, 8, 16, 31, 32, 64, 100, 128];
+
+    #[test]
+    fn jump_equals_absorbing_zero_words() {
+        let mut rng = twm_mem::SplitMix64::new(0x5EED);
+        for width in JUMP_WIDTHS {
+            for _ in 0..3 {
+                let start = random_state(width, &mut rng);
+                let mut stepped = start.clone();
+                for k in 0..=300u64 {
+                    let mut jumped = start.clone();
+                    jumped.jump(k);
+                    assert_eq!(jumped, stepped, "width {width}, k {k}");
+                    stepped.absorb(Word::zeros(width));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_jumps_match_a_stepping_loop() {
+        let k = (1u64 << 20) + 7;
+        let mut rng = twm_mem::SplitMix64::new(0xF00D);
+        for width in JUMP_WIDTHS {
+            let start = random_state(width, &mut rng);
+            let mut stepped = start.clone();
+            for _ in 0..k {
+                stepped.absorb(Word::zeros(width));
+            }
+            let mut jumped = start.clone();
+            jumped.jump(k);
+            assert_eq!(jumped, stepped, "width {width}");
+            // Jumps compose: k = 1000 + (k − 1000).
+            let mut split = start;
+            split.jump(1000);
+            split.jump(k - 1000);
+            assert_eq!(split, stepped, "width {width}");
+        }
+    }
+
+    #[test]
+    fn jumping_a_zero_state_keeps_it_zero() {
+        for width in JUMP_WIDTHS {
+            let mut misr = Misr::standard(width);
+            misr.jump((1 << 40) + 3);
+            assert_eq!(misr.signature(), Word::zeros(width));
+            assert_eq!(misr.absorbed(), (1 << 40) + 3);
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! dictionary itself: the scheme registry for the memory width, every
 //! scheme's transform of the source test (the expensive part of a
 //! [`twm_repair::DiagnosticSession`]), the dictionary-scheme transform
-//! used for repair verification, the MISR template and a
-//! [`CoverageEngine`] carrying the prepared reference contents.
+//! used for repair verification (also prepared as a
+//! [`twm_repair::FaultLocalSession`] under the dictionary's content), the
+//! MISR template and a [`CoverageEngine`] carrying the prepared reference
+//! contents.
 //!
 //! Engines are built in two steps so shards of the same memory shape and
 //! content policy share the prepared contents: a **base** engine per
@@ -24,7 +26,7 @@ use twm_coverage::{ContentPolicy, CoverageEngine, Strategy};
 use twm_march::MarchTest;
 use twm_mem::MemoryConfig;
 use twm_obs::Counter;
-use twm_repair::TrailLookup;
+use twm_repair::{FaultLocalSession, TrailLookup};
 
 use crate::shard::ShardKey;
 use crate::stats::CacheMetrics;
@@ -77,6 +79,10 @@ pub struct ShardRuntime {
     pub probe: SchemeTransform,
     /// The dictionary's MISR template (reset state).
     pub misr: Misr,
+    /// The probe session prepared once under the dictionary's reference
+    /// content: repair verification sweeps only an injection's footprint
+    /// and remapped words.
+    pub(crate) local: FaultLocalSession,
 }
 
 impl ShardRuntime {
@@ -99,6 +105,7 @@ impl ShardRuntime {
             .map(|at| transforms[at].clone())
             .expect("registry.get succeeded, so the id is present");
         let misr = dictionary.misr_template().clone();
+        let local = FaultLocalSession::new(&probe, config, dictionary.content(), misr.clone())?;
         Ok(Self {
             source: entry.source.clone(),
             registry,
@@ -107,6 +114,7 @@ impl ShardRuntime {
             engine,
             probe,
             misr,
+            local,
         })
     }
 }

@@ -28,12 +28,12 @@ use serde::{Deserialize, Serialize};
 use twm_core::scheme::SchemeId;
 use twm_coverage::{ContentPolicy, Strategy, UniverseBuilder, WorkerPool};
 use twm_march::MarchTest;
-use twm_mem::{FaultyMemory, MemoryConfig, RepairableMemory};
+use twm_mem::MemoryConfig;
 use twm_obs::{
     latency_bounds, Counter, Histogram, HistogramSnapshot, MetricsReport, MetricsServer,
 };
 use twm_repair::{
-    localise_trail, verify_repair, DictionaryOptions, LocatedDefect, RepairAllocator, RepairPlan,
+    localise_trail, DictionaryOptions, LocatedDefect, RepairAllocator, RepairPlan,
     SignatureDictionary, SignatureTrail, TrailLookup,
 };
 
@@ -53,7 +53,8 @@ pub struct FleetConfig {
     pub cache_capacity: usize,
     /// Whether diagnosed devices get their repair plan verified by
     /// simulation (apply the plan to the ambiguity class's representative
-    /// injection and re-run the scheme session through the remap table).
+    /// injection and re-run the scheme session through the remap table,
+    /// fault-locally: see [`twm_repair::FaultLocalSession::verify`]).
     pub verify_repairs: bool,
     /// When set, shards whose runtimes fall out of the LRU cache are
     /// demoted to paged spill files under this configuration — lookups
@@ -728,9 +729,14 @@ fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) 
     })
 }
 
-/// Re-verifies a repair plan by simulation: inject the matched class's
-/// representative injection into a fresh memory with the device's spare
-/// budget, program the plan's remap table and re-run the scheme session.
+/// Re-verifies a repair plan by simulation: the matched class's
+/// representative injection, in a memory with the device's spare budget
+/// and the plan's remap table programmed, must run a clean scheme
+/// session. The session is fault-local
+/// ([`twm_repair::FaultLocalSession::verify`], prepared once per runtime):
+/// only the injection's footprint and the remapped words are swept. Its
+/// naive reference is [`twm_repair::verify_repair`] on the same repaired
+/// memory.
 fn verify_plan(
     runtime: &ShardRuntime,
     trail: &SignatureTrail,
@@ -740,19 +746,10 @@ fn verify_plan(
     let class = runtime
         .dictionary
         .find(trail)?
-        .expect("caller checked dictionary_hit");
-    let representative = class.injections[0].clone();
-    let mut memory = FaultyMemory::with_faults(runtime.dictionary.config(), representative)?;
-    match runtime.dictionary.content() {
-        ContentPolicy::Zeros => {}
-        ContentPolicy::Random { seed } => memory.fill_random(seed),
-    }
+        .ok_or(FleetError::ClassNotFound)?;
     // Fresh spares are numbered 0.. like the allocator's slots, so the
     // plan applies without translation.
-    let mut repairable = RepairableMemory::new(memory, spares)?;
-    plan.apply(&mut repairable)?;
-    let verification = verify_repair(&runtime.probe, &mut repairable, runtime.misr.clone())?;
-    Ok(verification.clean())
+    Ok(runtime.local.verify(&class.injections[0], spares, plan)?)
 }
 
 /// Folds one verdict into a statistics block.
@@ -787,5 +784,46 @@ fn record(stats: &mut FleetStatistics, verdict: &DeviceVerdict) {
                 .collect();
             *stats.spares_needed.entry(words.len() as u64).or_default() += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use twm_core::scheme::SchemeRegistry;
+    use twm_coverage::CoverageEngine;
+    use twm_march::algorithms::march_c_minus;
+    use twm_mem::Word;
+
+    #[test]
+    fn a_trail_missing_on_re_lookup_fails_verification_with_a_typed_error() {
+        let config = MemoryConfig::new(4, 4).unwrap();
+        let registry = SchemeRegistry::all(4).unwrap();
+        let engine = CoverageEngine::for_scheme(
+            registry.get(SchemeId::TwmTa).unwrap(),
+            &march_c_minus(),
+            config,
+        )
+        .unwrap()
+        .strategy(Strategy::Serial)
+        .build()
+        .unwrap();
+        let universe = UniverseBuilder::new(config).stuck_at().build();
+        let dictionary =
+            SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();
+        let mut store = DictionaryStore::new();
+        let key = store
+            .register(march_c_minus(), Arc::new(dictionary))
+            .unwrap();
+        let mut cache = RuntimeCache::new(1, Strategy::Serial).unwrap();
+        let runtime = cache.runtime(key, store.get(key).unwrap()).unwrap();
+
+        let length = runtime.dictionary.reference_trail().len();
+        let absent = SignatureTrail::new(vec![Word::ones(4); length]);
+        assert!(runtime.dictionary.find(&absent).unwrap().is_none());
+        let plan = RepairAllocator::default().allocate(&[], 1);
+        let error = verify_plan(&runtime, &absent, 1, &plan).unwrap_err();
+        assert!(matches!(error, FleetError::ClassNotFound), "{error}");
+        assert!(error.to_string().contains("no ambiguity class"));
     }
 }

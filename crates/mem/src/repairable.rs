@@ -151,6 +151,7 @@ impl RepairableMemory {
 
     /// The spare slot serving a logical word, if it is remapped.
     #[must_use]
+    #[inline]
     pub fn mapped_spare(&self, word: usize) -> Option<usize> {
         self.remap.get(&word).copied()
     }
@@ -254,6 +255,7 @@ impl RepairableMemory {
     /// # Errors
     ///
     /// Returns [`MemError::AddressOutOfRange`] for a bad address.
+    #[inline]
     pub fn read_word(&mut self, address: usize) -> Result<Word, MemError> {
         match self.remap.get(&address) {
             Some(&spare) => self
@@ -273,6 +275,7 @@ impl RepairableMemory {
     ///
     /// Returns [`MemError::AddressOutOfRange`] or
     /// [`MemError::WidthMismatch`] for shape errors.
+    #[inline]
     pub fn write_word(&mut self, address: usize, data: Word) -> Result<(), MemError> {
         match self.remap.get(&address) {
             Some(&spare) => self
@@ -321,6 +324,7 @@ impl RepairableMemory {
     /// # Errors
     ///
     /// Returns [`MemError::AddressOutOfRange`] for a bad address.
+    #[inline]
     pub fn peek_word(&self, address: usize) -> Result<Word, MemError> {
         match self.remap.get(&address) {
             Some(&spare) => self
@@ -347,14 +351,17 @@ impl MemoryAccess for RepairableMemory {
         RepairableMemory::config(self)
     }
 
+    #[inline]
     fn read_word(&mut self, address: usize) -> Result<Word, MemError> {
         RepairableMemory::read_word(self, address)
     }
 
+    #[inline]
     fn write_word(&mut self, address: usize, data: Word) -> Result<(), MemError> {
         RepairableMemory::write_word(self, address, data)
     }
 
+    #[inline]
     fn peek_word(&self, address: usize) -> Result<Word, MemError> {
         RepairableMemory::peek_word(self, address)
     }

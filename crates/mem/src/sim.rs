@@ -239,6 +239,58 @@ impl FaultyMemory {
         Ok(())
     }
 
+    /// Re-arms the memory with a new fault set over a content image,
+    /// copying only `words` back from it: what
+    /// [`FaultyMemory::reset_with_faults`] followed by
+    /// [`FaultyMemory::load_image`] produces, for a memory that already
+    /// holds `image` everywhere outside `words`, in O(|words| + |faults|)
+    /// instead of O(memory). An arena reused across fault-local sweeps
+    /// lists the words the previous run could change: its faults'
+    /// footprint and every word it wrote.
+    ///
+    /// # Errors
+    ///
+    /// Returns the validation errors of [`FaultyMemory::with_faults`],
+    /// [`MemError::LoadLengthMismatch`] / [`MemError::WidthMismatch`] if
+    /// the image has another shape, or [`MemError::AddressOutOfRange`]
+    /// for a listed word outside the memory; on error the memory is
+    /// unchanged.
+    pub fn rearm_words<F: Into<FaultSet>>(
+        &mut self,
+        faults: F,
+        image: &BitStorage,
+        words: &[usize],
+    ) -> Result<(), MemError> {
+        let faults = faults.into();
+        faults.validate(self.config.words(), self.config.width())?;
+        if image.words() != self.config.words() {
+            return Err(MemError::LoadLengthMismatch {
+                found: image.words(),
+                expected: self.config.words(),
+            });
+        }
+        if image.width() != self.config.width() {
+            return Err(MemError::WidthMismatch {
+                found: image.width(),
+                expected: self.config.width(),
+            });
+        }
+        if let Some(&address) = words.iter().find(|&&word| word >= self.config.words()) {
+            return Err(MemError::AddressOutOfRange {
+                address,
+                words: self.config.words(),
+            });
+        }
+        for &word in words {
+            self.storage.set_word_bits(word, image.word_bits(word));
+        }
+        self.faults = faults;
+        self.stats = AccessStats::default();
+        self.trace = Trace::new();
+        self.enforce_static_faults();
+        Ok(())
+    }
+
     /// Access counters accumulated so far.
     #[must_use]
     pub fn stats(&self) -> AccessStats {
@@ -265,6 +317,7 @@ impl FaultyMemory {
     /// # Errors
     ///
     /// Returns [`MemError::AddressOutOfRange`] for a bad address.
+    #[inline]
     pub fn read_word(&mut self, address: usize) -> Result<Word, MemError> {
         let data = self.storage.word(address)?;
         self.stats.reads += 1;
@@ -285,6 +338,7 @@ impl FaultyMemory {
     /// Returns [`MemError::AddressOutOfRange`] for a bad address or
     /// [`MemError::WidthMismatch`] if the word width differs from the memory
     /// width.
+    #[inline]
     pub fn write_word(&mut self, address: usize, data: Word) -> Result<(), MemError> {
         if address >= self.config.words() {
             return Err(MemError::AddressOutOfRange {
@@ -395,6 +449,7 @@ impl FaultyMemory {
     /// # Errors
     ///
     /// Returns [`MemError::AddressOutOfRange`] for a bad address.
+    #[inline]
     pub fn peek_word(&self, address: usize) -> Result<Word, MemError> {
         self.storage.word(address)
     }
@@ -491,14 +546,17 @@ impl MemoryAccess for FaultyMemory {
         FaultyMemory::config(self)
     }
 
+    #[inline]
     fn read_word(&mut self, address: usize) -> Result<Word, MemError> {
         FaultyMemory::read_word(self, address)
     }
 
+    #[inline]
     fn write_word(&mut self, address: usize, data: Word) -> Result<(), MemError> {
         FaultyMemory::write_word(self, address, data)
     }
 
+    #[inline]
     fn peek_word(&self, address: usize) -> Result<Word, MemError> {
         FaultyMemory::peek_word(self, address)
     }
@@ -782,6 +840,52 @@ mod tests {
         // Shape mismatches are rejected.
         let other = FaultyMemory::fault_free(config(4, 13)).snapshot();
         assert!(by_image.load_image(&other).is_err());
+    }
+
+    #[test]
+    fn rearm_words_equals_a_full_reset_and_image_load() {
+        let c = config(6, 4);
+        let mut scratch = FaultyMemory::fault_free(c);
+        scratch.fill_random(21);
+        let image = scratch.snapshot();
+        let first = vec![
+            Fault::stuck_at(BitAddress::new(1, 2), true),
+            Fault::coupling_state(BitAddress::new(0, 0), BitAddress::new(3, 1), false, true),
+        ];
+        let second = vec![Fault::coupling_idempotent(
+            BitAddress::new(2, 0),
+            BitAddress::new(4, 3),
+            Transition::Rising,
+            true,
+        )];
+
+        // A run under `first` that writes only words 0, 1 and 3.
+        let mut arena = FaultyMemory::with_faults(c, first).unwrap();
+        arena.load_image(&image).unwrap();
+        for address in [0, 1, 3] {
+            arena.write_word(address, Word::ones(4)).unwrap();
+        }
+        arena
+            .rearm_words(second.clone(), &image, &[0, 1, 3])
+            .unwrap();
+        let mut fresh = FaultyMemory::with_faults(c, second).unwrap();
+        fresh.load_image(&image).unwrap();
+        assert_eq!(arena.content(), fresh.content());
+        assert_eq!(arena.faults(), fresh.faults());
+        assert_eq!(arena.stats(), AccessStats::default());
+        assert_eq!(exercise(&mut arena), exercise(&mut fresh));
+
+        // Bad faults, images and words are rejected and change nothing.
+        let before = arena.content();
+        let bad_fault = vec![Fault::stuck_at(BitAddress::new(9, 0), true)];
+        assert!(arena.rearm_words(bad_fault, &image, &[0]).is_err());
+        let small = FaultyMemory::fault_free(config(4, 4)).snapshot();
+        assert!(arena.rearm_words(FaultSet::new(), &small, &[0]).is_err());
+        let narrow = FaultyMemory::fault_free(config(6, 3)).snapshot();
+        assert!(arena.rearm_words(FaultSet::new(), &narrow, &[0]).is_err());
+        assert!(arena.rearm_words(FaultSet::new(), &image, &[0, 6]).is_err());
+        assert_eq!(arena.content(), before);
+        assert_eq!(arena.faults().len(), 1);
     }
 
     #[test]

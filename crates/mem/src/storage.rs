@@ -104,6 +104,7 @@ impl BitStorage {
     /// # Errors
     ///
     /// Returns [`MemError::AddressOutOfRange`] if `word` does not exist.
+    #[inline]
     pub fn word(&self, word: usize) -> Result<Word, MemError> {
         if word >= self.words {
             return Err(MemError::AddressOutOfRange {
@@ -123,6 +124,7 @@ impl BitStorage {
     /// Panics if `word` is out of range; use [`BitStorage::word`] for a
     /// fallible variant.
     #[must_use]
+    #[inline]
     pub fn word_bits(&self, word: usize) -> u128 {
         assert!(
             word < self.words,
@@ -152,6 +154,7 @@ impl BitStorage {
     ///
     /// Panics if `word` is out of range; use [`BitStorage::set_word`] for a
     /// fallible variant.
+    #[inline]
     pub fn set_word_bits(&mut self, word: usize, bits: u128) {
         assert!(
             word < self.words,

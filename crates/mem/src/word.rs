@@ -42,6 +42,7 @@ impl Word {
     ///
     /// Returns [`MemError::InvalidWidth`] if `width` is zero or greater than
     /// [`MAX_WORD_WIDTH`].
+    #[inline]
     pub fn from_bits(bits: u128, width: usize) -> Result<Self, MemError> {
         if width == 0 || width > MAX_WORD_WIDTH {
             return Err(MemError::InvalidWidth { width });
@@ -103,6 +104,7 @@ impl Word {
         Self::from_bits(value, width)
     }
 
+    #[inline]
     fn mask_for(width: usize) -> u128 {
         if width >= 128 {
             u128::MAX
@@ -200,6 +202,7 @@ impl Word {
     /// Panics if the widths differ; use [`Word::checked_xor`] for a fallible
     /// variant.
     #[must_use]
+    #[inline]
     pub fn xor(self, other: Self) -> Self {
         self.checked_xor(other).expect("word widths must match")
     }
@@ -268,6 +271,7 @@ impl Not for Word {
 impl BitXor for Word {
     type Output = Word;
 
+    #[inline]
     fn bitxor(self, rhs: Word) -> Word {
         self.xor(rhs)
     }

@@ -21,12 +21,12 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use twm_bist::{run_scheme_session_staged, Misr};
+use twm_bist::Misr;
 use twm_core::scheme::SchemeId;
 use twm_coverage::{ContentPolicy, CoverageEngine, Strategy, WorkerPool};
-use twm_mem::{Fault, FaultSet, FaultyMemory, MemoryConfig, SplitMix64, Word};
+use twm_mem::{Fault, FaultyMemory, MemoryConfig, SplitMix64, Word};
 
-use crate::RepairError;
+use crate::{FaultLocalSession, RepairError};
 
 /// The ordered MISR signature trail of one session: the predicted
 /// signature followed by the cumulative test-phase signature after each
@@ -209,6 +209,15 @@ impl SignatureDictionary {
     /// [`DictionaryOptions::multi_fault_samples`] adds sampled two-fault
     /// injections gated by [`CoverageEngine::injection_detected`].
     ///
+    /// Trails are computed fault-locally: the session is lowered and its
+    /// fault-free run simulated once ([`FaultLocalSession`]), then each
+    /// injection sweeps only its footprint words on a reused arena memory
+    /// and folds its read errors into the fault-free trail — no
+    /// per-injection work on the other words. The naive reference is
+    /// [`twm_bist::run_scheme_session_staged`] on a memory built with the
+    /// injection and the reference content; `tests/fault_local_verify.rs`
+    /// checks every indexed trail against it.
+    ///
     /// # Errors
     ///
     /// * [`RepairError::MissingScheme`] for an engine without a scheme
@@ -375,13 +384,10 @@ impl DictionaryStream {
         let threads = options.strategy.worker_threads()?;
         let content = engine.options().content;
 
-        // The fault-free reference trail: what a healthy session produces.
-        let fault_free = {
-            let mut memory = FaultyMemory::fault_free(config);
-            apply_content(&mut memory, content);
-            let staged = run_scheme_session_staged(transform, &mut memory, misr.clone())?;
-            SignatureTrail::new(staged.signature_trail())
-        };
+        // The session lowered once, with the fault-free reference trail:
+        // what a healthy session produces.
+        let session = FaultLocalSession::new(transform, config, content, misr.clone())?;
+        let fault_free = session.fault_free_trail();
 
         // The injection list: the whole single-fault universe, then the
         // deterministic sample of exact-oracle-detectable fault pairs.
@@ -418,7 +424,7 @@ impl DictionaryStream {
         // Trail computation fans across the strategy's workers; the chunks
         // preserve injection order, so the serial grouping below sees the
         // same sequence for any thread count.
-        let trails = compute_trails(&injections, config, content, transform, &misr, threads)?;
+        let trails = compute_trails(&injections, &session, threads)?;
 
         let mut by_trail: BTreeMap<SignatureTrail, Vec<Vec<Fault>>> = BTreeMap::new();
         let mut undetected = Vec::new();
@@ -630,25 +636,19 @@ pub(crate) fn apply_content(memory: &mut FaultyMemory, content: ContentPolicy) {
     }
 }
 
-/// Computes every injection's signature trail on a pool `threads` wide.
-/// The pool returns trails in injection order, so the result is identical
-/// for any thread count.
+/// Computes every injection's signature trail on a pool `threads` wide,
+/// each through [`FaultLocalSession::trail`] — a sweep of the injection's
+/// footprint words, not a session over the whole memory (the naive
+/// reference is [`twm_bist::run_scheme_session_staged`] on a memory built
+/// with the injection and the content). The pool returns trails in
+/// injection order, so the result is identical for any thread count.
 fn compute_trails(
     injections: &[Vec<Fault>],
-    config: MemoryConfig,
-    content: ContentPolicy,
-    transform: &twm_core::scheme::SchemeTransform,
-    misr: &Misr,
+    session: &FaultLocalSession,
     threads: usize,
 ) -> Result<Vec<SignatureTrail>, RepairError> {
     WorkerPool::new(threads - 1)
-        .map(injections, |injection| -> Result<_, RepairError> {
-            let faults = FaultSet::from_faults(injection.iter().copied());
-            let mut memory = FaultyMemory::with_faults(config, faults)?;
-            apply_content(&mut memory, content);
-            let staged = run_scheme_session_staged(transform, &mut memory, misr.clone())?;
-            Ok(SignatureTrail::new(staged.signature_trail()))
-        })
+        .map(injections, |injection| session.trail(injection))
         .into_iter()
         .collect()
 }
@@ -656,9 +656,10 @@ fn compute_trails(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twm_bist::run_scheme_session_staged;
     use twm_core::scheme::SchemeRegistry;
     use twm_march::algorithms::march_c_minus;
-    use twm_mem::BitAddress;
+    use twm_mem::{BitAddress, FaultSet};
 
     const SEED: u64 = 41;
 

@@ -21,7 +21,10 @@
 //!   [`twm_mem::RepairableMemory`] spare words to defective words,
 //!   emitting a [`RepairPlan`].
 //! * [`verify`] — [`verify_repair`]: the scheme session re-run through the
-//!   remap table, proving the signature comes back clean.
+//!   remap table, proving the signature comes back clean; and
+//!   [`FaultLocalSession`], the same session prepared once under a
+//!   reference content so dictionary trails and repair checks sweep only
+//!   an injection's footprint (and remapped) words.
 //!
 //! ## The whole loop
 //!
@@ -93,7 +96,7 @@ pub use localise::{
     LocalisationOutcome, LocatedDefect, TrailDiagnosis,
 };
 pub use lookup::TrailLookup;
-pub use verify::{verify_repair, RepairVerification};
+pub use verify::{verify_repair, FaultLocalSession, RepairVerification};
 
 use twm_mem::RepairableMemory;
 
