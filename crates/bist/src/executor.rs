@@ -293,8 +293,8 @@ pub fn detect_lowered_at<M: MemoryAccess>(
     probe_lowered_at(test, memory, addresses)
 }
 
-/// Lane-parallel fault-local detection: runs a pre-lowered march test once
-/// over a packed arena's footprint and returns a `u64` detection mask with
+/// Lane-parallel fault-local detection: runs a pre-lowered march test over
+/// a packed arena's footprint and returns a `u64` detection mask with
 /// bit `i` set iff the fault armed in lane `i` was detected.
 ///
 /// This is the batch form of [`detect_lowered_at`]: the arena holds up to
@@ -315,8 +315,13 @@ pub fn detect_lowered_at<M: MemoryAccess>(
 ///   scalar early return: reads never disturb content, so a mismatch once
 ///   seen stays attributable.
 ///
-/// The sweep short-circuits once every armed lane has detected. The run
-/// consumes the arena's current planes — [`twm_mem::PackedArena::arm`] or
+/// A lane's state lives in its own slot only (a stuck-at or transition
+/// fault has no aggressor, and other slots' reads are masked off), so the
+/// order in which slots are visited cannot change a verdict. The kernel
+/// therefore runs the whole test on one slot before the next, and stops a
+/// slot at the first read after which all of its owner lanes have
+/// detected — element sweep directions do not apply. The run consumes the
+/// arena's current content — [`twm_mem::PackedArena::arm`] or
 /// [`twm_mem::PackedArena::reload`] before the next call.
 ///
 /// # Errors
@@ -333,31 +338,19 @@ pub fn detect_lowered_batch<L: Lanes>(
             memory: arena.width(),
         });
     }
-    let slots = arena.slots();
-    let all = arena.active_mask();
     let mut detected = 0u64;
-    for element in test.elements() {
-        for position in 0..slots {
-            let slot = match element.order {
-                AddressOrder::Ascending | AddressOrder::Any => position,
-                AddressOrder::Descending => slots - 1 - position,
-            };
-            for op in &element.ops {
-                match op.kind {
-                    OpKind::Write => {
-                        arena.write_word(slot, op.pattern.to_bits(), op.transparent);
-                    }
-                    OpKind::Read => {
-                        detected |= L::to_mask(arena.read_mismatch(
-                            slot,
-                            op.pattern.to_bits(),
-                            op.transparent,
-                        ));
+    for slot in 0..arena.slots() {
+        let owners = arena.owner_mask(slot);
+        for op in test.elements().iter().flat_map(|element| &element.ops) {
+            let pattern = op.pattern.to_bits();
+            match op.kind {
+                OpKind::Write => arena.write_word(slot, pattern, op.transparent),
+                OpKind::Read => {
+                    detected |= L::to_mask(arena.read_mismatch(slot, pattern, op.transparent));
+                    if owners & !detected == 0 {
+                        break;
                     }
                 }
-            }
-            if detected == all {
-                return Ok(detected);
             }
         }
     }

@@ -7,8 +7,9 @@
 //! * the [pre-lowered](twm_bist::LoweredTest) operation stream of the test,
 //! * the pre-generated pseudo-random initial contents,
 //! * and a pool of reusable [`FaultyMemory`] arenas, re-armed per fault via
-//!   [`FaultyMemory::reset_with_fault`] so repeated evaluations allocate no
-//!   per-fault memories.
+//!   [`FaultyMemory::rearm_local`] — only the fault's footprint words are
+//!   restored, so a run costs O(footprint), not O(memory), and repeated
+//!   evaluations allocate no per-fault memories.
 //!
 //! The engine exposes three verbs:
 //!
@@ -67,7 +68,7 @@ use twm_bist::{detect_lowered_at, detect_lowered_batch, LoweredTest, Misr};
 use twm_core::scheme::{SchemeTransform, TransparentScheme};
 use twm_march::MarchTest;
 use twm_mem::{
-    BitStorage, Fault, FaultClass, FaultSet, FaultyMemory, Lanes, MemError, MemoryConfig, Packed64,
+    BitStorage, Fault, FaultClass, FaultSet, FaultyMemory, Lanes, MemoryConfig, Packed64,
     PackedArena,
 };
 
@@ -252,9 +253,11 @@ impl CoverageEngineBuilder {
 }
 
 /// The initial contents every fault-injection run starts from, as raw
-/// [`BitStorage`] images restored with block copies
-/// ([`FaultyMemory::load_image`]): one per content round for the random
-/// policy, none for the all-zero policy (a reset memory is already zeroed).
+/// [`BitStorage`] images: one per content round for the random policy, none
+/// for the all-zero policy (a run zeroes its footprint words instead).
+/// Fault-local runs copy their footprint words from them
+/// ([`FaultyMemory::rearm_local`]); `aliasing` restores a whole image with
+/// a block copy ([`FaultyMemory::load_image`]).
 ///
 /// Generated through [`FaultyMemory::fill_random`] itself so shared
 /// contents can never drift from what a per-fault fill would produce.
@@ -365,7 +368,9 @@ pub struct CoverageEngine {
     /// generation.
     content_images: Arc<Vec<BitStorage>>,
     /// Checked-in arena memories, re-armed per fault by workers. Bounded by
-    /// the maximum number of concurrent checkouts (≤ worker threads).
+    /// the maximum number of concurrent checkouts (≤ worker threads). Their
+    /// content outside the last run's footprint may be stale — see
+    /// [`CoverageEngine::checkout`].
     pool: Mutex<Vec<FaultyMemory>>,
     /// Persistent workers (`threads - 1`; their threads spawn on the first
     /// parallel fan-out), shared (`Arc`) with [`CoverageEngine::with_test`]
@@ -527,9 +532,8 @@ impl CoverageEngine {
     /// Evaluates the fault coverage of the engine's test over a universe.
     ///
     /// Single-bit faults (SAF/TF) are packed into
-    /// [`PackedArena`]`<`[`Packed64`]`>` lane batches — sorted by victim
-    /// word so each batch's footprint stays compact — and each batch is
-    /// resolved by **one** march execution
+    /// [`PackedArena`]`<`[`Packed64`]`>` lane batches in universe order, and
+    /// each batch is resolved by **one** march execution
     /// ([`twm_bist::detect_lowered_batch`]); the other faults take the
     /// scalar fault-local arena in cheap-first order. Batches and scalar
     /// runs form one work queue that the workers drain by stealing from an
@@ -581,13 +585,14 @@ impl CoverageEngine {
     /// `None` when any fault fails to inject or execute (the whole pass is
     /// then discarded).
     fn report_batched(&self, universe: &[Fault]) -> Option<CoverageReport> {
-        let (mut packed, mut scalar): (Vec<usize>, Vec<usize>) = (0..universe.len())
+        let (packed, mut scalar): (Vec<usize>, Vec<usize>) = (0..universe.len())
             .partition(|&i| matches!(universe[i].class(), FaultClass::Saf | FaultClass::Tf));
-        // Word-major batches keep each arena's footprint (and so its
-        // bit-plane count) small; the index tiebreaks keep the grouping
+        // Packed batches take the universe order: a batch costs O(faults +
+        // slots) to arm and one plain word plus its live planes per op, so
+        // grouping batches by word would save less than sorting costs. The
+        // index tiebreak makes the scalar keys unique, so the order is
         // deterministic.
-        packed.sort_by_key(|&i| (universe[i].victim().word, i));
-        scalar.sort_by_key(|&i| (fault_cost_rank(&universe[i]), i));
+        scalar.sort_unstable_by_key(|&i| (fault_cost_rank(&universe[i]), i));
         let batches: Vec<&[usize]> = packed.chunks(Packed64::COUNT).collect();
         let scalar_runs: Vec<&[usize]> = scalar.chunks(STEAL_GRAIN).collect();
         let obs = engine_obs();
@@ -651,9 +656,12 @@ impl CoverageEngine {
             detected[slot] = Some(hit);
         }
         let mut report = CoverageReport::new(self.test.name());
-        for (&fault, hit) in universe.iter().zip(&detected) {
-            report.record(fault, hit.expect("every universe slot evaluated"));
-        }
+        report.record_all(
+            universe
+                .iter()
+                .zip(&detected)
+                .map(|(&fault, hit)| (fault, hit.expect("every universe slot evaluated"))),
+        );
         Some(report)
     }
 
@@ -834,17 +842,22 @@ impl CoverageEngine {
         if faults.is_empty() {
             return Err(CoverageError::EmptyUniverse);
         }
-        let set = FaultSet::from_faults(faults.iter().copied());
-        let footprint = set.word_footprint();
+        let footprint = FaultSet::from_faults(faults.iter().copied()).word_footprint();
         let mut memory = self.checkout();
-        let result = self.detected_under_contents(&mut memory, &footprint, |memory| {
-            memory.reset_with_faults(set.clone())
-        });
+        let result = self.detected_under_contents(&mut memory, faults, &footprint);
         self.checkin(memory);
         result
     }
 
     /// Checks an arena memory out of the pool, building one if it is empty.
+    ///
+    /// Pool invariant: an arena's content is only defined on the words its
+    /// current run re-armed. Fault-local runs restore just their footprint
+    /// ([`FaultyMemory::rearm_local`]) and leave every other word as an
+    /// earlier run left it, which is sound because
+    /// [`twm_bist::detect_lowered_at`] neither reads nor writes a word
+    /// outside the footprint it sweeps. A caller that runs a whole-memory
+    /// session (`aliasing`) must reset and load the whole arena first.
     fn checkout(&self) -> FaultyMemory {
         let memory = self.pool.lock().expect("arena pool lock poisoned").pop();
         match memory {
@@ -866,11 +879,10 @@ impl CoverageEngine {
     }
 
     /// Whether one fault is detected (under every tried initial content) on
-    /// an arena memory: the memory is re-armed per content round, the
-    /// shared content restored with a block copy, and only the fault's
-    /// footprint words are swept ([`twm_bist::detect_lowered_at`] — a word
-    /// no fault touches can neither misread nor disturb anything, so the
-    /// verdict equals a full sweep's at a fraction of the cost).
+    /// an arena memory: only the fault's footprint words are re-armed and
+    /// swept ([`twm_bist::detect_lowered_at`] — a word no fault touches can
+    /// neither misread nor disturb anything, so the verdict equals a full
+    /// sweep's at a fraction of the cost).
     fn detected(&self, memory: &mut FaultyMemory, fault: Fault) -> Result<bool, CoverageError> {
         // The footprint is at most two words: the victim's and, for
         // coupling faults, the aggressor's — sorted, deduplicated, and
@@ -884,26 +896,28 @@ impl CoverageEngine {
             }
             _ => 1,
         };
-        self.detected_under_contents(memory, &footprint[..words], |memory| {
-            memory.reset_with_fault(fault)
-        })
+        self.detected_under_contents(memory, std::slice::from_ref(&fault), &footprint[..words])
     }
 
     /// Runs the lowered test once per content round (once on zeroed
-    /// content for the all-zero policy), re-arming the memory with `arm`
-    /// and restoring the round's content before each sweep of `footprint`;
-    /// detected means detected under **every** round.
+    /// content for the all-zero policy) with `faults` injected, sweeping
+    /// only `footprint`; detected means detected under **every** round.
+    ///
+    /// Before each round the arena is re-armed with
+    /// [`FaultyMemory::rearm_local`]: the fault set is rebuilt in place and
+    /// only the footprint words are copied from the round's image (zeroed
+    /// under [`ContentPolicy::Zeros`]). Words outside the footprint keep
+    /// whatever an earlier run left there — the pool invariant of
+    /// [`CoverageEngine::checkout`] — so a round costs O(footprint), not
+    /// O(memory).
     fn detected_under_contents(
         &self,
         memory: &mut FaultyMemory,
+        faults: &[Fault],
         footprint: &[usize],
-        mut arm: impl FnMut(&mut FaultyMemory) -> Result<(), MemError>,
     ) -> Result<bool, CoverageError> {
         for round in 0..self.content_images.len().max(1) {
-            arm(memory)?;
-            if let Some(image) = self.content_images.get(round) {
-                memory.load_image(image)?;
-            }
+            memory.rearm_local(faults, self.content_images.get(round), footprint)?;
             if !detect_lowered_at(&self.lowered, memory, footprint)? {
                 return Ok(false);
             }

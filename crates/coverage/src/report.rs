@@ -56,25 +56,38 @@ impl CoverageReport {
 
     /// Records one evaluated fault.
     pub fn record(&mut self, fault: Fault, detected: bool) {
-        let class = self.per_class.entry(fault.class()).or_default();
-        class.total += 1;
-        if detected {
-            class.detected += 1;
-        }
-        if fault.is_intra_word() {
-            self.intra_word.total += 1;
-            if detected {
-                self.intra_word.detected += 1;
+        self.record_all([(fault, detected)]);
+    }
+
+    /// Records evaluated faults in order, as [`CoverageReport::record`]
+    /// one by one would, but tallies the classes locally so the class map
+    /// is touched once per class instead of once per fault.
+    pub(crate) fn record_all(&mut self, verdicts: impl IntoIterator<Item = (Fault, bool)>) {
+        // Indexed by `FaultClass as usize`, the order of `FaultClass::all`.
+        let mut classes = [ClassCoverage::default(); 5];
+        for (fault, detected) in verdicts {
+            let hit = usize::from(detected);
+            let class = &mut classes[fault.class() as usize];
+            class.total += 1;
+            class.detected += hit;
+            if fault.is_intra_word() {
+                self.intra_word.total += 1;
+                self.intra_word.detected += hit;
+            }
+            if fault.is_inter_word() {
+                self.inter_word.total += 1;
+                self.inter_word.detected += hit;
+            }
+            if !detected {
+                self.undetected.push(fault);
             }
         }
-        if fault.is_inter_word() {
-            self.inter_word.total += 1;
-            if detected {
-                self.inter_word.detected += 1;
+        for (class, tally) in FaultClass::all().into_iter().zip(classes) {
+            if tally.total > 0 {
+                let entry = self.per_class.entry(class).or_default();
+                entry.total += tally.total;
+                entry.detected += tally.detected;
             }
-        }
-        if !detected {
-            self.undetected.push(fault);
         }
     }
 

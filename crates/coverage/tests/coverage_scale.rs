@@ -1,0 +1,97 @@
+//! Coverage reports at a production memory shape. On a 1M×32 memory, a
+//! serial TWM_TA × March C− report over 2,048 inversion coupling faults
+//! must finish within a quarter of a second. Each coupling fault runs on
+//! the scalar arena, which restores only the fault's footprint words; a
+//! per-fault reset and reload of the whole 4 MiB memory takes over a
+//! second here. The report's verdicts must equal the naive full-sweep
+//! reference (`fault_detected`) on a sample of the faults.
+//!
+//! Ignored by default (a debug build is far too slow); run it in release
+//! mode:
+//!
+//! ```text
+//! cargo test --release -p twm-coverage --test coverage_scale -- --ignored
+//! ```
+
+use std::time::{Duration, Instant};
+
+use twm_core::scheme::{SchemeId, SchemeRegistry};
+use twm_coverage::{fault_detected, ContentPolicy, CoverageEngine, Strategy};
+use twm_march::algorithms::march_c_minus;
+use twm_mem::{BitAddress, Fault, MemoryConfig, SplitMix64, Transition};
+
+const WORDS: usize = 1 << 20;
+const WIDTH: usize = 32;
+const FAULTS: usize = 2048;
+const REFERENCE_SAMPLE: usize = 16;
+const BUDGET: Duration = Duration::from_millis(250);
+const SEED: u64 = 0x1_0032;
+
+/// `FAULTS` inversion coupling faults on random same-word and
+/// adjacent-word cell pairs, the aggressor above or below the victim.
+fn coupling_universe() -> Vec<Fault> {
+    let mut rng = SplitMix64::new(SEED);
+    (0..FAULTS)
+        .map(|_| {
+            let word = rng.next_below(WORDS - 1);
+            let (aggressor_word, victim_word) = match rng.next_below(3) {
+                0 => (word, word),
+                1 => (word, word + 1),
+                _ => (word + 1, word),
+            };
+            let aggressor = BitAddress::new(aggressor_word, rng.next_below(WIDTH));
+            let mut victim = BitAddress::new(victim_word, rng.next_below(WIDTH));
+            if victim == aggressor {
+                victim.bit = (victim.bit + 1) % WIDTH;
+            }
+            let transition = if rng.next_bool() {
+                Transition::Rising
+            } else {
+                Transition::Falling
+            };
+            Fault::coupling_inversion(aggressor, victim, transition)
+        })
+        .collect()
+}
+
+#[test]
+#[ignore = "release-mode scale check; run with --release -- --ignored"]
+fn coupling_report_on_1m_by_32_finishes_within_a_quarter_second() {
+    let config = MemoryConfig::new(WORDS, WIDTH).unwrap();
+    let registry = SchemeRegistry::all(WIDTH).unwrap();
+    let engine = CoverageEngine::for_scheme(
+        registry.get(SchemeId::TwmTa).unwrap(),
+        &march_c_minus(),
+        config,
+    )
+    .unwrap()
+    .content(ContentPolicy::Random { seed: SEED })
+    .strategy(Strategy::Serial)
+    .build()
+    .unwrap();
+    let universe = coupling_universe();
+
+    let start = Instant::now();
+    let report = engine.report(&universe).unwrap();
+    let elapsed = start.elapsed();
+    println!(
+        "1Mx32 TWM_TA x March C- report: {FAULTS} CFin faults in {:.4} s ({} undetected)",
+        elapsed.as_secs_f64(),
+        report.undetected.len()
+    );
+    assert!(
+        elapsed < BUDGET,
+        "report took {elapsed:?}, over the {BUDGET:?} budget"
+    );
+    assert_eq!(report.total_faults(), FAULTS);
+
+    let stride = FAULTS / REFERENCE_SAMPLE;
+    for fault in universe.iter().step_by(stride) {
+        let reference = fault_detected(engine.test(), &[*fault], config, engine.options()).unwrap();
+        assert_eq!(
+            !report.undetected.contains(fault),
+            reference,
+            "verdict on {fault:?} differs from the full-sweep reference"
+        );
+    }
+}

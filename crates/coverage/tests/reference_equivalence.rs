@@ -11,6 +11,12 @@
 //! contents per fault, serial, parallel and degenerate thread counts, and
 //! TWM_TA transparent tests.
 //!
+//! The scalar arena restores only a run's footprint words and leaves the
+//! rest of the pooled memory as earlier runs left it; the reuse tests at
+//! the end evaluate faults back to back on one serial engine, with
+//! overlapping footprints and whole-memory `aliasing` sessions in between,
+//! so stale content would show as a wrong verdict.
+//!
 //! Thread counts are passed explicitly through `Strategy::Parallel` (not
 //! the `TWM_COVERAGE_THREADS` environment variable) so concurrently
 //! running tests cannot race on process-global state. Without the
@@ -19,6 +25,7 @@
 
 use proptest::prelude::*;
 
+use twm_bist::Misr;
 use twm_core::{TransparentScheme, TwmTa};
 use twm_coverage::universe::{CouplingScope, UniverseBuilder};
 use twm_coverage::{
@@ -26,6 +33,7 @@ use twm_coverage::{
     EvaluationOptions, FaultVerdict, Strategy as Exec,
 };
 use twm_march::algorithms::{march_c_minus, mats_plus};
+use twm_march::notation::parse_march;
 use twm_march::MarchTest;
 use twm_mem::{BitAddress, Fault, MemError, MemoryConfig, Transition};
 
@@ -530,4 +538,165 @@ fn reference_rejects_an_empty_fault_set() {
         fault_detected(&march_c_minus(), &[], config, EvaluationOptions::default()),
         Err(CoverageError::EmptyUniverse)
     ));
+}
+
+/// Back-to-back faults whose footprints overlap: for every victim cell,
+/// stuck-at and transition faults on that word at another
+/// bit, then CFin, CFid and CFst faults with the aggressor in the word
+/// below, the same word and the word above.
+fn overlapping_sequence(config: MemoryConfig) -> Vec<Fault> {
+    let (words, width) = (config.words(), config.width());
+    let mut sequence = Vec::new();
+    for word in 0..words {
+        for bit in 0..width {
+            let victim = BitAddress::new(word, bit);
+            let other = BitAddress::new(word, (bit + 1) % width);
+            sequence.push(Fault::stuck_at(victim, bit % 2 == 0));
+            sequence.push(Fault::transition(other, Transition::Rising));
+            sequence.push(Fault::stuck_at(other, bit % 2 == 1));
+            sequence.push(Fault::transition(victim, Transition::Falling));
+            let aggressor_words = [word.checked_sub(1), Some(word), Some(word + 1)];
+            for aggressor_word in aggressor_words.into_iter().flatten() {
+                if aggressor_word >= words {
+                    continue;
+                }
+                let aggressor = BitAddress::new(aggressor_word, (bit + 1 + word) % width);
+                if aggressor == victim {
+                    continue;
+                }
+                sequence.push(Fault::coupling_inversion(
+                    aggressor,
+                    victim,
+                    Transition::Rising,
+                ));
+                sequence.push(Fault::coupling_idempotent(
+                    aggressor,
+                    victim,
+                    Transition::Falling,
+                    bit % 2 == 0,
+                ));
+                sequence.push(Fault::coupling_state(
+                    aggressor,
+                    victim,
+                    word % 2 == 0,
+                    bit % 2 == 1,
+                ));
+            }
+        }
+    }
+    sequence
+}
+
+/// The content options the reuse tests run under: all-zero content, and
+/// one to three random contents per fault.
+fn reuse_options() -> [EvaluationOptions; 4] {
+    [
+        EvaluationOptions {
+            content: ContentPolicy::Zeros,
+            contents_per_fault: 1,
+        },
+        random(5, 1),
+        random(6, 2),
+        random(7, 3),
+    ]
+}
+
+/// One serial engine (so one pooled arena) evaluates every fault of an
+/// overlapping sequence alone, back to back, through `verdicts` and
+/// `injection_detected`; the whole sequence again through `verdicts`,
+/// `report` and `compare`; and consecutive pairs and triples as
+/// multi-fault injections. Every verdict equals `fault_detected`.
+///
+/// Besides March C− and its TWM_TA transparent form on 4-bit words, a
+/// short literal test runs on 1-bit words: its first write rises only the
+/// cells that start at 0, so whether it excites a rising transition fault
+/// or a rising aggressor hangs on the initial content of every footprint
+/// word, and a word left stale by an earlier run flips verdicts.
+#[test]
+fn pooled_scalar_arena_reuse_matches_reference() {
+    let transformed = TwmTa::new(4).unwrap().transform(&march_c_minus()).unwrap();
+    let write_first = parse_march("write-first", "⇑(w1); ⇑(r1,w0); ⇓(r0)").unwrap();
+    let wide = MemoryConfig::new(6, 4).unwrap();
+    let narrow = MemoryConfig::new(8, 1).unwrap();
+    let cases = [
+        (wide, march_c_minus()),
+        (wide, transformed.transparent_test().clone()),
+        (narrow, write_first),
+    ];
+    for (config, test) in &cases {
+        let (config, test) = (*config, test);
+        let sequence = overlapping_sequence(config);
+        for options in reuse_options() {
+            let e = engine(test, config, options, Exec::Serial);
+            let reference = reference_verdicts(test, &sequence, config, options);
+            for (fault, expected) in sequence.iter().zip(&reference) {
+                let streamed = e.verdicts([fault]).next().unwrap().unwrap();
+                assert_eq!(streamed, *expected, "{} {options:?}", test.name());
+                assert_eq!(
+                    e.injection_detected(&[*fault]).unwrap(),
+                    expected.detected,
+                    "{} {options:?} {fault:?}",
+                    test.name()
+                );
+            }
+            let streamed: Vec<FaultVerdict> =
+                e.verdicts(&sequence).collect::<Result<_, _>>().unwrap();
+            assert_eq!(streamed, reference, "{} {options:?}", test.name());
+            let report = reference_report(test, &sequence, config, options);
+            assert_eq!(e.report(&sequence).unwrap(), report);
+            let equivalence = e.compare(&e, &sequence).unwrap();
+            assert_eq!(equivalence.first, report);
+            assert!(equivalence.disagreements.is_empty());
+
+            for size in [2, 3] {
+                for set in sequence.windows(size).step_by(5) {
+                    assert_eq!(
+                        e.injection_detected(set).unwrap(),
+                        fault_detected(test, set, config, options).unwrap(),
+                        "{} {options:?} {set:?}",
+                        test.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Fault-local runs interleaved with `aliasing`, which resets and loads
+/// the whole pooled arena: the verdicts after each aliasing pass still
+/// equal `fault_detected`, and each aliasing report equals the one of a
+/// fresh engine.
+#[test]
+fn scalar_arena_reuse_interleaved_with_aliasing_matches_reference() {
+    let width = 4;
+    let config = MemoryConfig::new(6, width).unwrap();
+    let sequence = overlapping_sequence(config);
+    let transformed = TwmTa::new(width)
+        .unwrap()
+        .transform(&march_c_minus())
+        .unwrap();
+    let test = transformed.transparent_test();
+    let prediction = transformed.signature_prediction().unwrap();
+    let misr = Misr::standard(width);
+    for options in reuse_options() {
+        let e = engine(test, config, options, Exec::Serial);
+        let reference = reference_verdicts(test, &sequence, config, options);
+        for (chunk, expected) in sequence.chunks(7).zip(reference.chunks(7)) {
+            let fresh = engine(test, config, options, Exec::Serial);
+            assert_eq!(
+                e.aliasing(prediction, &misr, chunk).unwrap(),
+                fresh.aliasing(prediction, &misr, chunk).unwrap(),
+                "{options:?} {chunk:?}"
+            );
+            let streamed: Vec<FaultVerdict> = e.verdicts(chunk).collect::<Result<_, _>>().unwrap();
+            assert_eq!(streamed, expected, "{options:?}");
+            for set in chunk.windows(2) {
+                assert_eq!(
+                    e.injection_detected(set).unwrap(),
+                    fault_detected(test, set, config, options).unwrap(),
+                    "{options:?} {set:?}"
+                );
+            }
+        }
+    }
 }

@@ -172,7 +172,12 @@ impl FaultSet {
     ///
     /// See [`FaultSet::validate`].
     pub fn validate_fault(fault: &Fault, words: usize, width: usize) -> Result<(), MemError> {
-        for cell in fault.cells() {
+        // `Fault::cells` order (aggressor first), without its allocation:
+        // the re-arm paths validate every fault they inject.
+        for cell in [fault.aggressor(), Some(fault.victim())]
+            .into_iter()
+            .flatten()
+        {
             if cell.word >= words || cell.bit >= width {
                 return Err(MemError::FaultCellOutOfRange { cell });
             }

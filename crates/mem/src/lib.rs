@@ -34,10 +34,11 @@
 //! For bulk fault grading there is a second, bit-sliced kernel: the
 //! [`Lanes`] trait abstracts over a packing degree ([`Scalar`] = 1 fault
 //! per pass, [`Packed64`] = 64 faults per pass) and [`PackedArena`] holds
-//! one bit-plane per footprint bit so a single march execution advances up
-//! to 64 independent single-bit fault simulations at once. `twm-bist`'s
-//! `detect_lowered_batch` drives it; `twm-coverage` batches SAF/TF
-//! universes through it transparently.
+//! one bit-plane per faulty bit position of each footprint word (the
+//! word's other bits are shared by every lane) so a single march execution
+//! advances up to 64 independent single-bit fault simulations at once.
+//! `twm-bist`'s `detect_lowered_batch` drives it; `twm-coverage` batches
+//! SAF/TF universes through it transparently.
 //!
 //! ```
 //! use twm_mem::{FaultyMemory, MemoryConfig, Fault, BitAddress, Word};

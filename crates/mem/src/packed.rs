@@ -4,21 +4,32 @@
 //! [`PackedArena`] is the bit-sliced sibling of
 //! [`FaultyMemory`](crate::FaultyMemory) + [`BitStorage`](crate::BitStorage).
 //! Where the scalar pair stores one memory image and injects one fault set,
-//! the arena stores one *bit-plane* per (footprint word, bit position): a
+//! the arena keeps, per footprint word ("slot"), one *bit-plane* per **live
+//! bit** — a bit position that hosts a fault in some lane: a
 //! [`Lanes::Word`] whose lane `i` holds the value that bit has in fault
 //! `i`'s divergent memory image. One pass of bitwise operations over the
-//! planes then advances every lane's simulation at once.
+//! live planes then advances every lane's simulation at once.
 //!
-//! Two properties of this workspace make the packing cheap:
+//! A slot's other bits host no fault in any lane, so every lane holds the
+//! same value there: they evolve as one plain word per slot. A read
+//! mismatch on them (possible only when a test reads a literal pattern it
+//! has not written) flags all of the slot's owner lanes at once, exactly
+//! as a full set of per-bit planes would.
+//!
+//! Three properties of this workspace make the packing cheap:
 //!
 //! * fault behaviour is already reduced to per-word masks (the same
 //!   stuck/transition mask algebra as
 //!   [`FaultIndex`](crate::FaultIndex)), so injecting a fault into a lane
-//!   is three `OR`s into static mask planes;
+//!   is one `OR` into a static mask plane;
 //! * detection sweeps are already confined to fault footprints
-//!   (`detect_lowered_at`), so the arena only materialises planes for the
+//!   (`detect_lowered_at`), so the arena only materialises slots for the
 //!   union of the batch's victim words — a handful of words instead of the
-//!   whole memory.
+//!   whole memory;
+//! * a batch of up to 64 faults makes at most 64 live bits, so arming and
+//!   reloading cost O(faults + slots) and a write or read touches one
+//!   plain word plus the slot's live planes, not one plane per bit of the
+//!   word.
 //!
 //! Only single-cell faults (SAF, TF) are packable: coupling faults read
 //! aggressor state across cells, which would entangle lanes. Callers route
@@ -31,43 +42,73 @@ use crate::lanes::Lanes;
 use crate::sim::MemoryConfig;
 use crate::storage::BitStorage;
 
+/// One footprint word of the armed batch.
+#[derive(Debug, Clone, Copy)]
+struct Slot<W> {
+    /// Initial content of the bits every lane shares (the image word).
+    initial: u128,
+    /// Current content of the shared bits. Positions in `live` are stale:
+    /// the live planes hold those bits.
+    current: u128,
+    /// Bit positions that have a live plane.
+    live: u128,
+    /// The slot's live planes: `planes[start..end]`, ascending by bit.
+    start: usize,
+    end: usize,
+    /// Lane-ownership mask: lane `i` set iff fault `i`'s victim cell lives
+    /// in this word. Read mismatches outside a lane's own word are masked
+    /// off — the scalar reference (`detect_lowered_at`) only sweeps the
+    /// fault's own word, and a test mixing transparent writes with literal
+    /// reads can mismatch on fault-free words too.
+    owners: W,
+}
+
+/// Per-lane state of one live bit.
+#[derive(Debug, Clone, Copy)]
+struct LivePlane<W> {
+    /// Bit position within the word.
+    bit: usize,
+    /// Initial content (statically enforced).
+    initial: W,
+    /// Current content.
+    current: W,
+    /// Stuck-at-0 mask: lane `i` set iff fault `i` pins this bit to 0.
+    stuck0: W,
+    /// Stuck-at-1 mask.
+    stuck1: W,
+    /// Blocked 0→1 transition mask.
+    rising: W,
+    /// Blocked 1→0 transition mask.
+    falling: W,
+}
+
 /// A lane-packed simulation arena for up to `L::COUNT` single-bit faults.
 ///
 /// Lifecycle: [`arm`](Self::arm) a batch of faults (optionally with an
 /// initial content image), run the lowered op stream against the arena
 /// (`twm-bist`'s `detect_lowered_batch`), read the detection mask. To
 /// re-evaluate the same batch under another content image, call
-/// [`reload`](Self::reload) — the fault masks stay armed, only the data
-/// planes are rebuilt.
+/// [`reload`](Self::reload) — the fault masks stay armed, only the content
+/// is rebuilt.
 ///
-/// All plane storage is retained across batches, so a long run over
-/// thousands of faults performs no per-batch allocation once the footprint
-/// size stabilises.
+/// All storage is retained across batches, so a long run over thousands of
+/// faults performs no per-batch allocation once the footprint size
+/// stabilises.
 #[derive(Debug)]
 pub struct PackedArena<L: Lanes> {
     config: MemoryConfig,
-    /// Sorted, deduplicated victim word addresses of the armed batch; the
-    /// arena's "slot" space. Plane index = `slot * width + bit`.
+    /// The distinct victim word addresses of the armed batch, in the order
+    /// the batch first names them; the arena's "slot" space.
     addresses: Vec<usize>,
-    /// Per-(slot, bit) initial content planes (statically enforced).
-    initial: Vec<L::Word>,
-    /// Per-(slot, bit) current content planes.
-    current: Vec<L::Word>,
-    /// Per-(slot, bit) stuck-at-0 masks: lane `i` set iff fault `i` pins
-    /// that bit to 0.
-    stuck0: Vec<L::Word>,
-    /// Per-(slot, bit) stuck-at-1 masks.
-    stuck1: Vec<L::Word>,
-    /// Per-(slot, bit) blocked 0→1 transition masks.
-    tf_rising: Vec<L::Word>,
-    /// Per-(slot, bit) blocked 1→0 transition masks.
-    tf_falling: Vec<L::Word>,
-    /// Per-slot lane-ownership masks: lane `i` set iff fault `i`'s victim
-    /// cell lives in that slot's word. Read mismatches outside a lane's own
-    /// word are masked off — the scalar reference (`detect_lowered_at`)
-    /// only sweeps the fault's own word, and a test mixing transparent
-    /// writes with literal reads can mismatch on fault-free words too.
-    owners: Vec<L::Word>,
+    /// One entry per address.
+    slots: Vec<Slot<L::Word>>,
+    /// Every slot's live planes, slot by slot.
+    planes: Vec<LivePlane<L::Word>>,
+    /// Scratch for [`arm`](Self::arm): each armed fault's slot.
+    fault_slots: Vec<usize>,
+    /// Scratch for [`arm`](Self::arm): an open-addressing table from word
+    /// to slot, twice as many buckets as lanes (`usize::MAX` = empty).
+    slot_table: Vec<usize>,
     /// Mask of armed lanes.
     active: L::Word,
     lanes_used: usize,
@@ -80,13 +121,10 @@ impl<L: Lanes> PackedArena<L> {
         Self {
             config,
             addresses: Vec::new(),
-            initial: Vec::new(),
-            current: Vec::new(),
-            stuck0: Vec::new(),
-            stuck1: Vec::new(),
-            tf_rising: Vec::new(),
-            tf_falling: Vec::new(),
-            owners: Vec::new(),
+            slots: Vec::new(),
+            planes: Vec::new(),
+            fault_slots: Vec::new(),
+            slot_table: vec![usize::MAX; (2 * L::COUNT).next_power_of_two()],
             active: L::ZERO,
             lanes_used: 0,
         }
@@ -110,7 +148,9 @@ impl<L: Lanes> PackedArena<L> {
         self.addresses.len()
     }
 
-    /// The sorted victim word addresses of the armed batch, one per slot.
+    /// The victim word address of each slot: the batch's distinct victim
+    /// words, in the order the batch first names them. Lanes never read
+    /// another slot, so the order of slots does not affect any verdict.
     #[must_use]
     pub fn addresses(&self) -> &[usize] {
         &self.addresses
@@ -122,14 +162,33 @@ impl<L: Lanes> PackedArena<L> {
         self.lanes_used
     }
 
+    /// Number of live bit-planes of the armed batch: the distinct victim
+    /// cells, at most one per armed fault.
+    #[must_use]
+    pub fn live_planes(&self) -> usize {
+        self.planes.len()
+    }
+
+    /// `u64` mask of the lanes whose victim cell lives in `slot`'s word:
+    /// the only lanes `read_mismatch` can report for that slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range for the armed batch.
+    #[inline]
+    #[must_use]
+    pub fn owner_mask(&self, slot: usize) -> u64 {
+        L::to_mask(self.slots[slot].owners)
+    }
+
     /// `u64` mask with one bit per armed lane (bit `i` = lane `i`).
     #[must_use]
     pub fn active_mask(&self) -> u64 {
         L::to_mask(self.active)
     }
 
-    /// Arms a batch of faults into distinct lanes and (re)builds the data
-    /// planes from `image` (`None` = all-zero content, matching
+    /// Arms a batch of faults into distinct lanes and (re)builds the
+    /// content from `image` (`None` = all-zero content, matching
     /// [`FaultyMemory::reset_with_fault`](crate::FaultyMemory::reset_with_fault)).
     ///
     /// # Errors
@@ -148,62 +207,99 @@ impl<L: Lanes> PackedArena<L> {
         }
         self.check_image(image)?;
         for fault in faults {
-            FaultSet::validate_fault(fault, self.config.words(), self.config.width())?;
             match fault.class() {
-                FaultClass::Saf | FaultClass::Tf => {}
-                class => return Err(MemError::UnpackableFault { class }),
+                FaultClass::Saf | FaultClass::Tf => {
+                    let cell = fault.victim();
+                    if cell.word >= self.config.words() || cell.bit >= self.config.width() {
+                        return Err(MemError::FaultCellOutOfRange { cell });
+                    }
+                }
+                class => {
+                    FaultSet::validate_fault(fault, self.config.words(), self.config.width())?;
+                    return Err(MemError::UnpackableFault { class });
+                }
             }
         }
 
+        // Pass 1: a slot per distinct victim word, in the order the batch
+        // first names it (found through an open-addressing table from word
+        // to slot), and the live bits of every slot.
         self.addresses.clear();
-        self.addresses
-            .extend(faults.iter().map(|f| f.victim().word));
-        self.addresses.sort_unstable();
-        self.addresses.dedup();
-
-        let planes = self.addresses.len() * self.config.width();
-        for plane in [
-            &mut self.stuck0,
-            &mut self.stuck1,
-            &mut self.tf_rising,
-            &mut self.tf_falling,
-        ] {
-            plane.clear();
-            plane.resize(planes, L::ZERO);
-        }
-        self.owners.clear();
-        self.owners.resize(self.addresses.len(), L::ZERO);
-
-        for (lane, fault) in faults.iter().enumerate() {
+        self.slots.clear();
+        self.fault_slots.clear();
+        self.slot_table.fill(usize::MAX);
+        let buckets = self.slot_table.len() - 1;
+        for fault in faults {
             let victim = fault.victim();
-            let slot = self
-                .addresses
-                .binary_search(&victim.word)
-                .expect("victim word collected into the address list");
-            let idx = slot * self.config.width() + victim.bit;
+            let hash = (victim.word as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            let mut at = hash as usize & buckets;
+            let slot = loop {
+                match self.slot_table[at] {
+                    usize::MAX => {
+                        let slot = self.addresses.len();
+                        self.slot_table[at] = slot;
+                        self.addresses.push(victim.word);
+                        self.slots.push(Slot {
+                            initial: 0,
+                            current: 0,
+                            live: 0,
+                            start: 0,
+                            end: 0,
+                            owners: L::ZERO,
+                        });
+                        break slot;
+                    }
+                    slot if self.addresses[slot] == victim.word => break slot,
+                    _ => at = (at + 1) & buckets,
+                }
+            };
+            self.slots[slot].live |= 1 << victim.bit;
+            self.fault_slots.push(slot);
+        }
+        // Lay the planes out slot by slot, ascending by bit.
+        self.planes.clear();
+        for slot in &mut self.slots {
+            slot.start = self.planes.len();
+            let mut live = slot.live;
+            while live != 0 {
+                self.planes.push(LivePlane {
+                    bit: live.trailing_zeros() as usize,
+                    initial: L::ZERO,
+                    current: L::ZERO,
+                    stuck0: L::ZERO,
+                    stuck1: L::ZERO,
+                    rising: L::ZERO,
+                    falling: L::ZERO,
+                });
+                live &= live - 1;
+            }
+            slot.end = self.planes.len();
+        }
+        // Pass 2: each fault's lane into its plane, found by bit among the
+        // slot's planes.
+        for (lane, (fault, &slot)) in faults.iter().zip(&self.fault_slots).enumerate() {
+            let slot = &mut self.slots[slot];
+            let bit = fault.victim().bit;
+            let planes = &mut self.planes[slot.start..slot.end];
+            let at = planes
+                .binary_search_by_key(&bit, |plane| plane.bit)
+                .expect("every victim bit has a live plane");
+            let plane = &mut planes[at];
             let mask = L::lane_mask(lane);
             match *fault {
-                Fault::StuckAt { value: true, .. } => {
-                    self.stuck1[idx] = self.stuck1[idx] | mask;
-                }
-                Fault::StuckAt { value: false, .. } => {
-                    self.stuck0[idx] = self.stuck0[idx] | mask;
-                }
+                Fault::StuckAt { value: true, .. } => plane.stuck1 = plane.stuck1 | mask,
+                Fault::StuckAt { value: false, .. } => plane.stuck0 = plane.stuck0 | mask,
                 Fault::TransitionFault {
                     direction: Transition::Rising,
                     ..
-                } => {
-                    self.tf_rising[idx] = self.tf_rising[idx] | mask;
-                }
+                } => plane.rising = plane.rising | mask,
                 Fault::TransitionFault {
                     direction: Transition::Falling,
                     ..
-                } => {
-                    self.tf_falling[idx] = self.tf_falling[idx] | mask;
-                }
+                } => plane.falling = plane.falling | mask,
                 _ => unreachable!("coupling faults rejected above"),
             }
-            self.owners[slot] = self.owners[slot] | mask;
+            slot.owners = slot.owners | mask;
         }
         self.active = L::first_lanes(faults.len());
         self.lanes_used = faults.len();
@@ -212,10 +308,9 @@ impl<L: Lanes> PackedArena<L> {
         Ok(())
     }
 
-    /// Rebuilds the data planes from another content image without
-    /// re-arming the fault masks — the cheap path for
-    /// `contents_per_fault > 1`, where one batch is re-run under several
-    /// images.
+    /// Rebuilds the content from another image without re-arming the fault
+    /// masks — the cheap path for `contents_per_fault > 1`, where one batch
+    /// is re-run under several images.
     ///
     /// # Errors
     ///
@@ -230,29 +325,34 @@ impl<L: Lanes> PackedArena<L> {
     /// Applies a write of `pattern` to the footprint word at `slot`,
     /// advancing every lane at once.
     ///
-    /// This is the transposed form of
+    /// The shared bits take the intended value outright. Each live plane
+    /// applies the transposed form of
     /// [`WordFaultMasks::effective_write`](crate::WordFaultMasks::effective_write):
     /// the same rising/falling blocking and stuck-bit pinning, evaluated
     /// per bit position across all lanes instead of per lane across all
     /// bit positions. `transparent` selects `initial ^ pattern` as the
     /// intended value (a transparent write) versus the literal `pattern`.
+    #[inline]
     pub fn write_word(&mut self, slot: usize, pattern: u128, transparent: bool) {
-        let width = self.config.width();
-        debug_assert!(slot < self.addresses.len(), "slot {slot} out of range");
-        for bit in 0..width {
-            let idx = slot * width + bit;
-            let pat = L::splat((pattern >> bit) & 1 == 1);
+        let slot = &mut self.slots[slot];
+        slot.current = if transparent {
+            slot.initial ^ pattern
+        } else {
+            pattern
+        };
+        for plane in &mut self.planes[slot.start..slot.end] {
+            let pat = L::splat((pattern >> plane.bit) & 1 == 1);
             let intended = if transparent {
-                self.initial[idx] ^ pat
+                plane.initial ^ pat
             } else {
                 pat
             };
-            let old = self.current[idx];
+            let old = plane.current;
             let rising = !old & intended;
             let falling = old & !intended;
-            let blocked = (rising & self.tf_rising[idx]) | (falling & self.tf_falling[idx]);
+            let blocked = (rising & plane.rising) | (falling & plane.falling);
             let unblocked = (intended & !blocked) | (old & blocked);
-            self.current[idx] = (unblocked | self.stuck1[idx]) & !self.stuck0[idx];
+            plane.current = (unblocked | plane.stuck1) & !plane.stuck0;
         }
     }
 
@@ -260,80 +360,48 @@ impl<L: Lanes> PackedArena<L> {
     /// against the expected value (`initial ^ pattern` when `transparent`,
     /// else the literal `pattern`), returning the lanes that mismatch.
     ///
-    /// Mismatches are masked to the slot's *owner* lanes: the scalar
-    /// reference sweep only reads the fault's own word, and stray
-    /// mismatches on other footprint words (possible when a test mixes
-    /// transparent writes with literal-pattern reads) must not count as
-    /// detections.
+    /// A mismatch on a shared bit is a mismatch in every lane. Mismatches
+    /// are masked to the slot's *owner* lanes: the scalar reference sweep
+    /// only reads the fault's own word, and stray mismatches on other
+    /// footprint words (possible when a test mixes transparent writes with
+    /// literal-pattern reads) must not count as detections.
+    #[inline]
     #[must_use]
     pub fn read_mismatch(&self, slot: usize, pattern: u128, transparent: bool) -> L::Word {
-        let width = self.config.width();
-        debug_assert!(slot < self.addresses.len(), "slot {slot} out of range");
-        let mut acc = L::ZERO;
-        for bit in 0..width {
-            let idx = slot * width + bit;
-            let pat = L::splat((pattern >> bit) & 1 == 1);
+        let slot = &self.slots[slot];
+        let expected = if transparent {
+            slot.initial ^ pattern
+        } else {
+            pattern
+        };
+        let mut acc = L::splat((slot.current ^ expected) & !slot.live != 0);
+        for plane in &self.planes[slot.start..slot.end] {
+            let pat = L::splat((pattern >> plane.bit) & 1 == 1);
             let expected = if transparent {
-                self.initial[idx] ^ pat
+                plane.initial ^ pat
             } else {
                 pat
             };
-            acc = acc | (self.current[idx] ^ expected);
+            acc = acc | (plane.current ^ expected);
         }
-        acc & self.owners[slot]
+        acc & slot.owners
     }
 
-    /// The packed bit-planes of the current content at `slot`, one
-    /// [`Lanes::Word`] per bit position (bit 0 first).
+    /// One lane's view of the current content at `slot`, re-assembled into
+    /// a plain word value from the shared bits and the live planes (for
+    /// tests and scalar cross-checks).
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range for the armed batch.
     #[must_use]
-    pub fn word_bits(&self, slot: usize) -> &[L::Word] {
-        let width = self.config.width();
-        assert!(
-            slot < self.addresses.len(),
-            "slot {slot} out of range for {}-slot arena",
-            self.addresses.len()
-        );
-        &self.current[slot * width..(slot + 1) * width]
-    }
-
-    /// Overwrites the packed bit-planes of the current content at `slot`.
-    ///
-    /// Bypasses fault masks — this is raw plane access, the packed
-    /// counterpart of [`BitStorage::set_word_bits`](crate::BitStorage::set_word_bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range or `planes` is not exactly one
-    /// word per bit position.
-    pub fn set_word_bits(&mut self, slot: usize, planes: &[L::Word]) {
-        let width = self.config.width();
-        assert!(
-            slot < self.addresses.len(),
-            "slot {slot} out of range for {}-slot arena",
-            self.addresses.len()
-        );
-        assert!(
-            planes.len() == width,
-            "expected {width} bit-planes, got {}",
-            planes.len()
-        );
-        self.current[slot * width..(slot + 1) * width].copy_from_slice(planes);
-    }
-
-    /// One lane's view of the current content at `slot`, re-assembled into
-    /// a plain word value (for tests and scalar cross-checks).
-    #[must_use]
     pub fn lane_word_bits(&self, slot: usize, lane: usize) -> u128 {
-        let width = self.config.width();
+        let slot = &self.slots[slot];
         let mask = L::lane_mask(lane);
-        let mut value = 0u128;
-        for bit in 0..width {
-            if self.current[slot * width + bit] & mask != L::ZERO {
-                value |= 1 << bit;
+        let mut value = slot.current & !slot.live;
+        for plane in &self.planes[slot.start..slot.end] {
+            if plane.current & mask != L::ZERO {
+                value |= 1 << plane.bit;
             }
         }
         value
@@ -356,26 +424,20 @@ impl<L: Lanes> PackedArena<L> {
         Ok(())
     }
 
-    /// Rebuilds `initial`/`current` from the content image, enforcing
+    /// Rebuilds the initial and current content from the image, enforcing
     /// static stuck-at faults exactly like
     /// [`FaultyMemory`](crate::FaultyMemory) does after `reset_with_fault`
     /// / `load_image`: the lane's initial value already has its stuck bit
-    /// pinned before the march starts.
+    /// pinned before the march starts. O(slots + live planes).
     fn load_planes(&mut self, image: Option<&BitStorage>) {
-        let width = self.config.width();
-        let planes = self.addresses.len() * width;
-        self.initial.clear();
-        self.initial.resize(planes, L::ZERO);
-        self.current.clear();
-        self.current.resize(planes, L::ZERO);
-        for (slot, &address) in self.addresses.iter().enumerate() {
+        for (slot, &address) in self.slots.iter_mut().zip(&self.addresses) {
             let bits = image.map_or(0u128, |image| image.word_bits(address));
-            for bit in 0..width {
-                let idx = slot * width + bit;
-                let value =
-                    (L::splat((bits >> bit) & 1 == 1) | self.stuck1[idx]) & !self.stuck0[idx];
-                self.initial[idx] = value;
-                self.current[idx] = value;
+            slot.initial = bits;
+            slot.current = bits;
+            for plane in &mut self.planes[slot.start..slot.end] {
+                let value = (L::splat((bits >> plane.bit) & 1 == 1) | plane.stuck1) & !plane.stuck0;
+                plane.initial = value;
+                plane.current = value;
             }
         }
     }
@@ -559,7 +621,7 @@ mod tests {
                 scalar.write_word(slot, 0, true);
             }
             let word = fault.victim().word;
-            let packed_slot = packed.addresses().binary_search(&word).unwrap();
+            let packed_slot = packed.addresses().iter().position(|&a| a == word).unwrap();
             assert_eq!(
                 packed.lane_word_bits(packed_slot, lane),
                 scalar.lane_word_bits(0, 0),
@@ -569,13 +631,55 @@ mod tests {
     }
 
     #[test]
-    fn set_word_bits_round_trips_through_word_bits() {
-        let mut arena = PackedArena::<Packed64>::new(config(4, 4));
-        let fault = Fault::stuck_at(BitAddress::new(1, 2), true);
-        arena.arm(&[fault], None).unwrap();
-        let planes: Vec<u64> = vec![1, 0, 1, 0];
-        arena.set_word_bits(0, &planes);
-        assert_eq!(arena.word_bits(0), planes.as_slice());
-        assert_eq!(arena.lane_word_bits(0, 0), 0b0101);
+    fn only_victim_bits_get_live_planes() {
+        // Three faults on two cells of word 5 and one of word 9: two slots,
+        // three live planes, whatever the width.
+        let mut arena = PackedArena::<Packed64>::new(config(16, 64));
+        let faults = vec![
+            Fault::stuck_at(BitAddress::new(9, 63), false),
+            Fault::stuck_at(BitAddress::new(5, 7), true),
+            Fault::transition(BitAddress::new(5, 7), Transition::Rising),
+            Fault::transition(BitAddress::new(5, 40), Transition::Falling),
+        ];
+        arena.arm(&faults, None).unwrap();
+        assert_eq!(arena.addresses(), &[9, 5]);
+        assert_eq!(arena.live_planes(), 3);
+        assert_eq!(arena.lanes_used(), 4);
+        assert_eq!(arena.active_mask(), 0b1111);
+    }
+
+    #[test]
+    fn shared_bit_mismatch_flags_every_owner_lane() {
+        // A literal read of a pattern the test never wrote mismatches on a
+        // fault-free bit: every lane owning the word detects, no other lane.
+        let mut arena = PackedArena::<Packed64>::new(config(4, 8));
+        let faults = vec![
+            Fault::stuck_at(BitAddress::new(1, 0), false),
+            Fault::transition(BitAddress::new(1, 2), Transition::Rising),
+            Fault::stuck_at(BitAddress::new(3, 0), false),
+        ];
+        let mut image = BitStorage::new(4, 8).unwrap();
+        image.set_word_bits(1, 0b1000_0000);
+        arena.arm(&faults, Some(&image)).unwrap();
+        assert_eq!(arena.read_mismatch(0, 0, false), 0b011);
+        assert_eq!(arena.read_mismatch(1, 0, false), 0);
+        // Transparent reads of the shared bits never mismatch.
+        assert_eq!(arena.read_mismatch(0, 0, true), 0);
+    }
+
+    #[test]
+    fn rearming_drops_the_previous_batch() {
+        let mut arena = PackedArena::<Packed64>::new(config(8, 8));
+        let first: Vec<Fault> = (0..8)
+            .map(|word| Fault::stuck_at(BitAddress::new(word, word), true))
+            .collect();
+        arena.arm(&first, None).unwrap();
+        assert_eq!(arena.slots(), 8);
+        let second = [Fault::stuck_at(BitAddress::new(2, 1), true)];
+        arena.arm(&second, None).unwrap();
+        assert_eq!(arena.addresses(), &[2]);
+        assert_eq!(arena.live_planes(), 1);
+        assert_eq!(arena.lane_word_bits(0, 0), 0b10);
+        assert_eq!(arena.read_mismatch(0, 0, false), 1);
     }
 }

@@ -224,8 +224,9 @@ impl FaultyMemory {
     }
 
     /// [`FaultyMemory::reset_with_faults`] for the single-fault case, reusing
-    /// the existing [`FaultSet`] allocation — the hot path of fault-injection
-    /// sweeps, which re-arm one arena memory once per fault in the universe.
+    /// the existing [`FaultSet`] allocation. Sweeps that visit only the
+    /// fault's words re-arm with [`FaultyMemory::rearm_local`] instead,
+    /// which leaves the rest of the memory alone.
     ///
     /// # Errors
     ///
@@ -263,17 +264,59 @@ impl FaultyMemory {
     ) -> Result<(), MemError> {
         let faults = faults.into();
         faults.validate(self.config.words(), self.config.width())?;
-        if image.words() != self.config.words() {
-            return Err(MemError::LoadLengthMismatch {
-                found: image.words(),
-                expected: self.config.words(),
-            });
+        self.check_words(Some(image), words)?;
+        self.faults = faults;
+        self.restore_words(Some(image), words);
+        Ok(())
+    }
+
+    /// [`FaultyMemory::rearm_words`] for an arena that sweeps only `words`
+    /// and never reads the rest: re-arms the memory with `faults`, reusing
+    /// its [`FaultSet`] allocation like
+    /// [`FaultyMemory::reset_with_fault`], and restores `words` from
+    /// `image` (`None` = all-zero content). Content outside `words` is left
+    /// as it is, so it may be stale from an earlier run; a fault-local
+    /// sweep (`twm_bist::detect_lowered_at`) over a footprint that
+    /// `words` covers reaches the same verdict as on a memory reset and
+    /// loaded in full. O(|words| + |faults|).
+    ///
+    /// # Errors
+    ///
+    /// The same as [`FaultyMemory::rearm_words`]; on error the memory is
+    /// unchanged.
+    pub fn rearm_local(
+        &mut self,
+        faults: &[Fault],
+        image: Option<&BitStorage>,
+        words: &[usize],
+    ) -> Result<(), MemError> {
+        for fault in faults {
+            FaultSet::validate_fault(fault, self.config.words(), self.config.width())?;
         }
-        if image.width() != self.config.width() {
-            return Err(MemError::WidthMismatch {
-                found: image.width(),
-                expected: self.config.width(),
-            });
+        self.check_words(image, words)?;
+        self.faults.clear();
+        for &fault in faults {
+            self.faults.insert(fault);
+        }
+        self.restore_words(image, words);
+        Ok(())
+    }
+
+    /// The shape and address checks of [`FaultyMemory::rearm_words`].
+    fn check_words(&self, image: Option<&BitStorage>, words: &[usize]) -> Result<(), MemError> {
+        if let Some(image) = image {
+            if image.words() != self.config.words() {
+                return Err(MemError::LoadLengthMismatch {
+                    found: image.words(),
+                    expected: self.config.words(),
+                });
+            }
+            if image.width() != self.config.width() {
+                return Err(MemError::WidthMismatch {
+                    found: image.width(),
+                    expected: self.config.width(),
+                });
+            }
         }
         if let Some(&address) = words.iter().find(|&&word| word >= self.config.words()) {
             return Err(MemError::AddressOutOfRange {
@@ -281,14 +324,20 @@ impl FaultyMemory {
                 words: self.config.words(),
             });
         }
+        Ok(())
+    }
+
+    /// Copies `words` back from `image` (zeroes them for `None`), clears
+    /// the counters and the trace, and enforces the armed faults' static
+    /// state — the run-state half of a re-arm, after [`Self::check_words`].
+    fn restore_words(&mut self, image: Option<&BitStorage>, words: &[usize]) {
         for &word in words {
-            self.storage.set_word_bits(word, image.word_bits(word));
+            let bits = image.map_or(0, |image| image.word_bits(word));
+            self.storage.set_word_bits(word, bits);
         }
-        self.faults = faults;
         self.stats = AccessStats::default();
         self.trace = Trace::new();
         self.enforce_static_faults();
-        Ok(())
     }
 
     /// Access counters accumulated so far.
@@ -884,6 +933,48 @@ mod tests {
         let narrow = FaultyMemory::fault_free(config(6, 3)).snapshot();
         assert!(arena.rearm_words(FaultSet::new(), &narrow, &[0]).is_err());
         assert!(arena.rearm_words(FaultSet::new(), &image, &[0, 6]).is_err());
+        assert_eq!(arena.content(), before);
+        assert_eq!(arena.faults().len(), 1);
+    }
+
+    #[test]
+    fn rearm_local_restores_only_the_listed_words() {
+        let c = config(6, 4);
+        let mut scratch = FaultyMemory::fault_free(c);
+        scratch.fill_random(21);
+        let image = scratch.snapshot();
+        let faults = [Fault::coupling_state(
+            BitAddress::new(2, 0),
+            BitAddress::new(4, 3),
+            true,
+            true,
+        )];
+        for image in [Some(&image), None] {
+            // Every word dirty; only the footprint {2, 4} is restored.
+            let mut arena = FaultyMemory::fault_free(c);
+            arena.fill(Word::ones(4)).unwrap();
+            arena.rearm_local(&faults, image, &[2, 4]).unwrap();
+            let mut fresh = FaultyMemory::with_faults(c, faults.to_vec()).unwrap();
+            if let Some(image) = image {
+                fresh.load_image(image).unwrap();
+            }
+            for word in [2, 4] {
+                assert_eq!(arena.peek_word(word), fresh.peek_word(word));
+            }
+            assert_eq!(arena.peek_word(0).unwrap(), Word::ones(4));
+            assert_eq!(arena.faults(), fresh.faults());
+            assert_eq!(arena.stats(), AccessStats::default());
+        }
+
+        // Bad faults, images and words are rejected and change nothing.
+        let mut arena = FaultyMemory::with_faults(c, faults.to_vec()).unwrap();
+        arena.fill_random(5);
+        let before = arena.content();
+        let bad_fault = [Fault::stuck_at(BitAddress::new(9, 0), true)];
+        assert!(arena.rearm_local(&bad_fault, Some(&image), &[0]).is_err());
+        let small = FaultyMemory::fault_free(config(4, 4)).snapshot();
+        assert!(arena.rearm_local(&[], Some(&small), &[0]).is_err());
+        assert!(arena.rearm_local(&[], None, &[0, 6]).is_err());
         assert_eq!(arena.content(), before);
         assert_eq!(arena.faults().len(), 1);
     }
