@@ -156,14 +156,14 @@
 //!
 //! Under the hood the engine packs stuck-at and transition faults 64 to a
 //! `u64` (one bit-sliced lane per fault) and evaluates a whole batch in a
-//! single march execution — ~20× faster than one-fault-per-pass on 64K-word
-//! memories. Coupling faults, whose lanes would entangle across cells, take
-//! the scalar fault-local path. Every verdict is bit-identical to the naive
-//! reference [`coverage::fault_detected`] (property-tested in
-//! `crates/coverage/tests/reference_equivalence.rs`), and
-//! `cargo run --release -p twm-bench --bin perf_trajectory` measures the
-//! packed kernel against the scalar path (CI publishes the result as
-//! `BENCH_<pr>.json`).
+//! single march execution — ~6–8× faster than the scalar fault-local path
+//! on 64K-word memories. Coupling faults, whose lanes would entangle across
+//! cells, take that scalar path. Every verdict is bit-identical to the
+//! naive reference [`coverage::fault_detected`] (property-tested in
+//! `crates/coverage/tests/reference_equivalence.rs`). The release-mode
+//! test `tests/measurement_floors.rs` holds the packed kernel to at least
+//! 5× the scalar path, and `perfbench/` (the repository benchmark)
+//! measures coverage-sweep throughput end to end.
 //!
 //! ## Searching for better march tests
 //!
@@ -195,8 +195,7 @@
 //! # }
 //! ```
 //!
-//! `examples/test_minimisation.rs` runs the full W = 32 experiment, and
-//! `benches/search.rs` measures candidate-evaluation throughput.
+//! `examples/test_minimisation.rs` runs the full W = 32 experiment.
 //!
 //! ## From a failing signature to a verified repair
 //!
@@ -249,8 +248,7 @@
 //! ```
 //!
 //! `examples/diagnose_and_repair.rs` runs the full 8×32 flow (with
-//! per-scheme diagnosability statistics) and `benches/repair.rs` measures
-//! dictionary-build throughput and localisation latency.
+//! per-scheme diagnosability statistics).
 //!
 //! ## Serving a whole fleet
 //!
@@ -297,8 +295,9 @@
 //! ```
 //!
 //! `examples/fleet_diagnosis.rs` runs a 100-device, two-shard fleet end to
-//! end and `benches/fleet.rs` measures batched-lookup throughput and the
-//! warm-cache vs cold-build latency gap.
+//! end; `perfbench/` measures the device path over TCP, and
+//! `tests/measurement_floors.rs` holds a warm runtime cache to at least
+//! 5× a cold build per device.
 //!
 //! ## Dictionaries bigger than RAM
 //!
@@ -349,8 +348,8 @@
 //!
 //! `examples/out_of_core_dictionary.rs` builds a dictionary several times
 //! the page-cache budget and proves disk-served lookups bit-identical to
-//! the in-RAM build; `perf_trajectory` records build-to-disk throughput
-//! and cold-vs-warm lookup latency in `BENCH_<pr>.json`.
+//! the in-RAM build; `perfbench/`'s `fleet_churn` workload measures spills
+//! and paged lookups.
 //!
 //! ## Watching it run
 //!
@@ -410,11 +409,9 @@
 //! the p50/p90/p99 carried in
 //! [`FleetStatistics::latency_quantiles`](fleet::FleetStatistics::latency_quantiles).
 //! `examples/observability.rs` runs an instrumented fleet end to end —
-//! live HTTP scrape, profiler, quantiles — and `perf_trajectory`
-//! A/B-measures the tracing-enabled overhead on the 64K-word
-//! engine-reuse path with the profiler as the sink, embedding the
-//! resulting span profile in `BENCH_<pr>.json`; CI gates the overhead
-//! below 5% (`--assert-obs-overhead`).
+//! live HTTP scrape, profiler, quantiles — and `tests/measurement_floors.rs`
+//! holds the cost of tracing into the profiler at most 5% on the 64K-word
+//! packed coverage path.
 
 #![warn(missing_docs)]
 

@@ -1,0 +1,337 @@
+//! Release-mode speed floors for the three fast paths whose wins are
+//! claims of the design rather than end-to-end throughput:
+//!
+//! * **packed kernel** — the 64-lane batched `report` over 512 SAF/TF
+//!   faults at 64K×32 is at least 5× faster than the scalar fault-local
+//!   path (the `verdicts` stream folded into a report);
+//! * **fleet runtime cache** — diagnosing one device through a warm
+//!   shard runtime is at least 5× faster than through a cold one (a
+//!   fresh `FleetService`, dictionary registration and runtime build);
+//! * **tracing overhead** — tracing into a `ProfilerSink` costs at most
+//!   5% over tracing off on the packed path.
+//!
+//! Each floor times its two arms in alternating rounds and gates the
+//! median over rounds of one arm's time over the other's: the two halves
+//! of a round see the same host, so slow drift cancels, and the median
+//! ignores bursts of host noise. In a round each arm runs a short block
+//! of back-to-back calls, which keeps one arm's cache footprint from
+//! landing on the other's timing. Every floor asserts that its arms
+//! compute equal results before any timing; that check also runs untimed
+//! in the default test run, so the floors' inputs cannot rot unseen.
+//!
+//! The timed floors are ignored by default (a debug build measures
+//! nothing useful); run them in
+//! release mode on one test thread, since the tracing floor flips the
+//! process-wide trace gate and sink and the timed arms must not share the
+//! CPU with another test:
+//!
+//! ```text
+//! cargo test --release --test measurement_floors -- --ignored --test-threads=1
+//! ```
+//!
+//! `--nocapture` prints each measured ratio.
+
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
+
+use twm::bist::{run_scheme_session_staged, Misr};
+use twm::core::{SchemeId, SchemeRegistry};
+use twm::coverage::{
+    ContentPolicy, CoverageEngine, CoverageReport, EvaluationOptions, Strategy, UniverseBuilder,
+};
+use twm::fleet::{
+    BatchReport, DeviceReport, FleetConfig, FleetService, Request, Response, ShardKey,
+    SignatureTrail,
+};
+use twm::march::algorithms::march_c_minus;
+use twm::march::MarchTest;
+use twm::mem::{Fault, FaultyMemory, MemoryConfig};
+use twm::obs::{trace, ProfilerSink};
+use twm::repair::{DictionaryOptions, SignatureDictionary};
+
+/// Minimum packed-`report` speed-up over the scalar `verdicts` stream.
+const PACKED_SPEEDUP_FLOOR: f64 = 5.0;
+/// Minimum warm-cache speed-up over a cold runtime build, per device.
+const FLEET_SPEEDUP_FLOOR: f64 = 5.0;
+/// Maximum cost of tracing into a profiler sink, in percent.
+const TRACE_OVERHEAD_CEILING_PCT: f64 = 5.0;
+
+/// Minimum interleaved rounds per floor.
+const MIN_ROUNDS: usize = 5;
+/// Wall time each floor keeps adding rounds for.
+const BUDGET: Duration = Duration::from_millis(600);
+/// Target wall time of one arm's share of a round.
+const BLOCK: Duration = Duration::from_millis(2);
+
+/// Keeps the floors apart even without `--test-threads=1`: the timed
+/// arms must not share the CPU, and the tracing floor owns the gate.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Calls `f` back to back until [`BLOCK`] has passed (which also warms
+/// it up) and returns the number of calls made.
+fn calls_per_block(f: &mut impl FnMut()) -> u32 {
+    let start = Instant::now();
+    let mut calls = 0;
+    while calls == 0 || start.elapsed() < BLOCK {
+        f();
+        calls += 1;
+    }
+    calls
+}
+
+/// Seconds per call of `f`, over `calls` back-to-back calls.
+fn seconds_per_call(f: &mut impl FnMut(), calls: u32) -> f64 {
+    let start = Instant::now();
+    for _ in 0..calls {
+        f();
+    }
+    start.elapsed().as_secs_f64() / f64::from(calls)
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Times `a` and `b` in alternating rounds, each arm over a block of
+/// back-to-back calls lasting about [`BLOCK`], for at least
+/// [`MIN_ROUNDS`] rounds and [`BUDGET`] of wall time, and returns the
+/// median over rounds of `b`'s time per call over `a`'s.
+fn b_over_a(mut a: impl FnMut(), mut b: impl FnMut()) -> f64 {
+    let a_calls = calls_per_block(&mut a);
+    let b_calls = calls_per_block(&mut b);
+    let (mut a_secs, mut b_secs) = (Vec::new(), Vec::new());
+    let start = Instant::now();
+    while a_secs.len() < MIN_ROUNDS || start.elapsed() < BUDGET {
+        a_secs.push(seconds_per_call(&mut a, a_calls));
+        b_secs.push(seconds_per_call(&mut b, b_calls));
+    }
+    median(a_secs.iter().zip(&b_secs).map(|(a, b)| b / a).collect())
+}
+
+/// The packed floors' engine and universe: 512 sampled SAF/TF faults on
+/// a serial 64K×32 March C− engine over random content.
+fn packed_workload() -> (CoverageEngine, Vec<Fault>) {
+    let config = MemoryConfig::new(1 << 16, 32).unwrap();
+    let faults = UniverseBuilder::new(config)
+        .stuck_at()
+        .transition()
+        .sample_per_class(256, 5)
+        .build();
+    let engine = CoverageEngine::builder(config)
+        .test(&march_c_minus())
+        .options(EvaluationOptions {
+            content: ContentPolicy::Random { seed: 11 },
+            contents_per_fault: 1,
+        })
+        .strategy(Strategy::Serial)
+        .build()
+        .unwrap();
+    (engine, faults)
+}
+
+/// The packed floor's denominator: the `verdicts` stream, which never
+/// lane-batches, folded into a report.
+fn scalar_report(engine: &CoverageEngine, faults: &[Fault]) -> CoverageReport {
+    let mut report = CoverageReport::new(march_c_minus().name());
+    for verdict in engine.verdicts(faults) {
+        let verdict = verdict.unwrap();
+        report.record(verdict.fault, verdict.detected);
+    }
+    report
+}
+
+fn assert_packed_arms_agree(engine: &CoverageEngine, faults: &[Fault]) {
+    assert_eq!(
+        engine.report(faults).unwrap(),
+        scalar_report(engine, faults),
+        "packed and scalar reports must stay bit-identical"
+    );
+}
+
+#[test]
+fn packed_floor_arms_agree() {
+    let _exclusive = exclusive();
+    let (engine, faults) = packed_workload();
+    assert_packed_arms_agree(&engine, &faults);
+}
+
+#[test]
+#[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
+fn packed_report_beats_the_scalar_stream() {
+    let _exclusive = exclusive();
+    let (engine, faults) = packed_workload();
+    assert_packed_arms_agree(&engine, &faults);
+
+    let speedup = b_over_a(
+        || drop(engine.report(&faults).unwrap()),
+        || drop(scalar_report(&engine, &faults)),
+    );
+    println!("packed kernel: {speedup:.2}x the scalar stream");
+    assert!(
+        speedup >= PACKED_SPEEDUP_FLOOR,
+        "packed kernel speed-up {speedup:.2}x is below {PACKED_SPEEDUP_FLOOR}x"
+    );
+}
+
+/// The fleet floor's inputs: a 16×8 TWM_TA × March C− dictionary and one
+/// fault-free device reporting its trail over the shard's reference
+/// content.
+struct FleetWorkload {
+    source: MarchTest,
+    dictionary: SignatureDictionary,
+    device: Vec<DeviceReport>,
+}
+
+impl FleetWorkload {
+    fn new() -> Self {
+        let config = MemoryConfig::new(16, 8).unwrap();
+        let seed = 2005;
+        let source = march_c_minus();
+        let registry = SchemeRegistry::all(8).unwrap();
+        let engine =
+            CoverageEngine::for_scheme(registry.get(SchemeId::TwmTa).unwrap(), &source, config)
+                .unwrap()
+                .content(ContentPolicy::Random { seed })
+                .strategy(Strategy::Serial)
+                .build()
+                .unwrap();
+        let universe = UniverseBuilder::new(config).stuck_at().transition().build();
+        let dictionary =
+            SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();
+
+        let transform = registry.transform(SchemeId::TwmTa, &source).unwrap();
+        let mut memory = FaultyMemory::fault_free(config);
+        memory.fill_random(seed);
+        let staged = run_scheme_session_staged(&transform, &mut memory, Misr::standard(8)).unwrap();
+        let device = vec![DeviceReport {
+            device: "perf-000".into(),
+            shard: ShardKey::new(config, SchemeId::TwmTa, &source),
+            trail: SignatureTrail::new(staged.signature_trail()),
+            spares: 1,
+        }];
+        Self {
+            source,
+            dictionary,
+            device,
+        }
+    }
+
+    /// A fresh service with the dictionary registered and no runtime built.
+    fn fresh_service(&self) -> FleetService {
+        let service = FleetService::new(FleetConfig {
+            strategy: Strategy::Serial,
+            ..FleetConfig::default()
+        })
+        .unwrap();
+        let registered = service.handle(Request::RegisterDictionary {
+            source: self.source.clone(),
+            dictionary: self.dictionary.clone(),
+        });
+        assert!(matches!(registered, Response::Registered { .. }));
+        service
+    }
+
+    fn diagnose(&self, service: &FleetService) -> BatchReport {
+        match service.handle(Request::DiagnoseBatch {
+            reports: self.device.clone(),
+        }) {
+            Response::Batch(batch) => batch,
+            other => panic!("expected a batch, got {other:?}"),
+        }
+    }
+
+    fn assert_warm_and_cold_agree(&self, warm: &FleetService) {
+        assert_eq!(
+            self.diagnose(warm).outcomes,
+            self.diagnose(&self.fresh_service()).outcomes,
+            "warm and cold diagnoses must agree"
+        );
+    }
+}
+
+#[test]
+fn fleet_floor_arms_agree() {
+    let _exclusive = exclusive();
+    let workload = FleetWorkload::new();
+    let warm = workload.fresh_service();
+    workload.assert_warm_and_cold_agree(&warm);
+    // A second call runs on the runtime the first one built.
+    workload.assert_warm_and_cold_agree(&warm);
+}
+
+#[test]
+#[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
+fn warm_runtime_cache_beats_a_cold_build() {
+    let _exclusive = exclusive();
+    let workload = FleetWorkload::new();
+    let warm = workload.fresh_service();
+    workload.assert_warm_and_cold_agree(&warm);
+    // Cold: every call pays registration plus the shard-runtime build
+    // (registry, scheme transforms, engine) before the diagnosis.
+    let speedup = b_over_a(
+        || drop(workload.diagnose(&warm)),
+        || drop(workload.diagnose(&workload.fresh_service())),
+    );
+    println!("fleet runtime cache: warm {speedup:.1}x a cold build");
+    assert!(
+        speedup >= FLEET_SPEEDUP_FLOOR,
+        "warm cache speed-up {speedup:.1}x is below {FLEET_SPEEDUP_FLOOR}x"
+    );
+}
+
+/// Points the trace sink at a fresh profiler, asserts that a report with
+/// tracing on equals one with it off and reaches the profiler, and leaves
+/// tracing off.
+fn assert_tracing_arms_agree(engine: &CoverageEngine, faults: &[Fault]) {
+    let profiler = Arc::new(ProfilerSink::new());
+    trace::set_sink(profiler.clone());
+    trace::set_enabled(false);
+    let off_report = engine.report(faults).unwrap();
+    trace::set_enabled(true);
+    let on_report = engine.report(faults).unwrap();
+    trace::set_enabled(false);
+    assert_eq!(
+        off_report, on_report,
+        "reports must stay bit-identical with tracing on and off"
+    );
+    assert!(
+        !profiler.snapshot().top(1).is_empty(),
+        "the traced report must reach the profiler"
+    );
+}
+
+#[test]
+fn tracing_floor_arms_agree() {
+    let _exclusive = exclusive();
+    let (engine, faults) = packed_workload();
+    assert_tracing_arms_agree(&engine, &faults);
+}
+
+#[test]
+#[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
+fn tracing_into_a_profiler_costs_little() {
+    let _exclusive = exclusive();
+    let (engine, faults) = packed_workload();
+    assert_tracing_arms_agree(&engine, &faults);
+
+    let on_over_off = b_over_a(
+        || drop(engine.report(&faults).unwrap()),
+        || {
+            trace::set_enabled(true);
+            drop(engine.report(&faults).unwrap());
+            trace::set_enabled(false);
+        },
+    );
+    let overhead_pct = (on_over_off - 1.0) * 100.0;
+    println!("tracing overhead: {overhead_pct:+.2}%");
+    assert!(
+        overhead_pct <= TRACE_OVERHEAD_CEILING_PCT,
+        "tracing overhead {overhead_pct:+.2}% exceeds {TRACE_OVERHEAD_CEILING_PCT}%"
+    );
+}

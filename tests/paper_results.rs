@@ -89,8 +89,8 @@ fn headline_ratios_56_and_19_percent() {
 
 #[test]
 fn section4_worked_example_march_u_8_bits() {
-    let transformed = SchemeRegistry::all(8)
-        .expect("width 8")
+    let registry = SchemeRegistry::all(8).expect("width 8");
+    let transformed = registry
         .transform(SchemeId::TwmTa, &march_u())
         .expect("transform March U");
     assert_eq!(
@@ -111,6 +111,21 @@ fn section4_worked_example_march_u_8_bits() {
 
     let exact = proposed_exact(&march_u(), 8).expect("exact complexity");
     assert_eq!(exact.tcm, 29);
+
+    // At W = 8 the generated transparent tests keep the proposed scheme
+    // cheaper per word than Scheme 1: 29 against 56 operations for
+    // March U, 25 against 44 for March C-.
+    for (source, proposed, scheme1) in [(march_u(), 29, 56), (march_c_minus(), 25, 44)] {
+        let ops = |scheme| {
+            registry
+                .transform(scheme, &source)
+                .expect("transform")
+                .transparent_test()
+                .operations_per_word()
+        };
+        assert_eq!(ops(SchemeId::TwmTa), proposed, "{}", source.name());
+        assert_eq!(ops(SchemeId::Scheme1), scheme1, "{}", source.name());
+    }
 }
 
 #[test]
