@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use twm_march::{MarchTest, OpKind};
-use twm_mem::{AddressOrder, AddressSequence, Lanes, MemoryAccess, PackedArena, Word};
+use twm_mem::{AddressOrder, AddressSequence, MemoryAccess, Word};
 
 use crate::{BistError, LoweredTest};
 
@@ -293,70 +293,6 @@ pub fn detect_lowered_at<M: MemoryAccess>(
     probe_lowered_at(test, memory, addresses)
 }
 
-/// Lane-parallel fault-local detection: runs a pre-lowered march test over
-/// a packed arena's footprint and returns a `u64` detection mask with
-/// bit `i` set iff the fault armed in lane `i` was detected.
-///
-/// This is the batch form of [`detect_lowered_at`]: the arena holds up to
-/// [`Lanes::COUNT`] single-bit faults, each lane carrying that fault's
-/// divergent memory image as bit-planes, so one pass of the op stream
-/// advances every lane at once. Per lane the evolution is exactly the
-/// scalar fault-local sweep of that lane's own word:
-///
-/// * the arena's statically-enforced initial planes match what the scalar
-///   path snapshots after `reset_with_fault`/`load_image`;
-/// * writes apply the same stuck/transition mask algebra as
-///   [`twm_mem::WordFaultMasks::effective_write`] (SAF/TF have no
-///   aggressors, so the coupling terms vanish);
-/// * read mismatches are masked to each slot's *owner* lanes, because the
-///   scalar reference only sweeps the fault's own word — other footprint
-///   words belong to other lanes' faults;
-/// * accumulating mismatches by OR is existentially equivalent to the
-///   scalar early return: reads never disturb content, so a mismatch once
-///   seen stays attributable.
-///
-/// A lane's state lives in its own slot only (a stuck-at or transition
-/// fault has no aggressor, and other slots' reads are masked off), so the
-/// order in which slots are visited cannot change a verdict. The kernel
-/// therefore runs the whole test on one slot before the next, and stops a
-/// slot at the first read after which all of its owner lanes have
-/// detected — element sweep directions do not apply. The run consumes the
-/// arena's current content — [`twm_mem::PackedArena::arm`] or
-/// [`twm_mem::PackedArena::reload`] before the next call.
-///
-/// # Errors
-///
-/// Returns [`BistError::LoweredWidthMismatch`] if the test was lowered for
-/// a different word width than the arena's.
-pub fn detect_lowered_batch<L: Lanes>(
-    test: &LoweredTest,
-    arena: &mut PackedArena<L>,
-) -> Result<u64, BistError> {
-    if test.width() != arena.width() {
-        return Err(BistError::LoweredWidthMismatch {
-            lowered: test.width(),
-            memory: arena.width(),
-        });
-    }
-    let mut detected = 0u64;
-    for slot in 0..arena.slots() {
-        let owners = arena.owner_mask(slot);
-        for op in test.elements().iter().flat_map(|element| &element.ops) {
-            let pattern = op.pattern.to_bits();
-            match op.kind {
-                OpKind::Write => arena.write_word(slot, pattern, op.transparent),
-                OpKind::Read => {
-                    detected |= L::to_mask(arena.read_mismatch(slot, pattern, op.transparent));
-                    if owners & !detected == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    Ok(detected)
-}
-
 /// Targeted fault-local probe: executes a pre-lowered march test over only
 /// the given addresses and reports whether any read mismatched.
 ///
@@ -576,92 +512,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn batch_detection_matches_scalar_fault_local_detection() {
-        // One Packed64 batch of SAF/TF faults must report, per lane, the
-        // same verdict as the scalar fault-local sweep — under the literal
-        // March C− and under the paper's transparent transform, from both
-        // all-zero and random content.
-        use twm_mem::{BitStorage, Packed64, PackedArena, SplitMix64};
-
-        let width = 8;
-        let words = 16;
-        let transformed = TwmTa::new(width)
-            .unwrap()
-            .transform(&march_c_minus())
-            .unwrap();
-        let tests = [march_c_minus(), transformed.transparent_test().clone()];
-
-        let mut faults = Vec::new();
-        for word in (0..words).step_by(2) {
-            faults.push(Fault::stuck_at(BitAddress::new(word, word % width), true));
-            faults.push(Fault::stuck_at(
-                BitAddress::new(word, (word + 3) % width),
-                false,
-            ));
-            faults.push(Fault::transition(
-                BitAddress::new(word + 1, word % width),
-                Transition::Rising,
-            ));
-            faults.push(Fault::transition(
-                BitAddress::new(word + 1, (word + 5) % width),
-                Transition::Falling,
-            ));
-        }
-        assert!(faults.len() <= 64);
-
-        let mut random = BitStorage::new(words, width).unwrap();
-        let mut rng = SplitMix64::new(42);
-        for word in 0..words {
-            random.set_word_bits(word, rng.next_u64() as u128 & 0xFF);
-        }
-        let images: [Option<&BitStorage>; 2] = [None, Some(&random)];
-
-        let config = MemoryConfig::new(words, width).unwrap();
-        for test in &tests {
-            let lowered = LoweredTest::new(test, width).unwrap();
-            for image in images {
-                let mut arena = PackedArena::<Packed64>::new(config);
-                arena.arm(&faults, image).unwrap();
-                let mask = detect_lowered_batch(&lowered, &mut arena).unwrap();
-                for (lane, &fault) in faults.iter().enumerate() {
-                    let mut memory = FaultyMemory::fault_free(config);
-                    memory.reset_with_fault(fault).unwrap();
-                    if let Some(image) = image {
-                        memory.load_image(image).unwrap();
-                    }
-                    let word = fault.victim().word;
-                    let scalar = detect_lowered_at(&lowered, &mut memory, &[word]).unwrap();
-                    assert_eq!(
-                        mask >> lane & 1 == 1,
-                        scalar,
-                        "lane {lane} ({fault:?}) diverged under {} with image={}",
-                        test.name(),
-                        image.is_some()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_detection_rejects_width_mismatch() {
-        use twm_mem::{Packed64, PackedArena};
-        let lowered = LoweredTest::new(&march_c_minus(), 4).unwrap();
-        let config = MemoryConfig::new(4, 8).unwrap();
-        let mut arena = PackedArena::<Packed64>::new(config);
-        arena
-            .arm(&[Fault::stuck_at(BitAddress::new(0, 0), true)], None)
-            .unwrap();
-        assert!(matches!(
-            detect_lowered_batch(&lowered, &mut arena),
-            Err(BistError::LoweredWidthMismatch {
-                lowered: 4,
-                memory: 8
-            })
-        ));
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub mod misr;
 pub use diagnosis::{diagnose, DiagnosisReport, SuspectCell};
 pub use error::BistError;
 pub use executor::{
-    detect_lowered_at, detect_lowered_batch, execute, execute_lowered, execute_with,
-    probe_lowered_at, ExecutionOptions, ExecutionResult, ReadRecord,
+    detect_lowered_at, execute, execute_lowered, execute_with, probe_lowered_at, ExecutionOptions,
+    ExecutionResult, ReadRecord,
 };
 pub use flow::{
     run_scheme_session, run_scheme_session_local, run_scheme_session_staged,

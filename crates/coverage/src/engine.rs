@@ -6,17 +6,19 @@
 //!
 //! * the [pre-lowered](twm_bist::LoweredTest) operation stream of the test,
 //! * the pre-generated pseudo-random initial contents,
-//! * and a pool of reusable [`FaultyMemory`] arenas, re-armed per fault via
+//! * a pool of reusable [`FaultyMemory`] arenas, re-armed per fault via
 //!   [`FaultyMemory::rearm_local`] — only the fault's footprint words are
 //!   restored, so a run costs O(footprint), not O(memory), and repeated
-//!   evaluations allocate no per-fault memories.
+//!   evaluations allocate no per-fault memories,
+//! * and, built on first use, a verdict table: ten bit masks from running
+//!   the test on a single word (see [`CoverageEngine::report`]).
 //!
 //! The engine exposes three verbs:
 //!
 //! * [`CoverageEngine::report`] — evaluate a fault universe into a
-//!   [`CoverageReport`]: stuck-at and transition faults 64 to a march
-//!   execution in bit-parallel lane batches, the rest one at a time on a
-//!   fault-local arena, bit-identical for any thread count;
+//!   [`CoverageReport`]: stuck-at and transition faults are looked up in
+//!   the verdict table without running the march, the rest run one at a
+//!   time on a fault-local arena, bit-identical for any thread count;
 //! * [`CoverageEngine::verdicts`] — a streaming iterator of per-fault
 //!   [`FaultVerdict`]s with bounded memory, for universes that do not fit
 //!   in memory (the universe is consumed lazily, a bounded window at a
@@ -57,19 +59,18 @@
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use twm_bist::flow::run_transparent_session;
-use twm_bist::{detect_lowered_at, detect_lowered_batch, LoweredTest, Misr};
+use twm_bist::{detect_lowered_at, LoweredTest, Misr};
 use twm_core::scheme::{SchemeTransform, TransparentScheme};
-use twm_march::MarchTest;
+use twm_march::{MarchTest, OpKind};
 use twm_mem::{
-    BitStorage, Fault, FaultClass, FaultSet, FaultyMemory, Lanes, MemoryConfig, Packed64,
-    PackedArena,
+    BitAddress, BitStorage, Fault, FaultSet, FaultyMemory, MemError, MemoryConfig, Transition,
 };
 
 use crate::equivalence::Disagreement;
@@ -248,6 +249,7 @@ impl CoverageEngineBuilder {
             content_images: Arc::new(prepared_contents(self.config, self.options)),
             pool: Mutex::new(Vec::new()),
             workers: Arc::new(WorkerPool::new(threads - 1)),
+            table: OnceLock::new(),
         })
     }
 }
@@ -282,6 +284,10 @@ pub(crate) fn prepared_contents(
 /// [`CoverageEngine::verdicts`] stays bounded-memory.
 const STREAM_CHUNK: usize = 32;
 
+/// Number of stuck-at and transition faults a worker resolves from the
+/// verdict table per steal; their verdicts come back as one `u64` mask.
+const TABLE_ITEM: usize = 64;
+
 /// Number of scalar faults a worker claims per steal from a shared atomic
 /// cursor: small enough that a ragged tail of expensive faults rebalances
 /// across workers, large enough to keep cursor contention negligible.
@@ -296,9 +302,10 @@ struct EngineObs {
     reports: twm_obs::Counter,
     /// Wall time of each `report` call.
     report_latency: twm_obs::Histogram,
-    /// Lane batches resolved by one packed march execution.
+    /// Table items (up to [`TABLE_ITEM`] stuck-at and transition faults)
+    /// resolved from the verdict table.
     packed_batches: twm_obs::Counter,
-    /// Faults evaluated through packed lanes.
+    /// Faults resolved from the verdict table.
     packed_faults: twm_obs::Counter,
     /// Faults evaluated on the scalar fault-local path of a report.
     scalar_faults: twm_obs::Counter,
@@ -348,6 +355,137 @@ fn fault_cost_rank(fault: &Fault) -> u32 {
     footprint * 8 + fault.class() as u32
 }
 
+/// The verdict-table row of a stuck-at or transition fault (SA0, SA1,
+/// TF↑, TF↓); `None` for coupling faults.
+fn single_cell_kind(fault: &Fault) -> Option<usize> {
+    match *fault {
+        Fault::StuckAt { value, .. } => Some(usize::from(value)),
+        Fault::TransitionFault { direction, .. } => {
+            Some(2 + usize::from(direction == Transition::Falling))
+        }
+        _ => None,
+    }
+}
+
+/// The fault of table row `kind` (see [`single_cell_kind`]) at `cell`.
+fn single_cell_fault(kind: usize, cell: BitAddress) -> Fault {
+    match kind {
+        0 | 1 => Fault::stuck_at(cell, kind == 1),
+        2 => Fault::transition(cell, Transition::Rising),
+        _ => Fault::transition(cell, Transition::Falling),
+    }
+}
+
+/// Whether a word outside `footprint` (sorted) is among `words` (sorted).
+fn lies_outside(words: &[usize], footprint: &[usize]) -> bool {
+    let inside = footprint
+        .iter()
+        .filter(|word| words.binary_search(word).is_ok())
+        .count();
+    inside < words.len()
+}
+
+/// What lets [`CoverageEngine::report`] resolve stuck-at and transition
+/// faults without running the march.
+///
+/// Such a fault changes only its own cell, and every lowered op's data is
+/// per-bit and the same at every address: a literal pattern, or content ⊕
+/// pattern. So whether a read mismatches at bit `b` of word `w` depends
+/// only on what sits at that cell (the fault, or nothing) and on the
+/// cell's content, and a one-word run with one fault kind on **every** bit
+/// answers all bits at once.
+#[derive(Debug)]
+struct VerdictTable {
+    /// `faulty[kind][c]`: the bits that mismatch at some read when a fault
+    /// of `kind` sits on every bit of a word whose content is all-`c`.
+    faulty: [[u128; 2]; 4],
+    /// `fault_free[c]`: the same on a fault-free word. Zero for
+    /// transparent and write-first tests; a literal test that reads before
+    /// it writes mismatches on fault-free cells.
+    fault_free: [u128; 2],
+    /// Per content round, the words (ascending) whose fault-free run
+    /// mismatches. Empty when `fault_free` is zero.
+    strays: Vec<Vec<usize>>,
+}
+
+impl VerdictTable {
+    fn new(lowered: &LoweredTest, config: MemoryConfig, images: &[BitStorage]) -> Self {
+        let word = MemoryConfig::new(1, config.width()).expect("the engine's width is valid");
+        let mismatches = |kind: Option<usize>, content: usize| {
+            let faults = kind.into_iter().flat_map(|kind| {
+                (0..word.width()).map(move |bit| single_cell_fault(kind, BitAddress::new(0, bit)))
+            });
+            let mut memory = FaultyMemory::with_faults(word, FaultSet::from_faults(faults))
+                .expect("every bit of a one-word memory is in range");
+            let fill = [word.word_zeros(), word.word_ones()][content];
+            memory.fill(fill).expect("the fill has the memory's width");
+            read_mismatches(lowered, &mut memory)
+        };
+        let faulty = std::array::from_fn(|kind| [0, 1].map(|c| mismatches(Some(kind), c)));
+        let fault_free = [0, 1].map(|c| mismatches(None, c));
+        let mut table = VerdictTable {
+            faulty,
+            fault_free,
+            strays: Vec::new(),
+        };
+        if fault_free != [0, 0] {
+            let stray = |x: u128| table.fault_free_mismatch(x) != 0;
+            table.strays = if images.is_empty() {
+                let words = if stray(0) { config.words() } else { 0 };
+                vec![(0..words).collect()]
+            } else {
+                images
+                    .iter()
+                    .map(|image| {
+                        (0..config.words())
+                            .filter(|&w| stray(image.word_bits(w)))
+                            .collect()
+                    })
+                    .collect()
+            };
+        }
+        table
+    }
+
+    /// The bits of a fault-free word with content `x` that mismatch.
+    fn fault_free_mismatch(&self, x: u128) -> u128 {
+        (self.fault_free[1] & x) | (self.fault_free[0] & !x)
+    }
+
+    /// Whether round `round` (content `x` at the fault's word) sees a
+    /// mismatch with fault `kind` at `cell`: at the faulty cell, at a
+    /// fault-free bit of its word, or at another word.
+    fn round_detects(&self, kind: usize, cell: BitAddress, round: usize, x: u128) -> bool {
+        let bit = 1u128 << cell.bit;
+        self.faulty[kind][usize::from(x & bit != 0)] & bit != 0
+            || self.fault_free_mismatch(x) & !bit != 0
+            || self
+                .strays
+                .get(round)
+                .is_some_and(|words| lies_outside(words, &[cell.word]))
+    }
+}
+
+/// The bits that mismatch at some read when the lowered test runs on a
+/// one-word memory, with data resolved against the word's content after
+/// the static faults pinned it (as a full execution snapshots it).
+fn read_mismatches(lowered: &LoweredTest, memory: &mut FaultyMemory) -> u128 {
+    let initial = memory.peek_word(0).expect("word 0 exists");
+    let mut mismatched = 0;
+    for op in lowered.elements().iter().flat_map(|element| &element.ops) {
+        let value = op.value(initial);
+        match op.kind {
+            OpKind::Write => memory
+                .write_word(0, value)
+                .expect("the op has the memory's width"),
+            OpKind::Read => {
+                mismatched |= (memory.read_word(0).expect("word 0 exists") ^ value).to_bits();
+            }
+        }
+    }
+    mismatched
+}
+
 /// A reusable fault-coverage evaluation engine for one
 /// `(memory shape, march test)` pair.
 ///
@@ -376,6 +514,9 @@ pub struct CoverageEngine {
     /// parallel fan-out), shared (`Arc`) with [`CoverageEngine::with_test`]
     /// siblings so candidate loops amortise thread creation too.
     workers: Arc<WorkerPool>,
+    /// Built by the first `report`, `verdicts`, `compare` or
+    /// `injection_detected` call (a few one-word runs of the test).
+    table: OnceLock<VerdictTable>,
 }
 
 impl CoverageEngine {
@@ -417,6 +558,7 @@ impl CoverageEngine {
             content_images: Arc::clone(&self.content_images),
             pool: Mutex::new(Vec::new()),
             workers: Arc::clone(&self.workers),
+            table: OnceLock::new(),
         })
     }
 
@@ -531,16 +673,22 @@ impl CoverageEngine {
 
     /// Evaluates the fault coverage of the engine's test over a universe.
     ///
-    /// Single-bit faults (SAF/TF) are packed into
-    /// [`PackedArena`]`<`[`Packed64`]`>` lane batches in universe order, and
-    /// each batch is resolved by **one** march execution
-    /// ([`twm_bist::detect_lowered_batch`]); the other faults take the
-    /// scalar fault-local arena in cheap-first order. Batches and scalar
-    /// runs form one work queue that the workers drain by stealing from an
-    /// atomic cursor. Verdicts are merged back in **universe order**, so
-    /// the report is bit-identical to the reference
-    /// [`crate::fault_detected`] for any worker-thread count
-    /// (property-tested in `tests/reference_equivalence.rs`).
+    /// Stuck-at and transition faults run no march at all. A fault at bit
+    /// `b` of word `w` is detected in a content round iff one of these
+    /// mismatches at some read:
+    ///
+    /// * bit `b` of a one-word run with that fault kind on every bit and
+    ///   every bit holding the cell's content bit;
+    /// * another bit of `w` in a fault-free one-word run;
+    /// * another word, when the test reads before it writes.
+    ///
+    /// All three are answered by one verdict table per engine, built on
+    /// first use from ten one-word runs. Workers take these faults in
+    /// chunks of 64 and coupling faults in short cheap-first runs on the
+    /// scalar fault-local arena, both from one atomic cursor. Verdicts are
+    /// merged back in **universe order**, so the report is bit-identical
+    /// to the reference [`crate::fault_detected`] for any worker-thread
+    /// count (property-tested in `tests/reference_equivalence.rs`).
     ///
     /// # Errors
     ///
@@ -585,32 +733,29 @@ impl CoverageEngine {
     /// `None` when any fault fails to inject or execute (the whole pass is
     /// then discarded).
     fn report_batched(&self, universe: &[Fault]) -> Option<CoverageReport> {
-        let (packed, mut scalar): (Vec<usize>, Vec<usize>) = (0..universe.len())
-            .partition(|&i| matches!(universe[i].class(), FaultClass::Saf | FaultClass::Tf));
-        // Packed batches take the universe order: a batch costs O(faults +
-        // slots) to arm and one plain word plus its live planes per op, so
-        // grouping batches by word would save less than sorting costs. The
-        // index tiebreak makes the scalar keys unique, so the order is
+        let (single, mut scalar): (Vec<usize>, Vec<usize>) =
+            (0..universe.len()).partition(|&i| single_cell_kind(&universe[i]).is_some());
+        // The index tiebreak makes the keys unique, so the order is
         // deterministic.
         scalar.sort_unstable_by_key(|&i| (fault_cost_rank(&universe[i]), i));
-        let batches: Vec<&[usize]> = packed.chunks(Packed64::COUNT).collect();
+        let items: Vec<&[usize]> = single.chunks(TABLE_ITEM).collect();
         let scalar_runs: Vec<&[usize]> = scalar.chunks(STEAL_GRAIN).collect();
         let obs = engine_obs();
-        obs.packed_batches.add(batches.len() as u64);
-        obs.packed_faults.add(packed.len() as u64);
+        obs.packed_batches.add(items.len() as u64);
+        obs.packed_faults.add(single.len() as u64);
         obs.scalar_faults.add(scalar.len() as u64);
 
-        let total = batches.len() + scalar_runs.len();
+        let table = self.table();
+        let masks: Vec<AtomicU64> = items.iter().map(|_| AtomicU64::new(0)).collect();
+        let total = items.len() + scalar_runs.len();
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
-        // One job per worker, each with its own arenas, claiming items from
-        // the shared cursor.
+        // One job per worker, claiming items from the shared cursor: a
+        // table item stores its mask by item index, a scalar run collects
+        // `(slot, verdict)` pairs.
         let job = || {
-            // `PackedArena::new` allocates nothing until a batch is armed,
-            // and the scalar arena is checked out on the first scalar run.
-            let mut arena = PackedArena::<Packed64>::new(self.config);
+            // The scalar arena is checked out on the first scalar run.
             let mut memory: Option<FaultyMemory> = None;
-            let mut faults = Vec::new();
             let mut out: Vec<(usize, bool)> = Vec::new();
             let mut steals = 0u64;
             while !failed.load(Ordering::Relaxed) {
@@ -619,15 +764,12 @@ impl CoverageEngine {
                     break;
                 }
                 steals += 1;
-                let outcome = if let Some(batch) = batches.get(item) {
-                    self.batch_detected(&mut arena, universe, batch, &mut faults)
-                        .map(|mask| {
-                            let lanes = batch.iter().enumerate();
-                            out.extend(lanes.map(|(lane, &slot)| (slot, mask >> lane & 1 == 1)));
-                        })
+                let outcome = if let Some(faults) = items.get(item) {
+                    self.table_mask(table, universe, faults)
+                        .map(|mask| masks[item].store(mask, Ordering::Relaxed))
                 } else {
                     let memory = memory.get_or_insert_with(|| self.checkout());
-                    scalar_runs[item - batches.len()]
+                    scalar_runs[item - items.len()]
                         .iter()
                         .try_for_each(|&slot| {
                             self.detected(memory, universe[slot])
@@ -651,47 +793,57 @@ impl CoverageEngine {
             return None;
         }
 
-        let mut detected: Vec<Option<bool>> = vec![None; universe.len()];
+        let mut detected = vec![false; universe.len()];
+        for (faults, mask) in items.iter().zip(masks) {
+            let mask = mask.into_inner();
+            for (at, &slot) in faults.iter().enumerate() {
+                detected[slot] = mask >> at & 1 == 1;
+            }
+        }
         for (slot, hit) in per_worker.into_iter().flatten() {
-            detected[slot] = Some(hit);
+            detected[slot] = hit;
         }
         let mut report = CoverageReport::new(self.test.name());
-        report.record_all(
-            universe
-                .iter()
-                .zip(&detected)
-                .map(|(&fault, hit)| (fault, hit.expect("every universe slot evaluated"))),
-        );
+        report.record_all(universe.iter().copied().zip(detected));
         Some(report)
     }
 
-    /// Whether each fault of one lane batch is detected (under every tried
-    /// initial content): bit `i` of the returned mask is lane `i`'s
-    /// verdict. The arena is re-armed for the batch; subsequent content
-    /// rounds only reload the data planes. Masks from the content rounds
-    /// are ANDed — detected means detected under **every** content, same
-    /// as the scalar path — with an early exit once no lane survives.
-    fn batch_detected(
+    /// The verdict table, built on first use.
+    fn table(&self) -> &VerdictTable {
+        self.table
+            .get_or_init(|| VerdictTable::new(&self.lowered, self.config, &self.content_images))
+    }
+
+    /// Resolves one table item from the verdict table: bit `i` of the
+    /// returned mask is whether `universe[item[i]]` is detected under
+    /// **every** content round, as on the scalar path.
+    fn table_mask(
         &self,
-        arena: &mut PackedArena<Packed64>,
+        table: &VerdictTable,
         universe: &[Fault],
-        batch: &[usize],
-        faults: &mut Vec<Fault>,
+        item: &[usize],
     ) -> Result<u64, CoverageError> {
-        faults.clear();
-        faults.extend(batch.iter().map(|&slot| universe[slot]));
-        let mut mask = u64::MAX;
-        for round in 0..self.content_images.len().max(1) {
-            let image = self.content_images.get(round);
-            if round == 0 {
-                arena.arm(faults, image)?;
+        let mut mask = 0u64;
+        for (at, &slot) in item.iter().enumerate() {
+            let fault = &universe[slot];
+            let kind = single_cell_kind(fault).expect("table items hold SAF/TF faults only");
+            let cell = fault.victim();
+            // `FaultSet::validate_fault`'s check for a one-cell fault,
+            // inlined: it is a third of a lookup's cost otherwise.
+            if cell.word >= self.config.words() || cell.bit >= self.config.width() {
+                return Err(MemError::FaultCellOutOfRange { cell }.into());
+            }
+            let detected = if self.content_images.is_empty() {
+                table.round_detects(kind, cell, 0, 0)
             } else {
-                arena.reload(image)?;
-            }
-            mask &= detect_lowered_batch(&self.lowered, arena)?;
-            if mask == 0 {
-                break;
-            }
+                self.content_images
+                    .iter()
+                    .enumerate()
+                    .all(|(round, image)| {
+                        table.round_detects(kind, cell, round, image.word_bits(cell.word))
+                    })
+            };
+            mask |= u64::from(detected) << at;
         }
         Ok(mask)
     }
@@ -703,9 +855,9 @@ impl CoverageEngine {
     /// The universe may be any iterator of faults (owned or borrowed); it
     /// is consumed lazily, one bounded window of `threads ×` [a small
     /// constant] faults at a time, and verdicts are yielded **in universe
-    /// order**. Every fault runs on the scalar fault-local arena; the
-    /// stream never lane-batches. An empty universe yields an empty stream — only
-    /// [`CoverageEngine::report`] treats emptiness as an error.
+    /// order**. Every fault runs on the scalar fault-local arena, never
+    /// through the verdict table. An empty universe yields an empty stream
+    /// — only [`CoverageEngine::report`] treats emptiness as an error.
     ///
     /// Each item is a `Result`: a fault that cannot be injected or executed
     /// yields an `Err` at its position in the stream, and the stream ends
@@ -910,15 +1062,24 @@ impl CoverageEngine {
     /// whatever an earlier run left there — the pool invariant of
     /// [`CoverageEngine::checkout`] — so a round costs O(footprint), not
     /// O(memory).
+    ///
+    /// A word outside the footprint behaves fault-free, and a test that
+    /// reads before it writes can mismatch there anyway: a round in which
+    /// such a word exists detects without a sweep (the verdict table's
+    /// per-round list; empty for transparent and write-first tests).
     fn detected_under_contents(
         &self,
         memory: &mut FaultyMemory,
         faults: &[Fault],
         footprint: &[usize],
     ) -> Result<bool, CoverageError> {
+        let strays = &self.table().strays;
         for round in 0..self.content_images.len().max(1) {
             memory.rearm_local(faults, self.content_images.get(round), footprint)?;
-            if !detect_lowered_at(&self.lowered, memory, footprint)? {
+            let stray = strays
+                .get(round)
+                .is_some_and(|words| lies_outside(words, footprint));
+            if !stray && !detect_lowered_at(&self.lowered, memory, footprint)? {
                 return Ok(false);
             }
         }

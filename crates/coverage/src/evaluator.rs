@@ -71,10 +71,10 @@ impl Default for EvaluationOptions {
 /// Each content round builds a fresh [`FaultyMemory`] carrying `faults`,
 /// fills it with [`FaultyMemory::fill_random`] (or leaves it zeroed under
 /// [`ContentPolicy::Zeros`]) and executes the test over the **whole**
-/// address space. Nothing is shared, pooled, packed or footprint-limited:
-/// this is the paper's literal experiment, and every
-/// [`crate::CoverageEngine`] verdict — lane-batched, fault-local, parallel
-/// or streaming — must equal it (property-tested in
+/// address space. Nothing is shared, pooled, tabulated or
+/// footprint-limited: this is the paper's literal experiment, and every
+/// [`crate::CoverageEngine`] verdict — table-resolved, fault-local,
+/// parallel or streaming — must equal it (property-tested in
 /// `tests/reference_equivalence.rs`). It is slow on large memories; sweeps
 /// belong on the engine.
 ///

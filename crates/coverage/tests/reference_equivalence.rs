@@ -3,13 +3,15 @@
 //! fresh `FaultyMemory`, `fill_random`, and a full-address sweep of the
 //! test per content round).
 //!
-//! `report` lane-batches SAF/TF faults and runs the rest on a fault-local
-//! arena in cheap-first order; `verdicts` and `compare` stream one fault at
-//! a time; `injection_detected` sweeps a multi-fault footprint. Each is
-//! checked here against the reference — verdict by verdict and in universe
-//! order — across word widths 1–64, both content policies, one or two
-//! contents per fault, serial, parallel and degenerate thread counts, and
-//! TWM_TA transparent tests.
+//! `report` looks SAF/TF faults up in the engine's verdict table and runs
+//! the rest on a fault-local arena in cheap-first order; `verdicts` and
+//! `compare` stream one fault at a time; `injection_detected` sweeps a
+//! multi-fault footprint. Each is checked here against the reference —
+//! verdict by verdict and in universe order — across word widths 1–128,
+//! both content policies, one to three contents per fault, serial,
+//! parallel and degenerate thread counts, TWM_TA transparent tests, and
+//! literal tests that read before they write, which mismatch on
+//! fault-free words outside any fault's footprint.
 //!
 //! The scalar arena restores only a run's footprint words and leaves the
 //! rest of the pooled memory as earlier runs left it; the reuse tests at
@@ -32,9 +34,9 @@ use twm_coverage::{
     fault_detected, ContentPolicy, CoverageEngine, CoverageError, CoverageReport,
     EvaluationOptions, FaultVerdict, Strategy as Exec,
 };
-use twm_march::algorithms::{march_c_minus, mats_plus};
+use twm_march::algorithms::{march_c_minus, march_u, mats_plus};
 use twm_march::notation::parse_march;
-use twm_march::MarchTest;
+use twm_march::{DataPattern, DataSpec, MarchElement, MarchTest, Operation};
 use twm_mem::{BitAddress, Fault, MemError, MemoryConfig, Transition};
 
 /// Serial plus the parallel thread counts every equivalence is checked at.
@@ -116,9 +118,9 @@ fn reference_report(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Mixed-class universes (SAF/TF packed, coupling faults scalar) under
-    /// random content: `report` equals the reference for every strategy,
-    /// including the order of the `undetected` list.
+    /// Mixed-class universes (SAF/TF from the table, coupling faults
+    /// scalar) under random content: `report` equals the reference for
+    /// every strategy, including the order of the `undetected` list.
     #[test]
     fn report_matches_reference_for_mixed_universes(
         width in arb_width(),
@@ -194,7 +196,7 @@ proptest! {
     }
 
     /// Size-1 universes of any class and coupling-only universes (nothing
-    /// to pack) take the same batched path and still match.
+    /// for the table) take the same path and still match.
     #[test]
     fn report_matches_reference_for_single_fault_and_coupling_only_universes(
         width in arb_width(),
@@ -276,7 +278,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Full SAF+TF enumeration of a 4-word × 64-bit memory: 1024 faults,
-    /// 16 full 64-lane batches, so batch boundaries are exercised.
+    /// 16 full 64-fault table items, so item boundaries are exercised.
     #[test]
     fn report_matches_reference_across_batch_boundaries(
         content_seed in 0u64..1_000,
@@ -398,8 +400,8 @@ proptest! {
     }
 }
 
-/// A report whose universe holds out-of-range faults in both the packed
-/// and the scalar share returns the error of the earliest one in universe
+/// A report whose universe holds out-of-range faults in both the
+/// table-resolved and the scalar share returns the error of the earliest one in universe
 /// order, for every strategy — whichever worker hits a bad fault first.
 #[test]
 fn report_returns_the_earliest_error_in_universe_order() {
@@ -696,6 +698,180 @@ fn scalar_arena_reuse_interleaved_with_aliasing_matches_reference() {
                     fault_detected(test, set, config, options).unwrap(),
                     "{options:?} {set:?}"
                 );
+            }
+        }
+    }
+}
+
+/// Word widths the verdict table is checked at: both sides of every
+/// 64-bit storage block boundary.
+const TABLE_WIDTHS: [usize; 11] = [1, 2, 7, 8, 31, 32, 33, 64, 65, 127, 128];
+
+/// Reads 0 before writing anything: under random content every word with
+/// a 1 mismatches, faulty or not.
+fn read_first_up() -> MarchTest {
+    parse_march("read-first-up", "⇑(r0,w1); ⇓(r1,w0)").unwrap()
+}
+
+/// Reads 1 before writing anything, then writes and reads 0.
+fn read_first_down() -> MarchTest {
+    parse_march("read-first-down", "⇓(r1); ⇑(w0,r0)").unwrap()
+}
+
+/// A transparent test that flips only the alternating bits: a cell it
+/// never flips is judged against its content after a stuck-at fault
+/// pinned it, so a stuck-at cell whose random content disagrees escapes.
+fn transparent_alternating() -> MarchTest {
+    let pattern = DataPattern::Custom(0x5555_5555_5555_5555_5555_5555_5555_5555);
+    MarchTest::new(
+        "transparent-alternating",
+        vec![MarchElement::ascending(vec![
+            Operation::read(DataSpec::TransparentXor(DataPattern::Zeros)),
+            Operation::write(DataSpec::TransparentXor(pattern)),
+            Operation::read(DataSpec::TransparentXor(pattern)),
+        ])],
+    )
+    .unwrap()
+}
+
+/// The tests the verdict table is checked under at `width`: March C−,
+/// March U, both read-first literal tests, the alternating transparent
+/// test and, from 2 bits up, TWM_TA's transparent March C−.
+fn table_tests(width: usize) -> Vec<MarchTest> {
+    let mut tests = vec![
+        march_c_minus(),
+        march_u(),
+        read_first_up(),
+        read_first_down(),
+        transparent_alternating(),
+    ];
+    if let Ok(scheme) = TwmTa::new(width) {
+        let transformed = scheme.transform(&march_c_minus()).unwrap();
+        tests.push(transformed.transparent_test().clone());
+    }
+    tests
+}
+
+/// Every SAF and TF of memories of 1–9 words, at every table width, under
+/// every table test, all-zero content and one to three random contents:
+/// `report` resolves each from the verdict table exactly as the reference
+/// resolves it by a full sweep. The word count and the strategy rotate
+/// with the case, so each count and each strategy meets many widths.
+#[test]
+fn report_resolves_every_saf_and_tf_like_the_reference() {
+    let mut case = 0usize;
+    for width in TABLE_WIDTHS {
+        for test in table_tests(width) {
+            for contents_per_fault in 0..4 {
+                let options = match contents_per_fault {
+                    0 => EvaluationOptions {
+                        content: ContentPolicy::Zeros,
+                        contents_per_fault: 1,
+                    },
+                    n => random(case as u64, n),
+                };
+                let config = MemoryConfig::new(1 + case % 9, width).unwrap();
+                let strategy = STRATEGIES[case % STRATEGIES.len()];
+                case += 1;
+                let faults = UniverseBuilder::new(config).stuck_at().transition().build();
+                let reference = reference_report(&test, &faults, config, options);
+                let report = engine(&test, config, options, strategy)
+                    .report(&faults)
+                    .unwrap();
+                assert_eq!(
+                    report,
+                    reference,
+                    "{} on {}x{width}, {options:?}, {strategy:?}",
+                    test.name(),
+                    config.words()
+                );
+            }
+        }
+    }
+}
+
+/// A read-first literal test mismatches on fault-free words, so a fault
+/// whose own word passes is still detected when another word fails. Every
+/// fault class, through `report`, `verdicts`, `compare` and
+/// `injection_detected`, on memories small enough that some rounds have
+/// no such word and others do.
+#[test]
+fn fault_free_mismatches_outside_the_footprint_detect_on_every_path() {
+    // The pinned case: on 5x1 with content seed 3, TF(1->0) at w3b0 is
+    // caught only on another word.
+    let pinned = MemoryConfig::new(5, 1).unwrap();
+    let tf = Fault::transition(BitAddress::new(3, 0), Transition::Falling);
+    let seed_3 = random(3, 1);
+    assert!(fault_detected(&read_first_up(), &[tf], pinned, seed_3).unwrap());
+    let e = engine(&read_first_up(), pinned, seed_3, Exec::Serial);
+    assert!(e.verdicts([tf]).next().unwrap().unwrap().detected);
+    assert!(e.injection_detected(&[tf]).unwrap());
+    assert_eq!(e.report(&[tf]).unwrap().total_coverage(), 1.0);
+
+    let options = [
+        EvaluationOptions {
+            content: ContentPolicy::Zeros,
+            contents_per_fault: 1,
+        },
+        seed_3,
+        random(8, 2),
+        random(11, 3),
+    ];
+    for (words, width) in [(5, 1), (8, 4), (3, 7), (2, 33)] {
+        let config = MemoryConfig::new(words, width).unwrap();
+        let faults = UniverseBuilder::new(config)
+            .all_classes()
+            .coupling_scope(CouplingScope::SameWordAndAdjacent)
+            .sample_per_class(12, words as u64)
+            .build();
+        for test in [read_first_up(), read_first_down()] {
+            let other = if test.name() == "read-first-up" {
+                read_first_down()
+            } else {
+                read_first_up()
+            };
+            for options in options {
+                let context = format!("{} on {words}x{width}, {options:?}", test.name());
+                let reference = reference_verdicts(&test, &faults, config, options);
+                let report = reference_report(&test, &faults, config, options);
+                for strategy in STRATEGIES {
+                    let e = engine(&test, config, options, strategy);
+                    assert_eq!(e.report(&faults).unwrap(), report, "{context} {strategy:?}");
+                    let streamed: Vec<FaultVerdict> =
+                        e.verdicts(&faults).collect::<Result<_, _>>().unwrap();
+                    assert_eq!(streamed, reference, "{context} {strategy:?}");
+                }
+                let e = engine(&test, config, options, Exec::Serial);
+                let second = e.with_test(&other).unwrap();
+                let second_reference = reference_verdicts(&other, &faults, config, options);
+                let equivalence = e.compare(&second, &faults).unwrap();
+                assert_eq!(equivalence.first, report, "{context}");
+                let disagreements: Vec<Fault> = reference
+                    .iter()
+                    .zip(&second_reference)
+                    .filter(|(a, b)| a.detected != b.detected)
+                    .map(|(a, _)| a.fault)
+                    .collect();
+                let found: Vec<Fault> = equivalence
+                    .disagreements
+                    .iter()
+                    .map(|disagreement| disagreement.fault)
+                    .collect();
+                assert_eq!(found, disagreements, "{context}");
+                for (fault, expected) in faults.iter().zip(&reference) {
+                    assert_eq!(
+                        e.injection_detected(&[*fault]).unwrap(),
+                        expected.detected,
+                        "{context} {fault:?}"
+                    );
+                }
+                for set in faults.windows(2).step_by(3) {
+                    assert_eq!(
+                        e.injection_detected(set).unwrap(),
+                        fault_detected(&test, set, config, options).unwrap(),
+                        "{context} {set:?}"
+                    );
+                }
             }
         }
     }

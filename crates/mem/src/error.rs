@@ -60,20 +60,6 @@ pub enum MemError {
         /// The already-repaired logical word.
         word: usize,
     },
-    /// A lane-packed batch held more faults than the arena has lanes.
-    LaneOverflow {
-        /// Number of faults in the batch.
-        faults: usize,
-        /// Number of lanes available.
-        lanes: usize,
-    },
-    /// A fault class that cannot be simulated in an independent lane was
-    /// offered to the packed arena (coupling faults read aggressor state
-    /// across cells).
-    UnpackableFault {
-        /// The rejected fault class.
-        class: crate::FaultClass,
-    },
 }
 
 impl fmt::Display for MemError {
@@ -120,12 +106,6 @@ impl fmt::Display for MemError {
             MemError::AlreadyRemapped { word } => {
                 write!(f, "word {word} is already served by a spare")
             }
-            MemError::LaneOverflow { faults, lanes } => {
-                write!(f, "fault batch of {faults} exceeds {lanes} packed lanes")
-            }
-            MemError::UnpackableFault { class } => {
-                write!(f, "fault class {class} cannot be lane-packed")
-            }
         }
     }
 }
@@ -160,13 +140,6 @@ mod tests {
             MemError::LoadLengthMismatch {
                 found: 3,
                 expected: 4,
-            },
-            MemError::LaneOverflow {
-                faults: 65,
-                lanes: 64,
-            },
-            MemError::UnpackableFault {
-                class: crate::FaultClass::Cfin,
             },
         ];
         for err in samples {

@@ -29,17 +29,6 @@
 //! evaluator in `twm-coverage` sweep fault universes of thousands of
 //! faults over memories of tens of thousands of words.
 //!
-//! ## Bit-parallel lanes
-//!
-//! For bulk fault grading there is a second, bit-sliced kernel: the
-//! [`Lanes`] trait abstracts over a packing degree ([`Scalar`] = 1 fault
-//! per pass, [`Packed64`] = 64 faults per pass) and [`PackedArena`] holds
-//! one bit-plane per faulty bit position of each footprint word (the
-//! word's other bits are shared by every lane) so a single march execution
-//! advances up to 64 independent single-bit fault simulations at once.
-//! `twm-bist`'s `detect_lowered_batch` drives it; `twm-coverage` batches
-//! SAF/TF universes through it transparently.
-//!
 //! ```
 //! use twm_mem::{FaultyMemory, MemoryConfig, Fault, BitAddress, Word};
 //!
@@ -65,8 +54,6 @@ mod error;
 mod fault;
 mod fault_set;
 mod index;
-mod lanes;
-mod packed;
 mod prng;
 mod repairable;
 mod sim;
@@ -81,8 +68,6 @@ pub use error::MemError;
 pub use fault::{Fault, FaultClass, Transition};
 pub use fault_set::FaultSet;
 pub use index::{FaultIndex, WordFaultMasks};
-pub use lanes::{Lanes, Packed64, Scalar};
-pub use packed::PackedArena;
 pub use prng::SplitMix64;
 pub use repairable::{RemapEntry, RepairableMemory};
 pub use sim::{AccessStats, FaultyMemory, MemoryConfig};

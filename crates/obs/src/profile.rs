@@ -35,6 +35,7 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
@@ -60,6 +61,30 @@ fn name_stripe(name: &str) -> usize {
     (hash >> 32) as usize % STRIPES
 }
 
+/// Hashes a span id with one multiply. Ids are unique and issued by the
+/// process itself, so SipHash's resistance to chosen keys buys nothing.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0 << 8 | u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `span id -> child time` for one stripe.
+type PendingStripe = HashMap<u64, u64, BuildHasherDefault<IdHasher>>;
+
 #[derive(Debug, Default, Clone, Copy)]
 struct SpanAggregate {
     calls: u64,
@@ -77,7 +102,7 @@ pub struct ProfilerSink {
     /// `span id -> child time accumulated so far`, for spans whose own
     /// record has not yet arrived. Keyed by the *parent* id of closing
     /// children; drained when the parent itself closes.
-    pending: Vec<Mutex<HashMap<u64, u64>>>,
+    pending: Vec<Mutex<PendingStripe>>,
     /// Per-span-name aggregates.
     names: Vec<Mutex<BTreeMap<&'static str, SpanAggregate>>>,
 }
@@ -93,7 +118,7 @@ impl ProfilerSink {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            pending: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            pending: (0..STRIPES).map(|_| Mutex::default()).collect(),
             names: (0..STRIPES).map(|_| Mutex::new(BTreeMap::new())).collect(),
         }
     }
@@ -139,6 +164,11 @@ impl ProfilerSink {
 }
 
 impl Sink for ProfilerSink {
+    /// Only names and times matter here: spans skip their fields.
+    fn wants_fields(&self) -> bool {
+        false
+    }
+
     fn record(&self, record: Record) {
         let Record::Span {
             id,

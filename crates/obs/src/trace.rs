@@ -23,7 +23,7 @@ use std::fmt::Display;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use crate::metrics::{global, Counter, Gauge};
@@ -31,6 +31,9 @@ use crate::metrics::{global, Counter, Gauge};
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SAMPLE_ONE_IN: AtomicU64 = AtomicU64::new(1);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+/// Whether the installed sink reads record fields ([`Sink::wants_fields`];
+/// the default [`NoopSink`] does not).
+static SINK_WANTS_FIELDS: AtomicBool = AtomicBool::new(false);
 
 std::thread_local! {
     static SPAN_STACK: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
@@ -149,10 +152,18 @@ impl Record {
 }
 
 /// Where trace records go. Implementations must tolerate concurrent
-/// calls and must never fail the caller.
+/// calls, must never fail the caller, and must not install a sink or
+/// trace from inside [`Sink::record`].
 pub trait Sink: Send + Sync {
     /// Accepts one record.
     fn record(&self, record: Record);
+
+    /// Whether the sink reads [`Record`] fields. When the installed sink
+    /// says no, spans opened under it skip formatting their field values
+    /// and records arrive with empty `fields`.
+    fn wants_fields(&self) -> bool {
+        true
+    }
 }
 
 /// The default sink: discards everything.
@@ -161,6 +172,10 @@ pub struct NoopSink;
 
 impl Sink for NoopSink {
     fn record(&self, _record: Record) {}
+
+    fn wants_fields(&self) -> bool {
+        false
+    }
 }
 
 #[derive(Debug, Default)]
@@ -271,18 +286,22 @@ impl<W: Write + Send> Sink for JsonLinesSink<W> {
     }
 }
 
-fn sink_slot() -> &'static Mutex<Arc<dyn Sink>> {
-    static SINK: OnceLock<Mutex<Arc<dyn Sink>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Arc::new(NoopSink)))
+/// The process-wide sink. Records are delivered under the read lock, so
+/// concurrent records never wait on one another.
+fn sink_slot() -> &'static RwLock<Arc<dyn Sink>> {
+    static SINK: OnceLock<RwLock<Arc<dyn Sink>>> = OnceLock::new();
+    SINK.get_or_init(|| RwLock::new(Arc::new(NoopSink)))
 }
 
 /// Installs the process-wide sink (replacing the previous one).
 pub fn set_sink(sink: Arc<dyn Sink>) {
-    *sink_slot().lock().expect("sink lock") = sink;
+    let mut slot = sink_slot().write().expect("sink lock");
+    SINK_WANTS_FIELDS.store(sink.wants_fields(), Ordering::Relaxed);
+    *slot = sink;
 }
 
-fn current_sink() -> Arc<dyn Sink> {
-    Arc::clone(&sink_slot().lock().expect("sink lock"))
+fn deliver(record: Record) {
+    sink_slot().read().expect("sink lock").record(record);
 }
 
 struct SpanState {
@@ -290,6 +309,8 @@ struct SpanState {
     parent: u64,
     name: &'static str,
     start: Instant,
+    /// Whether the sink installed when the span opened reads fields.
+    keep_fields: bool,
     fields: Vec<(&'static str, String)>,
 }
 
@@ -307,11 +328,13 @@ impl Span {
         self.state.as_ref().map_or(0, |state| state.id)
     }
 
-    /// Attaches a field (no-op when inert, so callers can attach
-    /// unconditionally).
+    /// Attaches a field (no-op when inert or when the sink does not read
+    /// fields, so callers can attach unconditionally).
     pub fn field(&mut self, name: &'static str, value: impl Display) {
         if let Some(state) = &mut self.state {
-            state.fields.push((name, value.to_string()));
+            if state.keep_fields {
+                state.fields.push((name, value.to_string()));
+            }
         }
     }
 }
@@ -331,7 +354,7 @@ impl Drop for Span {
             }
         });
         let elapsed_ns = u64::try_from(state.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        current_sink().record(Record::Span {
+        deliver(Record::Span {
             id: state.id,
             parent: state.parent,
             name: state.name,
@@ -366,6 +389,7 @@ pub fn span(name: &'static str) -> Span {
             parent,
             name,
             start: Instant::now(),
+            keep_fields: SINK_WANTS_FIELDS.load(Ordering::Relaxed),
             fields: Vec::new(),
         }),
     }
@@ -378,14 +402,15 @@ pub fn event(name: &'static str, fields: &[(&'static str, &str)]) {
         return;
     }
     let span = SPAN_STACK.with(|stack| stack.borrow().last().copied().unwrap_or(0));
-    current_sink().record(Record::Event {
-        span,
-        name,
-        fields: fields
+    let fields = if SINK_WANTS_FIELDS.load(Ordering::Relaxed) {
+        fields
             .iter()
             .map(|(name, value)| (*name, (*value).to_string()))
-            .collect(),
-    });
+            .collect()
+    } else {
+        Vec::new()
+    };
+    deliver(Record::Event { span, name, fields });
 }
 
 #[cfg(test)]
@@ -472,6 +497,39 @@ mod tests {
         };
         assert_eq!((*id, *parent), (outer_id, 0));
         assert_eq!(fields, &vec![("batch", "42".to_string())]);
+    }
+
+    /// A sink that does not read fields gets spans and events without
+    /// them: nothing is formatted for it.
+    #[test]
+    fn sinks_that_skip_fields_get_none() {
+        struct Bare(RingSink);
+        impl Sink for Bare {
+            fn record(&self, record: Record) {
+                self.0.record(record);
+            }
+            fn wants_fields(&self) -> bool {
+                false
+            }
+        }
+        let _gate = gate();
+        let bare = Arc::new(Bare(RingSink::new(8)));
+        set_sink(bare.clone());
+        set_sample_one_in(1);
+        set_enabled(true);
+        {
+            let mut span = span("bare");
+            span.field("skipped", 1);
+            event("bare.event", &[("also", "skipped")]);
+        }
+        set_enabled(false);
+        set_sink(Arc::new(NoopSink));
+        let records = bare.0.take();
+        assert_eq!(records.len(), 2);
+        for record in records {
+            let (Record::Span { fields, .. } | Record::Event { fields, .. }) = record;
+            assert!(fields.is_empty(), "fields reached a sink that skips them");
+        }
     }
 
     /// The ring keeps the newest records and counts what it dropped.

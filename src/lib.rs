@@ -7,9 +7,7 @@
 //! The workspace is organised in focused crates, all re-exported here:
 //!
 //! * [`mem`] — word-oriented memory functional simulator with fault
-//!   injection (SAF, TF, CFst, CFid, CFin), plus the bit-parallel
-//!   [`Lanes`](mem::Lanes)/[`PackedArena`](mem::PackedArena) storage that
-//!   simulates up to 64 single-bit faults per machine word in one pass.
+//!   injection (SAF, TF, CFst, CFid, CFin).
 //! * [`march`] — march-test framework: operations, elements, notation,
 //!   standard algorithms (March C−, March U, …) and data backgrounds.
 //! * [`core`] — the paper's contribution behind **one transformation
@@ -28,9 +26,9 @@
 //!   test-vs-test comparisons — including
 //!   [`CoverageEngine::for_scheme`](coverage::CoverageEngine::for_scheme)
 //!   and the one-call [`scheme_matrix`](coverage::scheme_matrix) comparison
-//!   grid over every registered scheme. SAF/TF faults are evaluated on the
-//!   bit-parallel lane-batched kernel (64 faults per march execution),
-//!   bit-identical to scalar evaluation.
+//!   grid over every registered scheme. SAF/TF faults are looked up in a
+//!   per-engine verdict table instead of running the march, bit-identical
+//!   to scalar evaluation.
 //! * [`search`] — march-test generation & minimisation: a deterministic,
 //!   seeded, parallel search over [`MarchTest`](march::MarchTest)
 //!   candidates (greedy drop-one-op minimisation,
@@ -154,15 +152,17 @@
 //! # }
 //! ```
 //!
-//! Under the hood the engine packs stuck-at and transition faults 64 to a
-//! `u64` (one bit-sliced lane per fault) and evaluates a whole batch in a
-//! single march execution — ~6–8× faster than the scalar fault-local path
-//! on 64K-word memories. Coupling faults, whose lanes would entangle across
-//! cells, take that scalar path. Every verdict is bit-identical to the
-//! naive reference [`coverage::fault_detected`] (property-tested in
-//! `crates/coverage/tests/reference_equivalence.rs`). The release-mode
-//! test `tests/measurement_floors.rs` holds the packed kernel to at least
-//! 5× the scalar path, and `perfbench/` (the repository benchmark)
+//! Under the hood a stuck-at or transition fault runs no march at all:
+//! such a fault changes only its own cell, and every march op's data is
+//! per-bit and the same at every address, so its verdict follows from a
+//! table of ten bit masks that the engine builds once from one-word runs
+//! of the test (~15× faster than the scalar fault-local path on 64K-word
+//! memories). Coupling faults take that scalar path. Every verdict is
+//! bit-identical to the naive reference [`coverage::fault_detected`]
+//! (property-tested in `crates/coverage/tests/reference_equivalence.rs`).
+//! The release-mode test `tests/measurement_floors.rs` holds the
+//! table-resolved report to at least 5× the scalar path and its cost flat
+//! as the test grows, and `perfbench/` (the repository benchmark)
 //! measures coverage-sweep throughput end to end.
 //!
 //! ## Searching for better march tests
@@ -354,7 +354,8 @@
 //! ## Watching it run
 //!
 //! Every subsystem above is instrumented through [`obs`]: the coverage
-//! engine counts packed vs scalar fault evaluations and window steals,
+//! engine counts table-resolved vs scalar fault evaluations and window
+//! steals,
 //! the fleet service records per-request latency histograms and cache
 //! hits/misses/evictions/spills, the pager counts page reads and
 //! checksum failures, and the TCP front keeps a per-frame access log.
@@ -411,7 +412,7 @@
 //! `examples/observability.rs` runs an instrumented fleet end to end —
 //! live HTTP scrape, profiler, quantiles — and `tests/measurement_floors.rs`
 //! holds the cost of tracing into the profiler at most 5% on the 64K-word
-//! packed coverage path.
+//! table-resolved coverage report.
 
 #![warn(missing_docs)]
 

@@ -1,14 +1,19 @@
-//! Release-mode speed floors for the three fast paths whose wins are
-//! claims of the design rather than end-to-end throughput:
+//! Release-mode speed floors for the fast paths whose wins are claims of
+//! the design rather than end-to-end throughput:
 //!
-//! * **packed kernel** — the 64-lane batched `report` over 512 SAF/TF
-//!   faults at 64K×32 is at least 5× faster than the scalar fault-local
-//!   path (the `verdicts` stream folded into a report);
+//! * **table-resolved report** — `report` over 512 SAF/TF faults at
+//!   64K×32, which looks every fault up in the engine's verdict table, is
+//!   at least 5× faster than the scalar fault-local path (the `verdicts`
+//!   stream folded into a report);
+//! * **test length** — the same report under TWM_TA's March C− with its
+//!   elements repeated four times costs at most 1.5× the report under the
+//!   plain test: the table is built once per engine, so a report's cost
+//!   does not grow with the test;
 //! * **fleet runtime cache** — diagnosing one device through a warm
 //!   shard runtime is at least 5× faster than through a cold one (a
 //!   fresh `FleetService`, dictionary registration and runtime build);
 //! * **tracing overhead** — tracing into a `ProfilerSink` costs at most
-//!   5% over tracing off on the packed path.
+//!   5% over tracing off on the table-resolved report.
 //!
 //! Each floor times its two arms in alternating rounds and gates the
 //! median over rounds of one arm's time over the other's: the two halves
@@ -49,8 +54,11 @@ use twm::mem::{Fault, FaultyMemory, MemoryConfig};
 use twm::obs::{trace, ProfilerSink};
 use twm::repair::{DictionaryOptions, SignatureDictionary};
 
-/// Minimum packed-`report` speed-up over the scalar `verdicts` stream.
+/// Minimum table-resolved `report` speed-up over the scalar `verdicts`
+/// stream.
 const PACKED_SPEEDUP_FLOOR: f64 = 5.0;
+/// Maximum cost of a SAF/TF report under a test four times as long.
+const TEST_LENGTH_CEILING: f64 = 1.5;
 /// Minimum warm-cache speed-up over a cold runtime build, per device.
 const FLEET_SPEEDUP_FLOOR: f64 = 5.0;
 /// Maximum cost of tracing into a profiler sink, in percent.
@@ -114,29 +122,41 @@ fn b_over_a(mut a: impl FnMut(), mut b: impl FnMut()) -> f64 {
     median(a_secs.iter().zip(&b_secs).map(|(a, b)| b / a).collect())
 }
 
-/// The packed floors' engine and universe: 512 sampled SAF/TF faults on
-/// a serial 64K×32 March C− engine over random content.
-fn packed_workload() -> (CoverageEngine, Vec<Fault>) {
-    let config = MemoryConfig::new(1 << 16, 32).unwrap();
-    let faults = UniverseBuilder::new(config)
+/// The SAF/TF universe of the report floors: 512 sampled faults at
+/// 64K×32.
+fn saf_tf_faults(config: MemoryConfig) -> Vec<Fault> {
+    UniverseBuilder::new(config)
         .stuck_at()
         .transition()
         .sample_per_class(256, 5)
-        .build();
-    let engine = CoverageEngine::builder(config)
-        .test(&march_c_minus())
+        .build()
+}
+
+/// A serial engine for `test` at 64K×32 over random content.
+fn serial_engine(config: MemoryConfig, test: &MarchTest) -> CoverageEngine {
+    CoverageEngine::builder(config)
+        .test(test)
         .options(EvaluationOptions {
             content: ContentPolicy::Random { seed: 11 },
             contents_per_fault: 1,
         })
         .strategy(Strategy::Serial)
         .build()
-        .unwrap();
-    (engine, faults)
+        .unwrap()
 }
 
-/// The packed floor's denominator: the `verdicts` stream, which never
-/// lane-batches, folded into a report.
+/// The table floor's engine and universe: 512 sampled SAF/TF faults on a
+/// serial 64K×32 March C− engine over random content.
+fn packed_workload() -> (CoverageEngine, Vec<Fault>) {
+    let config = MemoryConfig::new(1 << 16, 32).unwrap();
+    (
+        serial_engine(config, &march_c_minus()),
+        saf_tf_faults(config),
+    )
+}
+
+/// The table floor's denominator: the `verdicts` stream, which never
+/// uses the verdict table, folded into a report.
 fn scalar_report(engine: &CoverageEngine, faults: &[Fault]) -> CoverageReport {
     let mut report = CoverageReport::new(march_c_minus().name());
     for verdict in engine.verdicts(faults) {
@@ -150,7 +170,7 @@ fn assert_packed_arms_agree(engine: &CoverageEngine, faults: &[Fault]) {
     assert_eq!(
         engine.report(faults).unwrap(),
         scalar_report(engine, faults),
-        "packed and scalar reports must stay bit-identical"
+        "table-resolved and scalar reports must stay bit-identical"
     );
 }
 
@@ -172,10 +192,68 @@ fn packed_report_beats_the_scalar_stream() {
         || drop(engine.report(&faults).unwrap()),
         || drop(scalar_report(&engine, &faults)),
     );
-    println!("packed kernel: {speedup:.2}x the scalar stream");
+    println!("table-resolved report: {speedup:.2}x the scalar stream");
     assert!(
         speedup >= PACKED_SPEEDUP_FLOOR,
-        "packed kernel speed-up {speedup:.2}x is below {PACKED_SPEEDUP_FLOOR}x"
+        "table-resolved report speed-up {speedup:.2}x is below {PACKED_SPEEDUP_FLOOR}x"
+    );
+}
+
+/// The test-length floor's engines, one per test, and their universe:
+/// TWM_TA's March C− and the same test with its elements repeated four
+/// times (under the same name, so the two reports compare equal).
+fn test_length_workload() -> (CoverageEngine, CoverageEngine, Vec<Fault>) {
+    let config = MemoryConfig::new(1 << 16, 32).unwrap();
+    let registry = SchemeRegistry::all(32).unwrap();
+    let transform = registry
+        .transform(SchemeId::TwmTa, &march_c_minus())
+        .unwrap();
+    let test = transform.transparent_test();
+    let elements = test
+        .elements()
+        .iter()
+        .cycle()
+        .take(4 * test.element_count());
+    let repeated = MarchTest::new(test.name(), elements.cloned().collect()).unwrap();
+    (
+        serial_engine(config, test),
+        serial_engine(config, &repeated),
+        saf_tf_faults(config),
+    )
+}
+
+fn assert_test_length_arms_agree(short: &CoverageEngine, long: &CoverageEngine, faults: &[Fault]) {
+    let report = short.report(faults).unwrap();
+    assert_eq!(report.total_coverage(), 1.0, "TWM_TA detects every SAF/TF");
+    assert_eq!(
+        report,
+        long.report(faults).unwrap(),
+        "repeating the test's elements must not change a verdict"
+    );
+}
+
+#[test]
+fn test_length_floor_arms_agree() {
+    let _exclusive = exclusive();
+    let (short, long, faults) = test_length_workload();
+    assert_test_length_arms_agree(&short, &long, &faults);
+}
+
+#[test]
+#[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
+fn saf_tf_report_cost_does_not_grow_with_test_length() {
+    let _exclusive = exclusive();
+    let (short, long, faults) = test_length_workload();
+    assert_test_length_arms_agree(&short, &long, &faults);
+
+    let long_over_short = b_over_a(
+        || drop(short.report(&faults).unwrap()),
+        || drop(long.report(&faults).unwrap()),
+    );
+    println!("test length: a 4x test's report costs {long_over_short:.2}x");
+    assert!(
+        long_over_short <= TEST_LENGTH_CEILING,
+        "a 4x test's report costs {long_over_short:.2}x, above {TEST_LENGTH_CEILING}x"
     );
 }
 
