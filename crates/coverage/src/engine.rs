@@ -1171,3 +1171,268 @@ where
         item
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::universe::UniverseBuilder;
+    use twm_core::TwmTa;
+    use twm_march::algorithms::{march_c_minus, mats_plus};
+    use twm_march::notation::parse_march;
+    use twm_march::{DataPattern, DataSpec, MarchElement, Operation};
+
+    /// All `width` bits set.
+    fn ones(width: usize) -> u128 {
+        u128::MAX >> (128 - width)
+    }
+
+    fn table(test: &MarchTest, config: MemoryConfig, options: EvaluationOptions) -> VerdictTable {
+        let lowered = LoweredTest::new(test, config.width()).unwrap();
+        VerdictTable::new(&lowered, config, &prepared_contents(config, options))
+    }
+
+    fn zeros() -> EvaluationOptions {
+        EvaluationOptions {
+            content: ContentPolicy::Zeros,
+            contents_per_fault: 1,
+        }
+    }
+
+    /// Reads 0 before writing 1, then reads 1 and writes 0: a word whose
+    /// content holds a 1 mismatches with no fault at all.
+    fn read_first_up() -> MarchTest {
+        parse_march("read-first-up", "⇑(r0,w1); ⇓(r1,w0)").unwrap()
+    }
+
+    #[test]
+    fn table_rows_round_trip_through_their_faults() {
+        let cell = BitAddress::new(2, 5);
+        let expected = [
+            Fault::stuck_at(cell, false),
+            Fault::stuck_at(cell, true),
+            Fault::transition(cell, Transition::Rising),
+            Fault::transition(cell, Transition::Falling),
+        ];
+        for (kind, fault) in expected.into_iter().enumerate() {
+            assert_eq!(single_cell_fault(kind, cell), fault);
+            assert_eq!(single_cell_kind(&fault), Some(kind));
+        }
+        let aggressor = BitAddress::new(1, 0);
+        for coupling in [
+            Fault::coupling_inversion(aggressor, cell, Transition::Rising),
+            Fault::coupling_idempotent(aggressor, cell, Transition::Falling, true),
+            Fault::coupling_state(aggressor, cell, false, true),
+        ] {
+            assert_eq!(single_cell_kind(&coupling), None, "{coupling:?}");
+        }
+    }
+
+    #[test]
+    fn lies_outside_finds_a_listed_word_beyond_the_footprint() {
+        for (words, footprint, outside) in [
+            (&[][..], &[0][..], false),
+            (&[1], &[1], false),
+            (&[1], &[0], true),
+            (&[1], &[0, 1], false),
+            (&[1, 3], &[1, 3], false),
+            (&[1, 3], &[1], true),
+            (&[1, 3], &[3], true),
+            (&[2], &[1, 3], true),
+            (&[0, 4], &[0, 2], true),
+        ] {
+            assert_eq!(
+                lies_outside(words, footprint),
+                outside,
+                "{words:?} outside {footprint:?}"
+            );
+        }
+    }
+
+    /// March C− writes before it reads and exercises both transitions of
+    /// every bit, so every kind mismatches on every bit under either
+    /// content, and a fault-free word never mismatches — with no bit set
+    /// beyond the word, at widths straddling the `u128`'s 64-bit halves.
+    #[test]
+    fn march_c_minus_flags_every_bit_of_every_kind_and_nothing_fault_free() {
+        for width in [1, 7, 63, 64, 65, 127, 128] {
+            let config = MemoryConfig::new(3, width).unwrap();
+            let t = table(&march_c_minus(), config, zeros());
+            assert_eq!(t.faulty, [[ones(width); 2]; 4], "width {width}");
+            assert_eq!(t.fault_free, [0, 0], "width {width}");
+            assert!(t.strays.is_empty(), "width {width}");
+        }
+    }
+
+    /// TWM_TA's transparent March C− reads the content before it writes
+    /// and restores it: nothing mismatches fault-free under any content,
+    /// so no round lists a stray word, and every kind is caught on every
+    /// bit whatever the content.
+    #[test]
+    fn transparent_twm_ta_table_has_no_fault_free_mismatch() {
+        for width in [2, 8, 32, 64] {
+            let transformed = TwmTa::new(width)
+                .unwrap()
+                .transform(&march_c_minus())
+                .unwrap();
+            let config = MemoryConfig::new(5, width).unwrap();
+            let options = EvaluationOptions {
+                content: ContentPolicy::Random { seed: 9 },
+                contents_per_fault: 3,
+            };
+            let t = table(transformed.transparent_test(), config, options);
+            assert_eq!(t.fault_free, [0, 0], "width {width}");
+            assert!(t.strays.is_empty(), "width {width}");
+            assert_eq!(t.faulty, [[ones(width); 2]; 4], "width {width}");
+        }
+    }
+
+    /// MATS+ `⇕(w0); ⇑(r0,w1); ⇓(r1,w0)` never reads back its last `w0`:
+    /// a falling transition fault escapes on a cell that starts at 0, and
+    /// is caught by the first `r0` only on a cell whose content 1 the
+    /// opening `w0` fails to clear. Every other row is full.
+    #[test]
+    fn mats_plus_table_misses_exactly_the_falling_transitions() {
+        let config = MemoryConfig::new(4, 8).unwrap();
+        let t = table(&mats_plus(), config, zeros());
+        let full = [ones(8); 2];
+        assert_eq!(t.faulty, [full, full, full, [0, ones(8)]]);
+        assert_eq!(t.fault_free, [0, 0]);
+    }
+
+    /// A transition fault blocks only its own direction, and only when the
+    /// test drives it: `⇑(w1); ⇓(r1)` raises a cell only if it starts at 0.
+    #[test]
+    fn transition_rows_depend_on_direction_and_starting_content() {
+        let config = MemoryConfig::new(2, 4).unwrap();
+        let test = parse_march("write-one", "⇑(w1); ⇓(r1)").unwrap();
+        let t = table(&test, config, zeros());
+        let [sa0, sa1, rising, falling] = t.faulty;
+        assert_eq!(sa0, [ones(4); 2]);
+        assert_eq!(sa1, [0, 0]);
+        assert_eq!(rising, [ones(4), 0], "rises only from content 0");
+        assert_eq!(falling, [0, 0]);
+        assert_eq!(t.fault_free, [0, 0]);
+    }
+
+    /// The table's runs resolve transparent data against the word after
+    /// the stuck-at faults pinned it, as a full execution snapshots it: a
+    /// transparent read-only test then sees nothing wrong on a stuck cell,
+    /// whatever the content it was filled with.
+    #[test]
+    fn stuck_at_rows_read_the_pinned_content() {
+        let config = MemoryConfig::new(2, 8).unwrap();
+        let transparent_read = MarchTest::new(
+            "transparent-read",
+            vec![MarchElement::ascending(vec![Operation::read(
+                DataSpec::TransparentXor(DataPattern::Zeros),
+            )])],
+        )
+        .unwrap();
+        let t = table(&transparent_read, config, zeros());
+        assert_eq!(t.faulty, [[0, 0]; 4]);
+        assert_eq!(t.fault_free, [0, 0]);
+
+        // A literal read of 0 catches a stuck-at-1 cell whatever the
+        // content, never a stuck-at-0 cell (pinned to 0 before the read),
+        // and mismatches on every fault-free 1.
+        let literal_read = parse_march("read-zero", "⇑(r0)").unwrap();
+        let t = table(&literal_read, config, zeros());
+        let [sa0, sa1, rising, falling] = t.faulty;
+        assert_eq!(sa0, [0, 0]);
+        assert_eq!(sa1, [ones(8); 2]);
+        assert_eq!(rising, [0, ones(8)]);
+        assert_eq!(falling, [0, ones(8)]);
+        assert_eq!(t.fault_free, [0, ones(8)]);
+    }
+
+    /// A literal test that reads before it writes lists, per content
+    /// round, exactly the words whose fault-free run mismatches; under
+    /// all-zero content the list is every word or none.
+    #[test]
+    fn strays_list_each_rounds_mismatching_words() {
+        let config = MemoryConfig::new(9, 2).unwrap();
+        let options = EvaluationOptions {
+            content: ContentPolicy::Random { seed: 4 },
+            contents_per_fault: 3,
+        };
+        let images = prepared_contents(config, options);
+        let t = table(&read_first_up(), config, options);
+        assert_eq!(t.fault_free, [0, ones(2)]);
+        let expected: Vec<Vec<usize>> = images
+            .iter()
+            .map(|image| (0..9).filter(|&w| image.word_bits(w) != 0).collect())
+            .collect();
+        assert_eq!(t.strays, expected);
+        assert!(expected.iter().any(|words| !words.is_empty()));
+
+        assert_eq!(
+            table(&read_first_up(), config, zeros()).strays,
+            vec![Vec::<usize>::new()]
+        );
+        let read_one_first = parse_march("read-first-down", "⇓(r1); ⇑(w0,r0)").unwrap();
+        let t = table(&read_one_first, config, zeros());
+        assert_eq!(t.fault_free, [ones(2), 0]);
+        assert_eq!(t.strays, vec![(0..9).collect::<Vec<_>>()]);
+    }
+
+    /// Under the read-first test a falling transition fault on a cell that
+    /// starts at 0 escapes on its own bit (the final `w0` is never read),
+    /// so the round hangs on the rest of the word: a fault-free 1 elsewhere
+    /// in it detects, a 1 on the faulty bit itself detects through the
+    /// fault's own row.
+    #[test]
+    fn round_detects_through_a_fault_free_bit_of_the_word() {
+        let config = MemoryConfig::new(3, 4).unwrap();
+        let t = table(&read_first_up(), config, zeros());
+        let falling = 3;
+        let cell = BitAddress::new(1, 0);
+        assert_eq!(t.faulty[falling][0] & 1, 0);
+        assert!(!t.round_detects(falling, cell, 0, 0b0000));
+        assert!(t.round_detects(falling, cell, 0, 0b0010));
+        assert!(t.round_detects(falling, cell, 0, 0b1000));
+        assert!(t.round_detects(falling, cell, 0, 0b0001));
+    }
+
+    /// A stray word detects a round only when it is not the fault's own
+    /// word, and only in the round that lists it.
+    #[test]
+    fn round_detects_through_a_stray_word_outside_the_fault() {
+        let config = MemoryConfig::new(3, 4).unwrap();
+        let t = VerdictTable {
+            strays: vec![vec![1], Vec::new()],
+            ..table(&read_first_up(), config, zeros())
+        };
+        let falling = 3;
+        assert!(!t.round_detects(falling, BitAddress::new(1, 0), 0, 0));
+        assert!(t.round_detects(falling, BitAddress::new(0, 0), 0, 0));
+        assert!(t.round_detects(falling, BitAddress::new(2, 3), 0, 0));
+        assert!(!t.round_detects(falling, BitAddress::new(2, 3), 1, 0));
+    }
+
+    /// The table is built on the engine's first evaluation, once, and
+    /// never shared with a `with_test` sibling, which runs another test.
+    #[test]
+    fn the_table_is_built_once_on_first_use_and_per_engine() {
+        let config = MemoryConfig::new(4, 4).unwrap();
+        let faults = UniverseBuilder::new(config).stuck_at().transition().build();
+        let engine = CoverageEngine::builder(config)
+            .test(&mats_plus())
+            .options(zeros())
+            .build()
+            .unwrap();
+        let sibling = engine.with_test(&march_c_minus()).unwrap();
+        assert!(engine.table.get().is_none());
+        assert!(sibling.table.get().is_none());
+
+        let first = engine.report(&faults).unwrap();
+        let built: *const VerdictTable = engine.table.get().unwrap();
+        assert_eq!(engine.report(&faults).unwrap(), first);
+        assert!(std::ptr::eq(built, engine.table.get().unwrap()));
+        assert!(sibling.table.get().is_none());
+
+        assert_eq!(first.detected_faults(), faults.len() / 4 * 3);
+        assert_eq!(sibling.report(&faults).unwrap().total_coverage(), 1.0);
+        assert_eq!(sibling.table.get().unwrap().faulty[3], [ones(4); 2]);
+        assert_eq!(engine.table.get().unwrap().faulty[3], [0, ones(4)]);
+    }
+}
