@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use twm_march::{MarchTest, OpKind};
 use twm_mem::{AddressOrder, AddressSequence, MemoryAccess, Word};
 
-use crate::{BistError, LoweredTest};
+use crate::{BistError, LoweredOp, LoweredTest};
 
 /// One executed read operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -323,27 +323,57 @@ pub fn probe_lowered_at<M: MemoryAccess>(
             memory: memory.width(),
         });
     }
-    let initials = addresses
-        .iter()
-        .map(|&address| memory.peek_word(address))
-        .collect::<Result<Vec<_>, _>>()?;
+    // The footprint's initial words: inline for the one- and two-word
+    // footprints of single faults (and small multi-fault injections), on
+    // the heap only above that.
+    let mut inline = [Word::zeros(test.width()); INLINE_FOOTPRINT];
+    let heap: Vec<Word>;
+    let initials: &[Word] = if addresses.len() <= INLINE_FOOTPRINT {
+        for (slot, &address) in inline.iter_mut().zip(addresses) {
+            *slot = memory.peek_word(address)?;
+        }
+        &inline[..addresses.len()]
+    } else {
+        heap = addresses
+            .iter()
+            .map(|&address| memory.peek_word(address))
+            .collect::<Result<_, _>>()?;
+        &heap
+    };
 
     for element in test.elements() {
-        let sweep: &mut dyn Iterator<Item = (&usize, &Word)> = match element.order {
-            AddressOrder::Ascending | AddressOrder::Any => {
-                &mut addresses.iter().zip(initials.iter())
-            }
-            AddressOrder::Descending => &mut addresses.iter().zip(initials.iter()).rev(),
+        let sweep = addresses.iter().zip(initials);
+        let mismatched = if element.order == AddressOrder::Descending {
+            probe_sweep(&element.ops, memory, sweep.rev())?
+        } else {
+            probe_sweep(&element.ops, memory, sweep)?
         };
-        for (&address, &initial) in sweep {
-            for op in &element.ops {
-                let value = op.value(initial);
-                match op.kind {
-                    OpKind::Write => memory.write_word(address, value)?,
-                    OpKind::Read => {
-                        if memory.read_word(address)? != value {
-                            return Ok(true);
-                        }
+        if mismatched {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+/// Footprints up to this many words keep their initial words on the stack
+/// in [`probe_lowered_at`].
+const INLINE_FOOTPRINT: usize = 4;
+
+/// Applies one element's operations at each `(address, initial word)` of
+/// a sweep, returning at the first read that mismatches.
+fn probe_sweep<'a, M: MemoryAccess>(
+    ops: &[LoweredOp],
+    memory: &mut M,
+    sweep: impl Iterator<Item = (&'a usize, &'a Word)>,
+) -> Result<bool, BistError> {
+    for (&address, &initial) in sweep {
+        for op in ops {
+            let value = op.value(initial);
+            match op.kind {
+                OpKind::Write => memory.write_word(address, value)?,
+                OpKind::Read => {
+                    if memory.read_word(address)? != value {
+                        return Ok(true);
                     }
                 }
             }

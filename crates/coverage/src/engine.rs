@@ -6,26 +6,26 @@
 //!
 //! * the [pre-lowered](twm_bist::LoweredTest) operation stream of the test,
 //! * the pre-generated pseudo-random initial contents,
+//! * built on first use, a verdict table that answers every single-fault
+//!   verdict without running the march (see [`CoverageEngine::report`]),
 //! * a pool of reusable [`FaultyMemory`] arenas, re-armed per fault via
 //!   [`FaultyMemory::rearm_local`] — only the fault's footprint words are
 //!   restored, so a run costs O(footprint), not O(memory), and repeated
-//!   evaluations allocate no per-fault memories,
-//! * and, built on first use, a verdict table: ten bit masks from running
-//!   the test on a single word (see [`CoverageEngine::report`]).
+//!   evaluations allocate no per-fault memories.
 //!
 //! The engine exposes three verbs:
 //!
 //! * [`CoverageEngine::report`] — evaluate a fault universe into a
-//!   [`CoverageReport`]: stuck-at and transition faults are looked up in
-//!   the verdict table without running the march, the rest run one at a
-//!   time on a fault-local arena, bit-identical for any thread count;
+//!   [`CoverageReport`]: every fault, stuck-at, transition or coupling, is
+//!   looked up in the verdict table, bit-identical for any thread count;
 //! * [`CoverageEngine::verdicts`] — a streaming iterator of per-fault
 //!   [`FaultVerdict`]s with bounded memory, for universes that do not fit
 //!   in memory (the universe is consumed lazily, a bounded window at a
-//!   time, and verdicts are yielded in universe order);
+//!   time, and verdicts are yielded in universe order), each run on a
+//!   fault-local arena;
 //! * [`CoverageEngine::compare`] — fault-by-fault comparison against a
 //!   second engine, producing an [`EquivalenceReport`] (the paper's
-//!   Section 5 theorem check).
+//!   Section 5 theorem check), on the same arenas.
 //!
 //! Signature-aliasing analysis ([`CoverageEngine::aliasing`]) and
 //! multi-fault injections ([`CoverageEngine::injection_detected`]) share
@@ -68,12 +68,12 @@ use serde::{Deserialize, Serialize};
 use twm_bist::flow::run_transparent_session;
 use twm_bist::{detect_lowered_at, LoweredTest, Misr};
 use twm_core::scheme::{SchemeTransform, TransparentScheme};
-use twm_march::{MarchTest, OpKind};
-use twm_mem::{
-    BitAddress, BitStorage, Fault, FaultSet, FaultyMemory, MemError, MemoryConfig, Transition,
-};
+use twm_march::MarchTest;
+use twm_mem::{BitStorage, Fault, FaultSet, FaultyMemory, MemoryConfig};
 
 use crate::equivalence::Disagreement;
+use crate::report::Tally;
+use crate::table::{self, lies_outside, VerdictTable};
 use crate::{
     AliasingReport, ContentPolicy, CoverageError, CoverageReport, EquivalenceReport,
     EvaluationOptions, WorkerPool,
@@ -284,32 +284,34 @@ pub(crate) fn prepared_contents(
 /// [`CoverageEngine::verdicts`] stays bounded-memory.
 const STREAM_CHUNK: usize = 32;
 
-/// Number of stuck-at and transition faults a worker resolves from the
-/// verdict table per steal; their verdicts come back as one `u64` mask.
-const TABLE_ITEM: usize = 64;
+/// Number of consecutive universe faults a worker resolves from the
+/// verdict table per claim; their verdicts come back as one `u64` mask.
+const REPORT_CHUNK: usize = 64;
 
-/// Number of scalar faults a worker claims per steal from a shared atomic
-/// cursor: small enough that a ragged tail of expensive faults rebalances
-/// across workers, large enough to keep cursor contention negligible.
+/// Number of faults a worker claims per steal from a streaming window's
+/// shared cursor: small enough that a ragged tail of expensive faults
+/// rebalances across workers, large enough to keep cursor contention
+/// negligible.
 const STEAL_GRAIN: usize = 4;
 
 /// Process-wide engine counters in the [`twm_obs::global`] registry.
-/// Counting is batched (one `add` per report leg or per worker drain,
-/// never per fault in an inner loop) so instrumentation stays inside
-/// the measured overhead bound; none of it influences verdicts.
+/// Counting is batched (one `add` per report or per worker drain, never
+/// per fault in an inner loop) so instrumentation stays inside the
+/// measured overhead bound; none of it influences verdicts.
 struct EngineObs {
     /// `report` calls completed (either outcome).
     reports: twm_obs::Counter,
     /// Wall time of each `report` call.
     report_latency: twm_obs::Histogram,
-    /// Table items (up to [`TABLE_ITEM`] stuck-at and transition faults)
-    /// resolved from the verdict table.
+    /// Report chunks (up to [`REPORT_CHUNK`] consecutive faults of any
+    /// class) resolved from the verdict table.
     packed_batches: twm_obs::Counter,
-    /// Faults resolved from the verdict table.
+    /// Faults resolved from the verdict table: every fault of a report.
     packed_faults: twm_obs::Counter,
-    /// Faults evaluated on the scalar fault-local path of a report.
+    /// Faults evaluated on the scalar fault-local arena, by `verdicts` and
+    /// `compare`; `report` adds none.
     scalar_faults: twm_obs::Counter,
-    /// Work items claimed from a shared cursor (report items and
+    /// Work items claimed from a shared cursor (report chunks and
     /// streaming-window grains).
     window_steals: twm_obs::Counter,
     /// Streaming windows evaluated by `verdicts`.
@@ -338,152 +340,6 @@ fn engine_obs() -> &'static EngineObs {
             pool_idle_arenas: registry.gauge("twm_coverage_pool_idle_arenas", &[]),
         }
     })
-}
-
-/// Estimated relative cost of one scalar fault-injection run, used to order
-/// [`CoverageEngine::report`]'s scalar work cheap-first: the fault-local
-/// sweep visits the fault's word footprint, so a two-word (inter-word
-/// coupling) fault costs roughly twice a single-word fault; within a
-/// footprint size, stuck-at faults mismatch on the earliest read while
-/// coupling faults need their excitation sequence first, so classes break
-/// ties.
-fn fault_cost_rank(fault: &Fault) -> u32 {
-    let footprint = match fault.aggressor() {
-        Some(aggressor) if aggressor.word != fault.victim().word => 2u32,
-        _ => 1,
-    };
-    footprint * 8 + fault.class() as u32
-}
-
-/// The verdict-table row of a stuck-at or transition fault (SA0, SA1,
-/// TF↑, TF↓); `None` for coupling faults.
-fn single_cell_kind(fault: &Fault) -> Option<usize> {
-    match *fault {
-        Fault::StuckAt { value, .. } => Some(usize::from(value)),
-        Fault::TransitionFault { direction, .. } => {
-            Some(2 + usize::from(direction == Transition::Falling))
-        }
-        _ => None,
-    }
-}
-
-/// The fault of table row `kind` (see [`single_cell_kind`]) at `cell`.
-fn single_cell_fault(kind: usize, cell: BitAddress) -> Fault {
-    match kind {
-        0 | 1 => Fault::stuck_at(cell, kind == 1),
-        2 => Fault::transition(cell, Transition::Rising),
-        _ => Fault::transition(cell, Transition::Falling),
-    }
-}
-
-/// Whether a word outside `footprint` (sorted) is among `words` (sorted).
-fn lies_outside(words: &[usize], footprint: &[usize]) -> bool {
-    let inside = footprint
-        .iter()
-        .filter(|word| words.binary_search(word).is_ok())
-        .count();
-    inside < words.len()
-}
-
-/// What lets [`CoverageEngine::report`] resolve stuck-at and transition
-/// faults without running the march.
-///
-/// Such a fault changes only its own cell, and every lowered op's data is
-/// per-bit and the same at every address: a literal pattern, or content ⊕
-/// pattern. So whether a read mismatches at bit `b` of word `w` depends
-/// only on what sits at that cell (the fault, or nothing) and on the
-/// cell's content, and a one-word run with one fault kind on **every** bit
-/// answers all bits at once.
-#[derive(Debug)]
-struct VerdictTable {
-    /// `faulty[kind][c]`: the bits that mismatch at some read when a fault
-    /// of `kind` sits on every bit of a word whose content is all-`c`.
-    faulty: [[u128; 2]; 4],
-    /// `fault_free[c]`: the same on a fault-free word. Zero for
-    /// transparent and write-first tests; a literal test that reads before
-    /// it writes mismatches on fault-free cells.
-    fault_free: [u128; 2],
-    /// Per content round, the words (ascending) whose fault-free run
-    /// mismatches. Empty when `fault_free` is zero.
-    strays: Vec<Vec<usize>>,
-}
-
-impl VerdictTable {
-    fn new(lowered: &LoweredTest, config: MemoryConfig, images: &[BitStorage]) -> Self {
-        let word = MemoryConfig::new(1, config.width()).expect("the engine's width is valid");
-        let mismatches = |kind: Option<usize>, content: usize| {
-            let faults = kind.into_iter().flat_map(|kind| {
-                (0..word.width()).map(move |bit| single_cell_fault(kind, BitAddress::new(0, bit)))
-            });
-            let mut memory = FaultyMemory::with_faults(word, FaultSet::from_faults(faults))
-                .expect("every bit of a one-word memory is in range");
-            let fill = [word.word_zeros(), word.word_ones()][content];
-            memory.fill(fill).expect("the fill has the memory's width");
-            read_mismatches(lowered, &mut memory)
-        };
-        let faulty = std::array::from_fn(|kind| [0, 1].map(|c| mismatches(Some(kind), c)));
-        let fault_free = [0, 1].map(|c| mismatches(None, c));
-        let mut table = VerdictTable {
-            faulty,
-            fault_free,
-            strays: Vec::new(),
-        };
-        if fault_free != [0, 0] {
-            let stray = |x: u128| table.fault_free_mismatch(x) != 0;
-            table.strays = if images.is_empty() {
-                let words = if stray(0) { config.words() } else { 0 };
-                vec![(0..words).collect()]
-            } else {
-                images
-                    .iter()
-                    .map(|image| {
-                        (0..config.words())
-                            .filter(|&w| stray(image.word_bits(w)))
-                            .collect()
-                    })
-                    .collect()
-            };
-        }
-        table
-    }
-
-    /// The bits of a fault-free word with content `x` that mismatch.
-    fn fault_free_mismatch(&self, x: u128) -> u128 {
-        (self.fault_free[1] & x) | (self.fault_free[0] & !x)
-    }
-
-    /// Whether round `round` (content `x` at the fault's word) sees a
-    /// mismatch with fault `kind` at `cell`: at the faulty cell, at a
-    /// fault-free bit of its word, or at another word.
-    fn round_detects(&self, kind: usize, cell: BitAddress, round: usize, x: u128) -> bool {
-        let bit = 1u128 << cell.bit;
-        self.faulty[kind][usize::from(x & bit != 0)] & bit != 0
-            || self.fault_free_mismatch(x) & !bit != 0
-            || self
-                .strays
-                .get(round)
-                .is_some_and(|words| lies_outside(words, &[cell.word]))
-    }
-}
-
-/// The bits that mismatch at some read when the lowered test runs on a
-/// one-word memory, with data resolved against the word's content after
-/// the static faults pinned it (as a full execution snapshots it).
-fn read_mismatches(lowered: &LoweredTest, memory: &mut FaultyMemory) -> u128 {
-    let initial = memory.peek_word(0).expect("word 0 exists");
-    let mut mismatched = 0;
-    for op in lowered.elements().iter().flat_map(|element| &element.ops) {
-        let value = op.value(initial);
-        match op.kind {
-            OpKind::Write => memory
-                .write_word(0, value)
-                .expect("the op has the memory's width"),
-            OpKind::Read => {
-                mismatched |= (memory.read_word(0).expect("word 0 exists") ^ value).to_bits();
-            }
-        }
-    }
-    mismatched
 }
 
 /// A reusable fault-coverage evaluation engine for one
@@ -515,7 +371,8 @@ pub struct CoverageEngine {
     /// siblings so candidate loops amortise thread creation too.
     workers: Arc<WorkerPool>,
     /// Built by the first `report`, `verdicts`, `compare` or
-    /// `injection_detected` call (a few one-word runs of the test).
+    /// `injection_detected` call (two one-word runs of the test); its row
+    /// groups follow on the first `report` lookup that needs each.
     table: OnceLock<VerdictTable>,
 }
 
@@ -673,30 +530,32 @@ impl CoverageEngine {
 
     /// Evaluates the fault coverage of the engine's test over a universe.
     ///
-    /// Stuck-at and transition faults run no march at all. A fault at bit
-    /// `b` of word `w` is detected in a content round iff one of these
-    /// mismatches at some read:
+    /// No fault runs the march. Each is decoded once into a row of the
+    /// engine's verdict table and a cell, and is detected in a content
+    /// round iff one of these mismatches at some read:
     ///
-    /// * bit `b` of a one-word run with that fault kind on every bit and
-    ///   every bit holding the cell's content bit;
-    /// * another bit of `w` in a fault-free one-word run;
+    /// * its victim bit, as the table row for its kind, word relation,
+    ///   aggressor bit and the content of its one or two cells says (rows
+    ///   come from one-word runs of the test with a stuck-at or transition
+    ///   fault on every bit, and from lane-sliced one- and two-word runs
+    ///   with a coupling fault into every bit);
+    /// * another bit of its one or two words, in a fault-free run;
     /// * another word, when the test reads before it writes.
     ///
-    /// All three are answered by one verdict table per engine, built on
-    /// first use from ten one-word runs. Workers take these faults in
-    /// chunks of 64 and coupling faults in short cheap-first runs on the
-    /// scalar fault-local arena, both from one atomic cursor. Verdicts are
-    /// merged back in **universe order**, so the report is bit-identical
-    /// to the reference [`crate::fault_detected`] for any worker-thread
-    /// count (property-tested in `tests/reference_equivalence.rs`).
+    /// The fault-free terms are built on first use, a row group on the
+    /// first lookup that needs it. Workers claim chunks of 64 consecutive
+    /// faults from one atomic cursor; each returns its chunk's escapes as
+    /// a mask and tallies the rest, and the masks are merged back in
+    /// **universe order**, so the report is bit-identical to the reference
+    /// [`crate::fault_detected`] for any worker-thread count
+    /// (property-tested in `tests/reference_equivalence.rs`). A report
+    /// never touches the scalar arena.
     ///
     /// # Errors
     ///
     /// * [`CoverageError::EmptyUniverse`] if `universe` is empty.
     /// * [`CoverageError::Mem`] if a fault does not fit the memory shape
     ///   (the error of the earliest offending fault in universe order).
-    /// * [`CoverageError::Bist`] if the test cannot be executed on the
-    ///   memory.
     pub fn report(&self, universe: &[Fault]) -> Result<CoverageReport, CoverageError> {
         let mut span = twm_obs::span("coverage.report");
         span.field("universe", universe.len());
@@ -714,138 +573,71 @@ impl CoverageEngine {
         if universe.is_empty() {
             return Err(CoverageError::EmptyUniverse);
         }
-        if let Some(report) = self.report_batched(universe) {
-            return Ok(report);
-        }
-        // A fault failed to inject somewhere in the batched pass. Errors
-        // are deterministic properties of a (fault, memory shape) pair, so
-        // an in-order walk hits one too and returns the error of the
-        // earliest offending fault in universe order, as documented.
-        let mut report = CoverageReport::new(self.test.name());
-        for verdict in self.verdicts(universe) {
-            let verdict = verdict?;
-            report.record(verdict.fault, verdict.detected);
-        }
-        Ok(report)
-    }
-
-    /// The evaluation pass behind [`CoverageEngine::report`]. Returns
-    /// `None` when any fault fails to inject or execute (the whole pass is
-    /// then discarded).
-    fn report_batched(&self, universe: &[Fault]) -> Option<CoverageReport> {
-        let (single, mut scalar): (Vec<usize>, Vec<usize>) =
-            (0..universe.len()).partition(|&i| single_cell_kind(&universe[i]).is_some());
-        // The index tiebreak makes the keys unique, so the order is
-        // deterministic.
-        scalar.sort_unstable_by_key(|&i| (fault_cost_rank(&universe[i]), i));
-        let items: Vec<&[usize]> = single.chunks(TABLE_ITEM).collect();
-        let scalar_runs: Vec<&[usize]> = scalar.chunks(STEAL_GRAIN).collect();
+        let chunks = universe.len().div_ceil(REPORT_CHUNK);
         let obs = engine_obs();
-        obs.packed_batches.add(items.len() as u64);
-        obs.packed_faults.add(single.len() as u64);
-        obs.scalar_faults.add(scalar.len() as u64);
+        obs.packed_batches.add(chunks as u64);
+        obs.packed_faults.add(universe.len() as u64);
 
         let table = self.table();
-        let masks: Vec<AtomicU64> = items.iter().map(|_| AtomicU64::new(0)).collect();
-        let total = items.len() + scalar_runs.len();
+        let undetected: Vec<AtomicU64> = (0..chunks).map(|_| AtomicU64::new(0)).collect();
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
-        // One job per worker, claiming items from the shared cursor: a
-        // table item stores its mask by item index, a scalar run collects
-        // `(slot, verdict)` pairs.
+        // One job per worker: claim chunks from the shared cursor, store
+        // each chunk's escape mask by chunk index, count locally. Relaxed
+        // is enough for the masks: `WorkerPool::run` returns only after
+        // every job has reported back over its channels, which orders the
+        // stores before the loads below.
         let job = || {
-            // The scalar arena is checked out on the first scalar run.
-            let mut memory: Option<FaultyMemory> = None;
-            let mut out: Vec<(usize, bool)> = Vec::new();
+            let mut tally = Tally::default();
             let mut steals = 0u64;
             while !failed.load(Ordering::Relaxed) {
-                let item = cursor.fetch_add(1, Ordering::Relaxed);
-                if item >= total {
+                let chunk = cursor.fetch_add(1, Ordering::Relaxed);
+                if chunk >= chunks {
                     break;
                 }
                 steals += 1;
-                let outcome = if let Some(faults) = items.get(item) {
-                    self.table_mask(table, universe, faults)
-                        .map(|mask| masks[item].store(mask, Ordering::Relaxed))
-                } else {
-                    let memory = memory.get_or_insert_with(|| self.checkout());
-                    scalar_runs[item - items.len()]
-                        .iter()
-                        .try_for_each(|&slot| {
-                            self.detected(memory, universe[slot])
-                                .map(|hit| out.push((slot, hit)))
-                        })
-                };
-                if outcome.is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                    break;
+                let faults =
+                    &universe[chunk * REPORT_CHUNK..universe.len().min((chunk + 1) * REPORT_CHUNK)];
+                match table.resolve(faults, self.config, &self.content_images, &mut tally) {
+                    Ok(mask) => undetected[chunk].store(mask, Ordering::Relaxed),
+                    Err(_) => failed.store(true, Ordering::Relaxed),
                 }
             }
             engine_obs().window_steals.add(steals);
-            if let Some(memory) = memory {
-                self.checkin(memory);
-            }
-            out
+            tally
         };
-        let workers = self.workers.width().min(total);
-        let per_worker = self.workers.run((0..workers).map(|_| &job).collect());
+        let workers = self.workers.width().min(chunks);
+        let tallies = self.workers.run((0..workers).map(|_| &job).collect());
         if failed.load(Ordering::Relaxed) {
-            return None;
+            // Errors are properties of a (fault, memory shape) pair, so an
+            // in-order walk finds the earliest one, as documented.
+            return Err(universe
+                .iter()
+                .find_map(|fault| table::decode(fault, self.config).err())
+                .expect("a chunk failed on some fault"));
         }
 
-        let mut detected = vec![false; universe.len()];
-        for (faults, mask) in items.iter().zip(masks) {
-            let mask = mask.into_inner();
-            for (at, &slot) in faults.iter().enumerate() {
-                detected[slot] = mask >> at & 1 == 1;
+        let mut tally = Tally::default();
+        for part in &tallies {
+            tally.merge(part);
+        }
+        let mut escaped = Vec::new();
+        for (chunk, mask) in undetected.iter().enumerate() {
+            let mut mask = mask.load(Ordering::Relaxed);
+            while mask != 0 {
+                escaped.push(universe[chunk * REPORT_CHUNK + mask.trailing_zeros() as usize]);
+                mask &= mask - 1;
             }
         }
-        for (slot, hit) in per_worker.into_iter().flatten() {
-            detected[slot] = hit;
-        }
         let mut report = CoverageReport::new(self.test.name());
-        report.record_all(universe.iter().copied().zip(detected));
-        Some(report)
+        report.record_tally(&tally, escaped);
+        Ok(report)
     }
 
     /// The verdict table, built on first use.
     fn table(&self) -> &VerdictTable {
         self.table
             .get_or_init(|| VerdictTable::new(&self.lowered, self.config, &self.content_images))
-    }
-
-    /// Resolves one table item from the verdict table: bit `i` of the
-    /// returned mask is whether `universe[item[i]]` is detected under
-    /// **every** content round, as on the scalar path.
-    fn table_mask(
-        &self,
-        table: &VerdictTable,
-        universe: &[Fault],
-        item: &[usize],
-    ) -> Result<u64, CoverageError> {
-        let mut mask = 0u64;
-        for (at, &slot) in item.iter().enumerate() {
-            let fault = &universe[slot];
-            let kind = single_cell_kind(fault).expect("table items hold SAF/TF faults only");
-            let cell = fault.victim();
-            // `FaultSet::validate_fault`'s check for a one-cell fault,
-            // inlined: it is a third of a lookup's cost otherwise.
-            if cell.word >= self.config.words() || cell.bit >= self.config.width() {
-                return Err(MemError::FaultCellOutOfRange { cell }.into());
-            }
-            let detected = if self.content_images.is_empty() {
-                table.round_detects(kind, cell, 0, 0)
-            } else {
-                self.content_images
-                    .iter()
-                    .enumerate()
-                    .all(|(round, image)| {
-                        table.round_detects(kind, cell, round, image.word_bits(cell.word))
-                    })
-            };
-            mask |= u64::from(detected) << at;
-        }
-        Ok(mask)
     }
 
     /// Streams per-fault verdicts over a universe without materialising a
@@ -1095,6 +887,7 @@ impl CoverageEngine {
         let runs: Vec<&[Fault]> = window.chunks(STEAL_GRAIN).collect();
         let obs = engine_obs();
         obs.verdict_windows.incr();
+        obs.scalar_faults.add(window.len() as u64);
         obs.window_steals.add(runs.len() as u64);
         let per_run = self.workers.map(&runs, |run| {
             let mut memory = self.checkout();
@@ -1175,238 +968,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::universe::UniverseBuilder;
-    use twm_core::TwmTa;
+    use crate::universe::{CouplingScope, UniverseBuilder};
     use twm_march::algorithms::{march_c_minus, mats_plus};
-    use twm_march::notation::parse_march;
-    use twm_march::{DataPattern, DataSpec, MarchElement, Operation};
-
-    /// All `width` bits set.
-    fn ones(width: usize) -> u128 {
-        u128::MAX >> (128 - width)
-    }
-
-    fn table(test: &MarchTest, config: MemoryConfig, options: EvaluationOptions) -> VerdictTable {
-        let lowered = LoweredTest::new(test, config.width()).unwrap();
-        VerdictTable::new(&lowered, config, &prepared_contents(config, options))
-    }
 
     fn zeros() -> EvaluationOptions {
         EvaluationOptions {
             content: ContentPolicy::Zeros,
             contents_per_fault: 1,
         }
-    }
-
-    /// Reads 0 before writing 1, then reads 1 and writes 0: a word whose
-    /// content holds a 1 mismatches with no fault at all.
-    fn read_first_up() -> MarchTest {
-        parse_march("read-first-up", "⇑(r0,w1); ⇓(r1,w0)").unwrap()
-    }
-
-    #[test]
-    fn table_rows_round_trip_through_their_faults() {
-        let cell = BitAddress::new(2, 5);
-        let expected = [
-            Fault::stuck_at(cell, false),
-            Fault::stuck_at(cell, true),
-            Fault::transition(cell, Transition::Rising),
-            Fault::transition(cell, Transition::Falling),
-        ];
-        for (kind, fault) in expected.into_iter().enumerate() {
-            assert_eq!(single_cell_fault(kind, cell), fault);
-            assert_eq!(single_cell_kind(&fault), Some(kind));
-        }
-        let aggressor = BitAddress::new(1, 0);
-        for coupling in [
-            Fault::coupling_inversion(aggressor, cell, Transition::Rising),
-            Fault::coupling_idempotent(aggressor, cell, Transition::Falling, true),
-            Fault::coupling_state(aggressor, cell, false, true),
-        ] {
-            assert_eq!(single_cell_kind(&coupling), None, "{coupling:?}");
-        }
-    }
-
-    #[test]
-    fn lies_outside_finds_a_listed_word_beyond_the_footprint() {
-        for (words, footprint, outside) in [
-            (&[][..], &[0][..], false),
-            (&[1], &[1], false),
-            (&[1], &[0], true),
-            (&[1], &[0, 1], false),
-            (&[1, 3], &[1, 3], false),
-            (&[1, 3], &[1], true),
-            (&[1, 3], &[3], true),
-            (&[2], &[1, 3], true),
-            (&[0, 4], &[0, 2], true),
-        ] {
-            assert_eq!(
-                lies_outside(words, footprint),
-                outside,
-                "{words:?} outside {footprint:?}"
-            );
-        }
-    }
-
-    /// March C− writes before it reads and exercises both transitions of
-    /// every bit, so every kind mismatches on every bit under either
-    /// content, and a fault-free word never mismatches — with no bit set
-    /// beyond the word, at widths straddling the `u128`'s 64-bit halves.
-    #[test]
-    fn march_c_minus_flags_every_bit_of_every_kind_and_nothing_fault_free() {
-        for width in [1, 7, 63, 64, 65, 127, 128] {
-            let config = MemoryConfig::new(3, width).unwrap();
-            let t = table(&march_c_minus(), config, zeros());
-            assert_eq!(t.faulty, [[ones(width); 2]; 4], "width {width}");
-            assert_eq!(t.fault_free, [0, 0], "width {width}");
-            assert!(t.strays.is_empty(), "width {width}");
-        }
-    }
-
-    /// TWM_TA's transparent March C− reads the content before it writes
-    /// and restores it: nothing mismatches fault-free under any content,
-    /// so no round lists a stray word, and every kind is caught on every
-    /// bit whatever the content.
-    #[test]
-    fn transparent_twm_ta_table_has_no_fault_free_mismatch() {
-        for width in [2, 8, 32, 64] {
-            let transformed = TwmTa::new(width)
-                .unwrap()
-                .transform(&march_c_minus())
-                .unwrap();
-            let config = MemoryConfig::new(5, width).unwrap();
-            let options = EvaluationOptions {
-                content: ContentPolicy::Random { seed: 9 },
-                contents_per_fault: 3,
-            };
-            let t = table(transformed.transparent_test(), config, options);
-            assert_eq!(t.fault_free, [0, 0], "width {width}");
-            assert!(t.strays.is_empty(), "width {width}");
-            assert_eq!(t.faulty, [[ones(width); 2]; 4], "width {width}");
-        }
-    }
-
-    /// MATS+ `⇕(w0); ⇑(r0,w1); ⇓(r1,w0)` never reads back its last `w0`:
-    /// a falling transition fault escapes on a cell that starts at 0, and
-    /// is caught by the first `r0` only on a cell whose content 1 the
-    /// opening `w0` fails to clear. Every other row is full.
-    #[test]
-    fn mats_plus_table_misses_exactly_the_falling_transitions() {
-        let config = MemoryConfig::new(4, 8).unwrap();
-        let t = table(&mats_plus(), config, zeros());
-        let full = [ones(8); 2];
-        assert_eq!(t.faulty, [full, full, full, [0, ones(8)]]);
-        assert_eq!(t.fault_free, [0, 0]);
-    }
-
-    /// A transition fault blocks only its own direction, and only when the
-    /// test drives it: `⇑(w1); ⇓(r1)` raises a cell only if it starts at 0.
-    #[test]
-    fn transition_rows_depend_on_direction_and_starting_content() {
-        let config = MemoryConfig::new(2, 4).unwrap();
-        let test = parse_march("write-one", "⇑(w1); ⇓(r1)").unwrap();
-        let t = table(&test, config, zeros());
-        let [sa0, sa1, rising, falling] = t.faulty;
-        assert_eq!(sa0, [ones(4); 2]);
-        assert_eq!(sa1, [0, 0]);
-        assert_eq!(rising, [ones(4), 0], "rises only from content 0");
-        assert_eq!(falling, [0, 0]);
-        assert_eq!(t.fault_free, [0, 0]);
-    }
-
-    /// The table's runs resolve transparent data against the word after
-    /// the stuck-at faults pinned it, as a full execution snapshots it: a
-    /// transparent read-only test then sees nothing wrong on a stuck cell,
-    /// whatever the content it was filled with.
-    #[test]
-    fn stuck_at_rows_read_the_pinned_content() {
-        let config = MemoryConfig::new(2, 8).unwrap();
-        let transparent_read = MarchTest::new(
-            "transparent-read",
-            vec![MarchElement::ascending(vec![Operation::read(
-                DataSpec::TransparentXor(DataPattern::Zeros),
-            )])],
-        )
-        .unwrap();
-        let t = table(&transparent_read, config, zeros());
-        assert_eq!(t.faulty, [[0, 0]; 4]);
-        assert_eq!(t.fault_free, [0, 0]);
-
-        // A literal read of 0 catches a stuck-at-1 cell whatever the
-        // content, never a stuck-at-0 cell (pinned to 0 before the read),
-        // and mismatches on every fault-free 1.
-        let literal_read = parse_march("read-zero", "⇑(r0)").unwrap();
-        let t = table(&literal_read, config, zeros());
-        let [sa0, sa1, rising, falling] = t.faulty;
-        assert_eq!(sa0, [0, 0]);
-        assert_eq!(sa1, [ones(8); 2]);
-        assert_eq!(rising, [0, ones(8)]);
-        assert_eq!(falling, [0, ones(8)]);
-        assert_eq!(t.fault_free, [0, ones(8)]);
-    }
-
-    /// A literal test that reads before it writes lists, per content
-    /// round, exactly the words whose fault-free run mismatches; under
-    /// all-zero content the list is every word or none.
-    #[test]
-    fn strays_list_each_rounds_mismatching_words() {
-        let config = MemoryConfig::new(9, 2).unwrap();
-        let options = EvaluationOptions {
-            content: ContentPolicy::Random { seed: 4 },
-            contents_per_fault: 3,
-        };
-        let images = prepared_contents(config, options);
-        let t = table(&read_first_up(), config, options);
-        assert_eq!(t.fault_free, [0, ones(2)]);
-        let expected: Vec<Vec<usize>> = images
-            .iter()
-            .map(|image| (0..9).filter(|&w| image.word_bits(w) != 0).collect())
-            .collect();
-        assert_eq!(t.strays, expected);
-        assert!(expected.iter().any(|words| !words.is_empty()));
-
-        assert_eq!(
-            table(&read_first_up(), config, zeros()).strays,
-            vec![Vec::<usize>::new()]
-        );
-        let read_one_first = parse_march("read-first-down", "⇓(r1); ⇑(w0,r0)").unwrap();
-        let t = table(&read_one_first, config, zeros());
-        assert_eq!(t.fault_free, [ones(2), 0]);
-        assert_eq!(t.strays, vec![(0..9).collect::<Vec<_>>()]);
-    }
-
-    /// Under the read-first test a falling transition fault on a cell that
-    /// starts at 0 escapes on its own bit (the final `w0` is never read),
-    /// so the round hangs on the rest of the word: a fault-free 1 elsewhere
-    /// in it detects, a 1 on the faulty bit itself detects through the
-    /// fault's own row.
-    #[test]
-    fn round_detects_through_a_fault_free_bit_of_the_word() {
-        let config = MemoryConfig::new(3, 4).unwrap();
-        let t = table(&read_first_up(), config, zeros());
-        let falling = 3;
-        let cell = BitAddress::new(1, 0);
-        assert_eq!(t.faulty[falling][0] & 1, 0);
-        assert!(!t.round_detects(falling, cell, 0, 0b0000));
-        assert!(t.round_detects(falling, cell, 0, 0b0010));
-        assert!(t.round_detects(falling, cell, 0, 0b1000));
-        assert!(t.round_detects(falling, cell, 0, 0b0001));
-    }
-
-    /// A stray word detects a round only when it is not the fault's own
-    /// word, and only in the round that lists it.
-    #[test]
-    fn round_detects_through_a_stray_word_outside_the_fault() {
-        let config = MemoryConfig::new(3, 4).unwrap();
-        let t = VerdictTable {
-            strays: vec![vec![1], Vec::new()],
-            ..table(&read_first_up(), config, zeros())
-        };
-        let falling = 3;
-        assert!(!t.round_detects(falling, BitAddress::new(1, 0), 0, 0));
-        assert!(t.round_detects(falling, BitAddress::new(0, 0), 0, 0));
-        assert!(t.round_detects(falling, BitAddress::new(2, 3), 0, 0));
-        assert!(!t.round_detects(falling, BitAddress::new(2, 3), 1, 0));
     }
 
     /// The table is built on the engine's first evaluation, once, and
@@ -1430,9 +999,31 @@ mod tests {
         assert!(std::ptr::eq(built, engine.table.get().unwrap()));
         assert!(sibling.table.get().is_none());
 
+        // MATS+ misses the falling transition faults of cells that start
+        // at 0; March C− misses nothing.
         assert_eq!(first.detected_faults(), faults.len() / 4 * 3);
         assert_eq!(sibling.report(&faults).unwrap().total_coverage(), 1.0);
-        assert_eq!(sibling.table.get().unwrap().faulty[3], [ones(4); 2]);
-        assert_eq!(engine.table.get().unwrap().faulty[3], [0, ones(4)]);
+    }
+
+    /// A report of every class, on a parallel engine, resolves every fault
+    /// from the table: it checks no arena out of the scalar pool, which
+    /// `verdicts` then does.
+    #[test]
+    fn a_mixed_report_checks_out_no_scalar_arena() {
+        let config = MemoryConfig::new(6, 4).unwrap();
+        let faults = UniverseBuilder::new(config)
+            .all_classes()
+            .coupling_scope(CouplingScope::SameWordAndAdjacent)
+            .build();
+        let engine = CoverageEngine::builder(config)
+            .test(&march_c_minus())
+            .strategy(Strategy::Parallel { threads: 2 })
+            .build()
+            .unwrap();
+        let report = engine.report(&faults).unwrap();
+        assert_eq!(report.total_faults(), faults.len());
+        assert!(engine.pool.lock().unwrap().is_empty());
+        assert_eq!(engine.verdicts(&faults).count(), faults.len());
+        assert!(!engine.pool.lock().unwrap().is_empty());
     }
 }

@@ -29,10 +29,13 @@
 //!
 //! All evaluation flows through one reusable object. Build it once per
 //! `(memory shape, march test)` pair; it owns the pre-lowered operation
-//! stream, the pre-generated pseudo-random initial contents, and a pool of
-//! reusable [`twm_mem::FaultyMemory`] arenas re-armed per fault — so
-//! repeated evaluations over different universes allocate no per-fault
-//! memories:
+//! stream, the pre-generated pseudo-random initial contents, a verdict
+//! table built on first use, and a pool of reusable
+//! [`twm_mem::FaultyMemory`] arenas re-armed per fault. A report looks
+//! every fault — stuck-at, transition and all three coupling classes —
+//! up in the table without running the march; the verdict stream and the
+//! comparison run each fault on an arena. Repeated evaluations over
+//! different universes allocate no per-fault memories:
 //!
 //! ```
 //! use twm_coverage::{ContentPolicy, CoverageEngine, UniverseBuilder};
@@ -67,8 +70,8 @@
 //!
 //! ## Execution strategy and the `parallel` feature
 //!
-//! Fault-injection runs are independent, so the engine fans the universe
-//! across the threads of its [`WorkerPool`] — the workspace's one fan-out
+//! Faults are independent, so the engine fans the universe across the
+//! threads of its [`WorkerPool`] — the workspace's one fan-out
 //! primitive. The `parallel` feature (on by default) only decides what
 //! [`Strategy`] resolves to; without it every strategy resolves to one
 //! thread and the pool runs inline. The strategy is explicit on the builder:
@@ -101,6 +104,7 @@ pub mod matrix;
 mod pool;
 pub mod report;
 pub mod states;
+mod table;
 pub mod universe;
 
 pub use aliasing::AliasingReport;

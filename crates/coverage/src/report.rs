@@ -28,6 +28,52 @@ impl ClassCoverage {
     }
 }
 
+/// Fault counts by class and by coupling scope: what a report holds
+/// besides which faults escaped. Counts of disjoint parts of a universe
+/// add up to the whole universe's in any order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    /// Faults per class (`FaultClass as usize`, the order of
+    /// `FaultClass::all`), then per [`scope`] at `5 + scope`.
+    counts: [usize; 8],
+}
+
+/// 0 for a one-cell fault, 1 for an intra-word and 2 for an inter-word
+/// coupling fault.
+fn scope(fault: &Fault) -> usize {
+    usize::from(fault.is_intra_word()) + 2 * usize::from(fault.is_inter_word())
+}
+
+impl Tally {
+    /// Counts one fault.
+    fn count(&mut self, fault: &Fault) {
+        self.counts[fault.class() as usize] += 1;
+        self.counts[5 + scope(fault)] += 1;
+    }
+
+    /// One fault of class index `class` and [`scope`] `scope`, packed for
+    /// [`Tally::add_packed`]: byte `i` of the `u64` counts toward
+    /// `counts[i]`. Up to 255 packed faults can be summed before a byte
+    /// overflows.
+    pub(crate) fn packed(class: usize, scope: usize) -> u64 {
+        (1 << (8 * class)) + (1 << (8 * (5 + scope)))
+    }
+
+    /// Adds a sum of [`Tally::packed`] faults.
+    pub(crate) fn add_packed(&mut self, packed: u64) {
+        for (at, count) in self.counts.iter_mut().enumerate() {
+            *count += (packed >> (8 * at) & 0xFF) as usize;
+        }
+    }
+
+    /// Adds another tally into this one.
+    pub(crate) fn merge(&mut self, other: &Tally) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
+        }
+    }
+}
+
 /// Per-class and aggregate fault coverage of one march test.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CoverageReport {
@@ -63,32 +109,44 @@ impl CoverageReport {
     /// one by one would, but tallies the classes locally so the class map
     /// is touched once per class instead of once per fault.
     pub(crate) fn record_all(&mut self, verdicts: impl IntoIterator<Item = (Fault, bool)>) {
-        // Indexed by `FaultClass as usize`, the order of `FaultClass::all`.
-        let mut classes = [ClassCoverage::default(); 5];
+        let mut tally = Tally::default();
+        let mut undetected = Vec::new();
         for (fault, detected) in verdicts {
-            let hit = usize::from(detected);
-            let class = &mut classes[fault.class() as usize];
-            class.total += 1;
-            class.detected += hit;
-            if fault.is_intra_word() {
-                self.intra_word.total += 1;
-                self.intra_word.detected += hit;
-            }
-            if fault.is_inter_word() {
-                self.inter_word.total += 1;
-                self.inter_word.detected += hit;
-            }
+            tally.count(&fault);
             if !detected {
-                self.undetected.push(fault);
+                undetected.push(fault);
             }
         }
-        for (class, tally) in FaultClass::all().into_iter().zip(classes) {
-            if tally.total > 0 {
+        self.record_tally(&tally, undetected);
+    }
+
+    /// Records the faults `tally` counts, of which exactly `undetected`
+    /// (in universe order) escaped.
+    pub(crate) fn record_tally(&mut self, tally: &Tally, undetected: Vec<Fault>) {
+        let mut counts = tally.counts.map(|total| ClassCoverage {
+            total,
+            detected: total,
+        });
+        for fault in &undetected {
+            counts[fault.class() as usize].detected -= 1;
+            counts[5 + scope(fault)].detected -= 1;
+        }
+        let [classes @ .., _, intra_word, inter_word] = counts;
+        for (class, counts) in FaultClass::all().into_iter().zip(classes) {
+            if counts.total > 0 {
                 let entry = self.per_class.entry(class).or_default();
-                entry.total += tally.total;
-                entry.detected += tally.detected;
+                entry.total += counts.total;
+                entry.detected += counts.detected;
             }
         }
+        for (scope, counts) in [
+            (&mut self.intra_word, intra_word),
+            (&mut self.inter_word, inter_word),
+        ] {
+            scope.total += counts.total;
+            scope.detected += counts.detected;
+        }
+        self.undetected.extend(undetected);
     }
 
     /// Number of evaluated faults.

@@ -3,15 +3,17 @@
 //! fresh `FaultyMemory`, `fill_random`, and a full-address sweep of the
 //! test per content round).
 //!
-//! `report` looks SAF/TF faults up in the engine's verdict table and runs
-//! the rest on a fault-local arena in cheap-first order; `verdicts` and
-//! `compare` stream one fault at a time; `injection_detected` sweeps a
-//! multi-fault footprint. Each is checked here against the reference —
-//! verdict by verdict and in universe order — across word widths 1–128,
-//! both content policies, one to three contents per fault, serial,
-//! parallel and degenerate thread counts, TWM_TA transparent tests, and
-//! literal tests that read before they write, which mismatch on
-//! fault-free words outside any fault's footprint.
+//! `report` looks every fault up in the engine's verdict table —
+//! stuck-at and transition faults in rows from one-word runs, coupling
+//! faults in rows from lane-sliced one- and two-word runs — without
+//! running the march; `verdicts` and `compare` stream one fault at a time
+//! on the scalar fault-local arena; `injection_detected` sweeps a
+//! multi-fault footprint there. Each is checked here against the
+//! reference — verdict by verdict and in universe order — across word
+//! widths 1–128, both content policies, one to three contents per fault,
+//! serial, parallel and degenerate thread counts, TWM_TA transparent
+//! tests, and literal tests that read before they write, which mismatch
+//! on fault-free words outside any fault's footprint.
 //!
 //! The scalar arena restores only a run's footprint words and leaves the
 //! rest of the pooled memory as earlier runs left it; the reuse tests at
@@ -37,7 +39,7 @@ use twm_coverage::{
 use twm_march::algorithms::{march_c_minus, march_u, mats_plus};
 use twm_march::notation::parse_march;
 use twm_march::{DataPattern, DataSpec, MarchElement, MarchTest, Operation};
-use twm_mem::{BitAddress, Fault, MemError, MemoryConfig, Transition};
+use twm_mem::{BitAddress, Fault, MemError, MemoryConfig, SplitMix64, Transition};
 
 /// Serial plus the parallel thread counts every equivalence is checked at.
 const STRATEGIES: [Exec; 4] = [
@@ -118,8 +120,8 @@ fn reference_report(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Mixed-class universes (SAF/TF from the table, coupling faults
-    /// scalar) under random content: `report` equals the reference for
+    /// Mixed-class universes (every class from the table) under random
+    /// content: `report` equals the reference for
     /// every strategy, including the order of the `undetected` list.
     #[test]
     fn report_matches_reference_for_mixed_universes(
@@ -195,8 +197,8 @@ proptest! {
         }
     }
 
-    /// Size-1 universes of any class and coupling-only universes (nothing
-    /// for the table) take the same path and still match.
+    /// Size-1 universes of any class and coupling-only universes (only
+    /// coupling rows of the table) take the same path and still match.
     #[test]
     fn report_matches_reference_for_single_fault_and_coupling_only_universes(
         width in arb_width(),
@@ -400,33 +402,57 @@ proptest! {
     }
 }
 
-/// A report whose universe holds out-of-range faults in both the
-/// table-resolved and the scalar share returns the error of the earliest one in universe
-/// order, for every strategy — whichever worker hits a bad fault first.
+/// A report whose universe holds bad faults of every class returns the
+/// error of the earliest one in universe order, for every strategy —
+/// whichever worker hits a bad fault first, and whether it is out of
+/// range (its aggressor or its victim) or couples a cell with itself —
+/// the same error the scalar stream yields first.
 #[test]
 fn report_returns_the_earliest_error_in_universe_order() {
     let config = MemoryConfig::new(4, 2).unwrap();
-    let mut faults = UniverseBuilder::new(config).all_classes().build();
+    let good = UniverseBuilder::new(config).all_classes().build();
+    let cell = BitAddress::new(2, 1);
     let bad_saf = Fault::stuck_at(BitAddress::new(99, 0), true);
-    let bad_coupling = Fault::coupling_idempotent(
+    let bad_aggressor = Fault::coupling_idempotent(
         BitAddress::new(77, 0),
         BitAddress::new(0, 0),
         Transition::Rising,
         true,
     );
-    let at = faults.len() / 2;
-    faults.insert(at, bad_saf);
-    faults.insert(at - 5, bad_coupling);
-    for strategy in STRATEGIES {
-        let e = engine(&march_c_minus(), config, random(3, 1), strategy);
-        let error = e.report(&faults).unwrap_err();
-        assert!(
-            matches!(
-                error,
-                CoverageError::Mem(MemError::FaultCellOutOfRange { cell }) if cell.word == 77
-            ),
-            "strategy {strategy:?}: {error}"
-        );
+    let bad_victim =
+        Fault::coupling_state(BitAddress::new(0, 0), BitAddress::new(1, 5), true, true);
+    let self_coupled = Fault::coupling_inversion(cell, cell, Transition::Falling);
+    let is_out_of_range = |error: &CoverageError, at: BitAddress| matches!(error, CoverageError::Mem(MemError::FaultCellOutOfRange { cell }) if *cell == at);
+    let is_self_coupling = |error: &CoverageError| matches!(error, CoverageError::Mem(MemError::SelfCoupling { cell: c }) if *c == cell);
+    let at = good.len() / 2;
+    // (earlier, later): the earlier one decides the error.
+    for (earlier, later) in [
+        (bad_aggressor, bad_saf),
+        (bad_saf, bad_aggressor),
+        (self_coupled, bad_victim),
+        (bad_victim, self_coupled),
+        (self_coupled, bad_saf),
+    ] {
+        let mut faults = good.clone();
+        faults.insert(at, later);
+        faults.insert(at - 5, earlier);
+        for strategy in STRATEGIES {
+            let e = engine(&march_c_minus(), config, random(3, 1), strategy);
+            let error = e.report(&faults).unwrap_err();
+            let expected = match earlier {
+                _ if earlier == self_coupled => is_self_coupling(&error),
+                _ if earlier == bad_aggressor => is_out_of_range(&error, BitAddress::new(77, 0)),
+                _ => is_out_of_range(&error, earlier.victim()),
+            };
+            assert!(expected, "{earlier:?} first, {strategy:?}: {error}");
+            let streamed = e.verdicts(&faults).find_map(Result::err).unwrap();
+            assert_eq!(streamed.to_string(), error.to_string(), "{strategy:?}");
+            // The engine stays usable after the failed report.
+            assert_eq!(
+                e.report(&good).unwrap(),
+                reference_report(&march_c_minus(), &good, config, random(3, 1))
+            );
+        }
     }
 }
 
@@ -774,6 +800,96 @@ fn report_resolves_every_saf_and_tf_like_the_reference() {
                 let strategy = STRATEGIES[case % STRATEGIES.len()];
                 case += 1;
                 let faults = UniverseBuilder::new(config).stuck_at().transition().build();
+                let reference = reference_report(&test, &faults, config, options);
+                let report = engine(&test, config, options, strategy)
+                    .report(&faults)
+                    .unwrap();
+                assert_eq!(
+                    report,
+                    reference,
+                    "{} on {}x{width}, {options:?}, {strategy:?}",
+                    test.name(),
+                    config.words()
+                );
+            }
+        }
+    }
+}
+
+/// `count` coupling faults of every kind between random distinct cells
+/// anywhere in the memory: same-word pairs, and aggressor words below,
+/// above, next to and far from the victim word.
+fn sampled_coupling_faults(config: MemoryConfig, count: usize, seed: u64) -> Vec<Fault> {
+    let mut rng = SplitMix64::new(seed);
+    let cell = |rng: &mut SplitMix64| {
+        BitAddress::new(
+            rng.next_below(config.words()),
+            rng.next_below(config.width()),
+        )
+    };
+    let mut faults = Vec::with_capacity(count);
+    while faults.len() < count {
+        let aggressor = cell(&mut rng);
+        let mut victim = cell(&mut rng);
+        if rng.next_below(3) == 0 {
+            victim.word = aggressor.word;
+        }
+        if victim == aggressor {
+            continue;
+        }
+        let (first, second) = (rng.next_bool(), rng.next_bool());
+        let transition = if first {
+            Transition::Falling
+        } else {
+            Transition::Rising
+        };
+        faults.push(match rng.next_below(3) {
+            0 => Fault::coupling_state(aggressor, victim, first, second),
+            1 => Fault::coupling_idempotent(aggressor, victim, transition, second),
+            _ => Fault::coupling_inversion(aggressor, victim, transition),
+        });
+    }
+    faults
+}
+
+/// Every CFst, CFid and CFin between same-word and adjacent-word cells of
+/// memories of 1–9 words, at every table width up to 8 (plus sampled pairs
+/// between far words), and sampled coupling faults at the wider table
+/// widths, under every table test, all-zero content and one to three
+/// random contents: `report` resolves each from the coupling rows of the
+/// verdict table exactly as the reference resolves it by a full sweep.
+/// The word count and the strategy rotate with the case.
+#[test]
+fn report_resolves_every_coupling_fault_like_the_reference() {
+    let mut case = 0usize;
+    for width in TABLE_WIDTHS {
+        for test in table_tests(width) {
+            for contents_per_fault in 0..4 {
+                let options = match contents_per_fault {
+                    0 => EvaluationOptions {
+                        content: ContentPolicy::Zeros,
+                        contents_per_fault: 1,
+                    },
+                    n => random(case as u64, n),
+                };
+                let config = MemoryConfig::new(1 + case % 9, width).unwrap();
+                let strategy = STRATEGIES[case % STRATEGIES.len()];
+                case += 1;
+                if config.cells() < 2 {
+                    continue;
+                }
+                let mut faults = if width <= 8 {
+                    UniverseBuilder::new(config)
+                        .coupling_state()
+                        .coupling_idempotent()
+                        .coupling_inversion()
+                        .coupling_scope(CouplingScope::SameWordAndAdjacent)
+                        .build()
+                } else {
+                    Vec::new()
+                };
+                let sampled = if width <= 8 { 20 } else { 60 };
+                faults.extend(sampled_coupling_faults(config, sampled, case as u64));
                 let reference = reference_report(&test, &faults, config, options);
                 let report = engine(&test, config, options, strategy)
                     .report(&faults)

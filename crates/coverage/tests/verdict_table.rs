@@ -1,15 +1,17 @@
 //! The verdict table against the scalar stream: `report` resolves every
-//! stuck-at and transition fault from the engine's verdict table, while
-//! `verdicts` runs each fault on the fault-local arena. Both must give the
-//! same verdict for every fault, in universe order.
+//! fault from the engine's verdict table — stuck-at and transition faults
+//! and all three coupling classes — while `verdicts` runs each fault on
+//! the fault-local arena. Both must give the same verdict for every fault,
+//! in universe order.
 //!
 //! The suite covers dense universes (every SAF and TF of one word, so one
-//! table item holds both stuck-at faults of a bit), sparse and ragged
-//! ones (item lengths around the 64-fault boundary, duplicates), several
+//! report chunk holds both stuck-at faults of a bit), sparse and ragged
+//! ones (chunk lengths around the 64-fault boundary, duplicates), several
 //! content rounds (each resolved against its own image), literal tests
 //! that read a pattern before writing it (which mismatch on fault-free
-//! bits and words), mixed universes and out-of-range faults, and known
-//! answers that pin the table to the fault model rather than to the
+//! bits and words), universes mixing coupling faults between same-word,
+//! adjacent and far words with SAF/TF faults, out-of-range faults, and
+//! known answers that pin the table to the fault model rather than to the
 //! scalar path alone.
 
 use twm_core::{TransparentScheme, TwmTa};
@@ -113,8 +115,43 @@ fn random_fault(config: MemoryConfig, rng: &mut SplitMix64) -> Fault {
     }
 }
 
-/// Every SAF and TF of word 3, class-major: at width ≤ 32 the first table
-/// item holds both stuck-at faults of every bit.
+/// A fault of any class: a stuck-at or transition fault on a random cell,
+/// or a coupling fault between two random distinct cells, a third of them
+/// in one word.
+fn random_mixed_fault(config: MemoryConfig, rng: &mut SplitMix64) -> Fault {
+    if config.cells() < 2 || rng.next_bool() {
+        return random_fault(config, rng);
+    }
+    loop {
+        let cell = |rng: &mut SplitMix64| {
+            BitAddress::new(
+                rng.next_below(config.words()),
+                rng.next_below(config.width()),
+            )
+        };
+        let aggressor = cell(rng);
+        let mut victim = cell(rng);
+        if rng.next_below(3) == 0 {
+            victim.word = aggressor.word;
+        }
+        if victim == aggressor {
+            continue;
+        }
+        let transition = if rng.next_bool() {
+            Transition::Rising
+        } else {
+            Transition::Falling
+        };
+        return match rng.next_below(3) {
+            0 => Fault::coupling_state(aggressor, victim, rng.next_bool(), rng.next_bool()),
+            1 => Fault::coupling_idempotent(aggressor, victim, transition, rng.next_bool()),
+            _ => Fault::coupling_inversion(aggressor, victim, transition),
+        };
+    }
+}
+
+/// Every SAF and TF of word 3, class-major: at width ≤ 32 the first report
+/// chunk holds both stuck-at faults of every bit.
 #[test]
 fn every_saf_and_tf_of_one_word_matches_the_scalar_stream() {
     for width in WIDTHS {
@@ -136,7 +173,7 @@ fn every_saf_and_tf_of_one_word_matches_the_scalar_stream() {
 }
 
 /// Random faults scattered over the memory, in universes whose lengths
-/// straddle the 64-fault table item (1, 63, 64, 65 and 130 faults), on
+/// straddle the 64-fault report chunk (1, 63, 64, 65 and 130 faults), on
 /// serial and parallel engines.
 #[test]
 fn sparse_and_ragged_universes_match_the_scalar_stream() {
@@ -163,7 +200,38 @@ fn sparse_and_ragged_universes_match_the_scalar_stream() {
     }
 }
 
-/// A fault listed many times, far apart and inside one table item, gets
+/// Random faults of every class — half SAF/TF, half coupling faults
+/// between same-word, adjacent and far cells — in universes straddling
+/// the 64-fault chunk, at every width, under every test, content policy
+/// and a serial or parallel engine.
+#[test]
+fn mixed_coupling_and_single_cell_universes_match_the_scalar_stream() {
+    let mut rng = SplitMix64::new(0xC0_FFEE);
+    for width in WIDTHS {
+        let config = MemoryConfig::new(1 + width % 6, width).unwrap();
+        for len in [1, 64, 97] {
+            let faults: Vec<Fault> = (0..len)
+                .map(|_| random_mixed_fault(config, &mut rng))
+                .collect();
+            for test in tests(width) {
+                for (options, strategy) in [
+                    (zeros(), Strategy::Parallel { threads: 2 }),
+                    (random(len as u64, 1), Strategy::Serial),
+                    (random(width as u64, 3), Strategy::Parallel { threads: 3 }),
+                ] {
+                    let e = engine(&test, config, options, strategy);
+                    assert_table_matches_stream(
+                        &e,
+                        &faults,
+                        &format!("{}x{width}, {len} faults, {options:?}", config.words()),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A fault listed many times, far apart and inside one report chunk, gets
 /// the same verdict at every slot.
 #[test]
 fn duplicate_faults_resolve_at_every_slot() {
@@ -283,11 +351,11 @@ fn literal_reads_of_unwritten_patterns_detect_every_fault() {
     }
 }
 
-/// Stuck-at and transition faults interleaved with coupling faults: the
-/// table share and the scalar share merge back in universe order, so the
+/// Stuck-at and transition faults interleaved with every coupling fault of
+/// a small memory: the chunks merge back in universe order, so the
 /// `undetected` list is the scalar stream's, fault for fault.
 #[test]
-fn mixed_universes_merge_table_and_scalar_verdicts_in_universe_order() {
+fn mixed_universes_merge_chunk_verdicts_in_universe_order() {
     let config = MemoryConfig::new(5, 4).unwrap();
     let universe = UniverseBuilder::new(config).all_classes().build();
     let (single, coupling): (Vec<Fault>, Vec<Fault>) = universe
@@ -359,8 +427,8 @@ fn out_of_range_table_faults_fail_like_the_scalar_stream() {
     }
 }
 
-/// Every SAF and TF of a 16×32 memory — 2,048 faults, 32 full table
-/// items — under TWM_TA's transparent March C− and three content rounds:
+/// Every SAF and TF of a 16×32 memory — 2,048 faults, 32 full report
+/// chunks — under TWM_TA's transparent March C− and three content rounds:
 /// the report is identical for every thread count and equals the stream.
 #[test]
 fn table_reports_are_identical_for_every_thread_count() {

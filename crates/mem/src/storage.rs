@@ -76,6 +76,7 @@ impl BitStorage {
     /// # Errors
     ///
     /// Returns an address or bit range error if the cell does not exist.
+    #[inline]
     pub fn bit(&self, word: usize, bit: usize) -> Result<bool, MemError> {
         self.check_cell(word, bit)?;
         let index = word * self.width + bit;

@@ -173,8 +173,8 @@ pub struct Objective {
     template: CoverageEngine,
     /// Parallel-engine template for single-candidate scores, present when
     /// the strategy resolves to more than one worker — there the engine's
-    /// own streaming windows (and its cheap-first scheduling) provide the
-    /// parallelism instead of the batch.
+    /// own report (workers resolving chunks of the universe from its
+    /// verdict table) provides the parallelism instead of the batch.
     wide_template: Option<CoverageEngine>,
     /// Fans [`Objective::score_batch`] candidates out: the calling thread
     /// plus `threads - 1` workers, spawned on the first batch.

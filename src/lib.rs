@@ -152,18 +152,21 @@
 //! # }
 //! ```
 //!
-//! Under the hood a stuck-at or transition fault runs no march at all:
-//! such a fault changes only its own cell, and every march op's data is
-//! per-bit and the same at every address, so its verdict follows from a
-//! table of ten bit masks that the engine builds once from one-word runs
-//! of the test (~15× faster than the scalar fault-local path on 64K-word
-//! memories). Coupling faults take that scalar path. Every verdict is
-//! bit-identical to the naive reference [`coverage::fault_detected`]
+//! Under the hood a report runs no march at all. A stuck-at or transition
+//! fault changes only its own cell, and a coupling fault only its victim
+//! cell as a function of its aggressor cell; every march op's data is
+//! per-bit and the same at every address. So a fault's verdict follows
+//! from a table the engine builds on first use: bit masks from one-word
+//! runs of the test with the fault on every bit, and, for coupling
+//! faults, from one- and two-word runs that simulate a victim on every
+//! bit at once (~25× faster than the scalar fault-local path for SAF/TF
+//! faults on 64K-word memories, ~40× for coupling faults). Every verdict
+//! is bit-identical to the naive reference [`coverage::fault_detected`]
 //! (property-tested in `crates/coverage/tests/reference_equivalence.rs`).
 //! The release-mode test `tests/measurement_floors.rs` holds the
-//! table-resolved report to at least 5× the scalar path and its cost flat
-//! as the test grows, and `perfbench/` (the repository benchmark)
-//! measures coverage-sweep throughput end to end.
+//! table-resolved report to at least 5× the scalar path for both and its
+//! cost flat as the test grows, and `perfbench/` (the repository
+//! benchmark) measures coverage-sweep throughput end to end.
 //!
 //! ## Searching for better march tests
 //!

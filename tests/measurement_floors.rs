@@ -5,6 +5,9 @@
 //!   64K×32, which looks every fault up in the engine's verdict table, is
 //!   at least 5× faster than the scalar fault-local path (the `verdicts`
 //!   stream folded into a report);
+//! * **table-resolved coupling report** — the same over 512 CFst, CFid
+//!   and CFin faults on same-word and adjacent-word cell pairs, which the
+//!   table answers from its coupling rows;
 //! * **test length** — the same report under TWM_TA's March C− with its
 //!   elements repeated four times costs at most 1.5× the report under the
 //!   plain test: the table is built once per engine, so a report's cost
@@ -50,13 +53,16 @@ use twm::fleet::{
 };
 use twm::march::algorithms::march_c_minus;
 use twm::march::MarchTest;
-use twm::mem::{Fault, FaultyMemory, MemoryConfig};
+use twm::mem::{BitAddress, Fault, FaultyMemory, MemoryConfig, SplitMix64, Transition};
 use twm::obs::{trace, ProfilerSink};
 use twm::repair::{DictionaryOptions, SignatureDictionary};
 
 /// Minimum table-resolved `report` speed-up over the scalar `verdicts`
 /// stream.
 const PACKED_SPEEDUP_FLOOR: f64 = 5.0;
+/// Minimum table-resolved coupling `report` speed-up over the scalar
+/// `verdicts` stream.
+const COUPLING_SPEEDUP_FLOOR: f64 = 5.0;
 /// Maximum cost of a SAF/TF report under a test four times as long.
 const TEST_LENGTH_CEILING: f64 = 1.5;
 /// Minimum warm-cache speed-up over a cold runtime build, per device.
@@ -196,6 +202,73 @@ fn packed_report_beats_the_scalar_stream() {
     assert!(
         speedup >= PACKED_SPEEDUP_FLOOR,
         "table-resolved report speed-up {speedup:.2}x is below {PACKED_SPEEDUP_FLOOR}x"
+    );
+}
+
+/// 512 coupling faults at 64K×32, a third each CFst, CFid and CFin, on
+/// random same-word and adjacent-word cell pairs (the aggressor word below
+/// or above the victim's). Drawn directly: enumerating every such pair of
+/// a 64K×32 memory before sampling would take hundreds of millions.
+fn coupling_faults(config: MemoryConfig) -> Vec<Fault> {
+    let mut rng = SplitMix64::new(0xC0_0C);
+    let width = config.width();
+    (0..512)
+        .map(|_| {
+            let word = rng.next_below(config.words() - 1);
+            let aggressor = BitAddress::new(word + rng.next_below(2), rng.next_below(width));
+            let victim = match rng.next_below(3) {
+                0 => BitAddress::new(
+                    aggressor.word,
+                    (aggressor.bit + 1 + rng.next_below(width - 1)) % width,
+                ),
+                _ => BitAddress::new(2 * word + 1 - aggressor.word, rng.next_below(width)),
+            };
+            let transition = if rng.next_bool() {
+                Transition::Rising
+            } else {
+                Transition::Falling
+            };
+            match rng.next_below(3) {
+                0 => Fault::coupling_state(aggressor, victim, rng.next_bool(), rng.next_bool()),
+                1 => Fault::coupling_idempotent(aggressor, victim, transition, rng.next_bool()),
+                _ => Fault::coupling_inversion(aggressor, victim, transition),
+            }
+        })
+        .collect()
+}
+
+/// The coupling floor's engine and universe: 512 coupling faults on the
+/// table floor's serial 64K×32 March C− engine.
+fn coupling_workload() -> (CoverageEngine, Vec<Fault>) {
+    let config = MemoryConfig::new(1 << 16, 32).unwrap();
+    (
+        serial_engine(config, &march_c_minus()),
+        coupling_faults(config),
+    )
+}
+
+#[test]
+fn coupling_floor_arms_agree() {
+    let _exclusive = exclusive();
+    let (engine, faults) = coupling_workload();
+    assert_packed_arms_agree(&engine, &faults);
+}
+
+#[test]
+#[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
+fn coupling_report_beats_the_scalar_stream() {
+    let _exclusive = exclusive();
+    let (engine, faults) = coupling_workload();
+    assert_packed_arms_agree(&engine, &faults);
+
+    let speedup = b_over_a(
+        || drop(engine.report(&faults).unwrap()),
+        || drop(scalar_report(&engine, &faults)),
+    );
+    println!("table-resolved coupling report: {speedup:.2}x the scalar stream");
+    assert!(
+        speedup >= COUPLING_SPEEDUP_FLOOR,
+        "table-resolved coupling report speed-up {speedup:.2}x is below {COUPLING_SPEEDUP_FLOOR}x"
     );
 }
 
