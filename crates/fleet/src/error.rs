@@ -27,9 +27,6 @@ pub enum FleetError {
     },
     /// A wire payload failed to decode.
     Wire(String),
-    /// A trail the dictionary resolved to an ambiguity class matched no
-    /// class on a second lookup (the shard changed in between).
-    ClassNotFound,
     /// The runtime cache was configured with zero capacity.
     ZeroCapacity,
     /// A transport or spill-file I/O failure.
@@ -61,12 +58,6 @@ impl fmt::Display for FleetError {
                  dictionary was built from {expected:?}"
             ),
             Self::Wire(message) => write!(f, "wire decode failed: {message}"),
-            Self::ClassNotFound => {
-                write!(
-                    f,
-                    "the diagnosed trail matched no ambiguity class on re-lookup"
-                )
-            }
             Self::ZeroCapacity => write!(f, "runtime cache capacity must be non-zero"),
             Self::Io(error) => write!(f, "i/o error: {error}"),
             Self::Store(error) => write!(f, "dictionary store error: {error}"),

@@ -33,8 +33,8 @@ use twm_obs::{
     latency_bounds, Counter, Histogram, HistogramSnapshot, MetricsReport, MetricsServer,
 };
 use twm_repair::{
-    localise_trail, DictionaryOptions, LocatedDefect, RepairAllocator, RepairPlan,
-    SignatureDictionary, SignatureTrail, TrailLookup,
+    localise_class, DictionaryOptions, FaultLocalSession, LocatedDefect, RepairAllocator,
+    RepairPlan, SignatureDictionary, SignatureTrail, TrailLookup,
 };
 
 use crate::cache::{cache_obs, RuntimeCache, ShardRuntime};
@@ -694,27 +694,47 @@ impl FleetService {
 /// Diagnoses one device from its trail: dictionary lookup, spare
 /// allocation and (optionally) simulated repair verification.
 fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) -> DeviceVerdict {
-    let diagnosis = match localise_trail(&runtime.dictionary, &report.trail) {
-        Ok(diagnosis) => diagnosis,
+    diagnose_trail(&runtime.dictionary, &runtime.local, report, verify)
+}
+
+/// [`diagnose_device`] against any dictionary backend: one lookup per
+/// device. The matched class is localised
+/// ([`twm_repair::localise_class`]), and a plan that fully repairs it is
+/// re-verified by simulation on the class's representative injection, in
+/// a memory with the device's spare budget and the plan's remap table
+/// programmed. The session is fault-local
+/// ([`twm_repair::FaultLocalSession::verify`], prepared once per runtime):
+/// only the injection's footprint and the remapped words are swept. Its
+/// naive reference is [`twm_repair::verify_repair`] on the same repaired
+/// memory.
+fn diagnose_trail<D: TrailLookup + ?Sized>(
+    dictionary: &D,
+    local: &FaultLocalSession,
+    report: &DeviceReport,
+    verify: bool,
+) -> DeviceVerdict {
+    if report.trail == *dictionary.reference_trail() {
+        return DeviceVerdict::Clean;
+    }
+    let class = match dictionary.find(&report.trail) {
+        Ok(Some(class)) => class,
+        Ok(None) => return DeviceVerdict::UnknownTrail,
         Err(error) => {
             return DeviceVerdict::Failed {
                 message: error.to_string(),
             }
         }
     };
-    if diagnosis.clean {
-        return DeviceVerdict::Clean;
-    }
-    if !diagnosis.dictionary_hit {
-        return DeviceVerdict::UnknownTrail;
-    }
+    let diagnosis = localise_class(&class);
     let plan = RepairAllocator::default().allocate(&diagnosis.defects, report.spares);
     let predicted_clean = if verify && plan.fully_repairs() && report.spares > 0 {
-        match verify_plan(runtime, &report.trail, report.spares, &plan) {
+        // Fresh spares are numbered 0.. like the allocator's slots, so the
+        // plan applies without translation.
+        match local.verify(&class.injections[0], report.spares, &plan) {
             Ok(clean) => clean,
             Err(error) => {
                 return DeviceVerdict::Failed {
-                    message: error.to_string(),
+                    message: FleetError::from(error).to_string(),
                 }
             }
         }
@@ -727,29 +747,6 @@ fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) 
         plan,
         predicted_clean,
     })
-}
-
-/// Re-verifies a repair plan by simulation: the matched class's
-/// representative injection, in a memory with the device's spare budget
-/// and the plan's remap table programmed, must run a clean scheme
-/// session. The session is fault-local
-/// ([`twm_repair::FaultLocalSession::verify`], prepared once per runtime):
-/// only the injection's footprint and the remapped words are swept. Its
-/// naive reference is [`twm_repair::verify_repair`] on the same repaired
-/// memory.
-fn verify_plan(
-    runtime: &ShardRuntime,
-    trail: &SignatureTrail,
-    spares: usize,
-    plan: &RepairPlan,
-) -> Result<bool, FleetError> {
-    let class = runtime
-        .dictionary
-        .find(trail)?
-        .ok_or(FleetError::ClassNotFound)?;
-    // Fresh spares are numbered 0.. like the allocator's slots, so the
-    // plan applies without translation.
-    Ok(runtime.local.verify(&class.injections[0], spares, plan)?)
 }
 
 /// Folds one verdict into a statistics block.
@@ -795,8 +792,47 @@ mod tests {
     use twm_march::algorithms::march_c_minus;
     use twm_mem::Word;
 
+    /// A dictionary that counts its lookups.
+    #[derive(Debug)]
+    struct Counting {
+        inner: SignatureDictionary,
+        finds: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TrailLookup for Counting {
+        fn scheme(&self) -> SchemeId {
+            self.inner.scheme()
+        }
+        fn test_name(&self) -> &str {
+            TrailLookup::test_name(&self.inner)
+        }
+        fn config(&self) -> MemoryConfig {
+            TrailLookup::config(&self.inner)
+        }
+        fn content(&self) -> ContentPolicy {
+            TrailLookup::content(&self.inner)
+        }
+        fn misr_template(&self) -> &twm_bist::Misr {
+            self.inner.misr_template()
+        }
+        fn reference_trail(&self) -> &SignatureTrail {
+            self.inner.reference_trail()
+        }
+        fn find(
+            &self,
+            trail: &SignatureTrail,
+        ) -> Result<Option<twm_repair::AmbiguityClass>, twm_repair::RepairError> {
+            self.finds
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.find(trail)
+        }
+        fn ambiguity_stats(&self) -> twm_repair::AmbiguityStats {
+            self.inner.ambiguity_stats()
+        }
+    }
+
     #[test]
-    fn a_trail_missing_on_re_lookup_fails_verification_with_a_typed_error() {
+    fn a_diagnosed_device_looks_its_trail_up_once() {
         let config = MemoryConfig::new(4, 4).unwrap();
         let registry = SchemeRegistry::all(4).unwrap();
         let engine = CoverageEngine::for_scheme(
@@ -808,22 +844,55 @@ mod tests {
         .strategy(Strategy::Serial)
         .build()
         .unwrap();
-        let universe = UniverseBuilder::new(config).stuck_at().build();
-        let dictionary =
+        let universe = UniverseBuilder::new(config).stuck_at().transition().build();
+        let inner =
             SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();
-        let mut store = DictionaryStore::new();
-        let key = store
-            .register(march_c_minus(), Arc::new(dictionary))
-            .unwrap();
-        let mut cache = RuntimeCache::new(1, Strategy::Serial).unwrap();
-        let runtime = cache.runtime(key, store.get(key).unwrap()).unwrap();
+        let local = FaultLocalSession::new(
+            engine.scheme_transform().unwrap(),
+            config,
+            ContentPolicy::Zeros,
+            inner.misr().clone(),
+        )
+        .unwrap();
+        let dictionary = Counting {
+            inner,
+            finds: Default::default(),
+        };
+        let finds = || {
+            dictionary
+                .finds
+                .swap(0, std::sync::atomic::Ordering::Relaxed)
+        };
+        let report = |trail: &SignatureTrail| DeviceReport {
+            device: "d".into(),
+            shard: ShardKey::new(config, SchemeId::TwmTa, &march_c_minus()),
+            trail: trail.clone(),
+            spares: 1,
+        };
 
-        let length = runtime.dictionary.reference_trail().len();
+        let mut verified = 0;
+        for class in dictionary.inner.classes() {
+            let verdict = diagnose_trail(&dictionary, &local, &report(&class.trail), true);
+            let DeviceVerdict::Diagnosed(diagnosis) = verdict else {
+                panic!("an indexed trail is diagnosed, got {verdict:?}");
+            };
+            assert_eq!(finds(), 1, "one lookup per diagnosed device");
+            verified += usize::from(diagnosis.predicted_clean);
+        }
+        assert!(verified > 0, "some plan verifies clean");
+
+        let clean = diagnose_trail(
+            &dictionary,
+            &local,
+            &report(dictionary.reference_trail()),
+            true,
+        );
+        assert_eq!(clean, DeviceVerdict::Clean);
+        assert_eq!(finds(), 0);
+        let length = dictionary.reference_trail().len();
         let absent = SignatureTrail::new(vec![Word::ones(4); length]);
-        assert!(runtime.dictionary.find(&absent).unwrap().is_none());
-        let plan = RepairAllocator::default().allocate(&[], 1);
-        let error = verify_plan(&runtime, &absent, 1, &plan).unwrap_err();
-        assert!(matches!(error, FleetError::ClassNotFound), "{error}");
-        assert!(error.to_string().contains("no ambiguity class"));
+        let unknown = diagnose_trail(&dictionary, &local, &report(&absent), true);
+        assert_eq!(unknown, DeviceVerdict::UnknownTrail);
+        assert_eq!(finds(), 1);
     }
 }

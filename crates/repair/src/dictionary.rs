@@ -210,10 +210,15 @@ impl SignatureDictionary {
     /// injections gated by [`CoverageEngine::injection_detected`].
     ///
     /// Trails are computed fault-locally: the session is lowered and its
-    /// fault-free run simulated once ([`FaultLocalSession`]), then each
-    /// injection sweeps only its footprint words on a reused arena memory
-    /// and folds its read errors into the fault-free trail — no
-    /// per-injection work on the other words. The naive reference is
+    /// fault-free run simulated once ([`FaultLocalSession`]). A stuck-at or
+    /// transition fault's trail is then read from the single-cell table
+    /// ([`twm_bist::CellTrailTable`], built on the first such fault: one
+    /// table multiplication per element, ~0.2–0.5 µs per fault of a
+    /// 32×32 or 64K×32 TWM_TA × March C− universe on a 2-vCPU Xeon,
+    /// against ~2–13 µs for a sweep); every other injection sweeps only
+    /// its footprint words on a reused arena memory and folds its read
+    /// errors into the fault-free trail. No injection costs work on the
+    /// other words. The naive reference is
     /// [`twm_bist::run_scheme_session_staged`] on a memory built with the
     /// injection and the reference content; `tests/fault_local_verify.rs`
     /// checks every indexed trail against it.
@@ -351,8 +356,10 @@ pub struct DictionaryStream {
 
 impl DictionaryStream {
     /// Runs the dictionary build and returns the draining stream. Inputs,
-    /// validation and errors are exactly those of
-    /// [`SignatureDictionary::build`].
+    /// validation, errors and cost are exactly those of
+    /// [`SignatureDictionary::build`]: single stuck-at and transition
+    /// faults from the single-cell table, every other injection through a
+    /// fault-local sweep.
     ///
     /// # Errors
     ///
@@ -424,7 +431,7 @@ impl DictionaryStream {
         // Trail computation fans across the strategy's workers; the chunks
         // preserve injection order, so the serial grouping below sees the
         // same sequence for any thread count.
-        let trails = compute_trails(&injections, &session, threads)?;
+        let trails = compute_trails(universe, &injections[universe.len()..], &session, threads)?;
 
         let mut by_trail: BTreeMap<SignatureTrail, Vec<Vec<Fault>>> = BTreeMap::new();
         let mut undetected = Vec::new();
@@ -636,21 +643,37 @@ pub(crate) fn apply_content(memory: &mut FaultyMemory, content: ContentPolicy) {
     }
 }
 
-/// Computes every injection's signature trail on a pool `threads` wide,
-/// each through [`FaultLocalSession::trail`] — a sweep of the injection's
-/// footprint words, not a session over the whole memory (the naive
-/// reference is [`twm_bist::run_scheme_session_staged`] on a memory built
-/// with the injection and the content). The pool returns trails in
-/// injection order, so the result is identical for any thread count.
+/// Single faults per [`compute_trails`] job: enough for the single-cell
+/// table to amortise each word's terms over its faults, few enough to
+/// spread a universe of coupling faults over the workers.
+const TRAIL_CHUNK: usize = 1024;
+
+/// Computes the signature trail of every fault of `universe` as a
+/// single-fault injection, then of every multi-fault injection in
+/// `multi`, on a pool `threads` wide: single faults in chunks through
+/// [`FaultLocalSession::single_fault_trails`] (table lookups for stuck-at
+/// and transition faults), the rest through [`FaultLocalSession::trail`]
+/// — a sweep of the injection's footprint words, not a session over the
+/// whole memory (the naive reference is
+/// [`twm_bist::run_scheme_session_staged`] on a memory built with the
+/// injection and the content). The pool returns trails in injection
+/// order, so the result is identical for any thread count.
 fn compute_trails(
-    injections: &[Vec<Fault>],
+    universe: &[Fault],
+    multi: &[Vec<Fault>],
     session: &FaultLocalSession,
     threads: usize,
 ) -> Result<Vec<SignatureTrail>, RepairError> {
-    WorkerPool::new(threads - 1)
-        .map(injections, |injection| session.trail(injection))
-        .into_iter()
-        .collect()
+    let pool = WorkerPool::new(threads - 1);
+    let chunks: Vec<&[Fault]> = universe.chunks(TRAIL_CHUNK).collect();
+    let mut trails = Vec::with_capacity(universe.len() + multi.len());
+    for chunk in pool.map(&chunks, |chunk| session.single_fault_trails(chunk)) {
+        trails.extend(chunk?);
+    }
+    for trail in pool.map(multi, |injection| session.trail(injection)) {
+        trails.push(trail?);
+    }
+    Ok(trails)
 }
 
 #[cfg(test)]

@@ -11,7 +11,10 @@
 //!   per-stage MISR signature trail and inverted into
 //!   [`AmbiguityClass`]es; built in parallel through the coverage
 //!   [`twm_coverage::Strategy`] machinery and bit-identical for any thread
-//!   count.
+//!   count. Single stuck-at and transition faults are answered from a
+//!   single-cell trail table ([`twm_bist::CellTrailTable`]) in a few
+//!   table multiplications each, every other injection by a fault-local
+//!   sweep.
 //! * [`localise`] — [`DiagnosticSession`]: registry-driven follow-up
 //!   scheme sessions, dictionary lookup and targeted fault-local probes
 //!   ([`twm_bist::probe_lowered_at`]) fused with the read-log
@@ -24,7 +27,8 @@
 //!   remap table, proving the signature comes back clean; and
 //!   [`FaultLocalSession`], the same session prepared once under a
 //!   reference content so dictionary trails and repair checks sweep only
-//!   an injection's footprint (and remapped) words.
+//!   an injection's footprint (and remapped) words, and single-cell
+//!   faults sweep none ([`FaultLocalSession::single_fault_trails`]).
 //!
 //! ## The whole loop
 //!
@@ -92,7 +96,7 @@ pub use dictionary::{
 };
 pub use error::RepairError;
 pub use localise::{
-    localise_trail, localise_trail_normalised, DefectEvidence, DiagnosticSession,
+    localise_class, localise_trail, localise_trail_normalised, DefectEvidence, DiagnosticSession,
     LocalisationOutcome, LocatedDefect, TrailDiagnosis,
 };
 pub use lookup::TrailLookup;

@@ -519,7 +519,15 @@ pub fn localise_trail<D: TrailLookup + ?Sized>(
             clean: false,
         });
     };
+    Ok(localise_class(&class))
+}
 
+/// The diagnosis of a trail that matched `class`: [`localise_trail`]
+/// after its lookup, for callers that keep the class (the fleet service
+/// verifies a repair plan on its representative injection, so it looks
+/// the trail up once).
+#[must_use]
+pub fn localise_class(class: &AmbiguityClass) -> TrailDiagnosis {
     #[derive(Default)]
     struct Candidate {
         classes: Vec<FaultClass>,
@@ -565,12 +573,12 @@ pub fn localise_trail<D: TrailLookup + ?Sized>(
             evidence,
         })
         .collect();
-    Ok(TrailDiagnosis {
+    TrailDiagnosis {
         defects,
         dictionary_hit: true,
         ambiguity: class.injections.len(),
         clean: false,
-    })
+    }
 }
 
 /// Content-normalised [`localise_trail`]: matches `observed` after

@@ -3,12 +3,13 @@
 //! ([`verify_repair`]), or fault-locally under a dictionary's reference
 //! content ([`FaultLocalSession::verify`]).
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
 use twm_bist::{
-    run_scheme_session, run_scheme_session_local, Misr, SessionOutcome, SessionReference,
+    run_scheme_session, run_scheme_session_local, run_scheme_session_local_squaring,
+    CellTrailTable, Misr, SessionOutcome, SessionReference,
 };
 use twm_core::scheme::SchemeTransform;
 use twm_coverage::ContentPolicy;
@@ -60,23 +61,30 @@ pub fn verify_repair<M: MemoryAccess>(
 /// reference content: the lowered tests, the fault-free session's trail
 /// and counts, and the content image ([`SessionReference`]).
 ///
-/// Each query then costs a sweep of the injection's footprint words (see
+/// A query then costs a sweep of the injection's footprint words (see
 /// [`twm_bist::run_scheme_session_local`]) instead of a session over the
-/// whole memory. [`SignatureDictionary::build`](crate::SignatureDictionary::build)
-/// computes every injection's trail through [`FaultLocalSession::trail`];
-/// the fleet service verifies repair plans through
-/// [`FaultLocalSession::verify`]. Both equal the naive full session —
-/// [`twm_bist::run_scheme_session_staged`] and [`verify_repair`] — on a
-/// memory built with [`FaultyMemory::with_faults`] and filled with the
-/// content (property-tested in `tests/fault_local_verify.rs`).
+/// whole memory, and a single stuck-at or transition fault costs a few
+/// table lookups and one multiplication per element
+/// ([`CellTrailTable`], built on the first such trail, never by
+/// [`FaultLocalSession::new`], so a session that only verifies repairs
+/// never pays for it). [`SignatureDictionary::build`](crate::SignatureDictionary::build)
+/// computes every single-fault trail through
+/// [`FaultLocalSession::single_fault_trails`] and every multi-fault one
+/// through [`FaultLocalSession::trail`]; the fleet service verifies
+/// repair plans through [`FaultLocalSession::verify`]. All equal the
+/// naive full session — [`twm_bist::run_scheme_session_staged`] and
+/// [`verify_repair`] — on a memory built with
+/// [`FaultyMemory::with_faults`] and filled with the content
+/// (property-tested in `tests/fault_local_verify.rs`).
 ///
-/// Queries run on arena memories that hold the reference content and are
+/// Sweeps run on arena memories that hold the reference content and are
 /// reused across queries and threads: a query re-arms one by copying
 /// back only the words the previous sweep on it could change
 /// ([`FaultyMemory::rearm_words`]), so no query touches the other words.
 #[derive(Debug)]
 pub struct FaultLocalSession {
     reference: SessionReference,
+    cells: OnceLock<CellTrailTable>,
     arenas: Mutex<Vec<Arena>>,
 }
 
@@ -111,6 +119,7 @@ impl FaultLocalSession {
         };
         Ok(Self {
             reference,
+            cells: OnceLock::new(),
             arenas: Mutex::new(vec![arena]),
         })
     }
@@ -135,11 +144,45 @@ impl FaultLocalSession {
         Ok(SignatureTrail::new(outcome.trail))
     }
 
+    /// The trail of each fault as a single-fault injection, in order:
+    /// stuck-at and transition faults from the single-cell table (built
+    /// on the first call that asks for one), every other fault as
+    /// [`FaultLocalSession::trail`] computes it. Equals
+    /// [`FaultLocalSession::trail`] of each `[fault]`.
+    ///
+    /// # Errors
+    ///
+    /// [`RepairError::Mem`] if a fault does not fit the memory.
+    pub fn single_fault_trails(
+        &self,
+        faults: &[Fault],
+    ) -> Result<Vec<SignatureTrail>, RepairError> {
+        let single_cell =
+            |fault: &Fault| matches!(fault, Fault::StuckAt { .. } | Fault::TransitionFault { .. });
+        let answers = if faults.iter().any(single_cell) {
+            self.cells
+                .get_or_init(|| CellTrailTable::new(&self.reference))
+                .trails(faults)
+        } else {
+            vec![None; faults.len()]
+        };
+        answers
+            .into_iter()
+            .zip(faults)
+            .map(|(answer, fault)| match answer {
+                Some(trail) => Ok(SignatureTrail::new(trail)),
+                None => self.trail(std::slice::from_ref(fault)),
+            })
+            .collect()
+    }
+
     /// Whether `plan` repairs a memory carrying `injection`: the memory,
     /// with `spares` fresh spare words and the plan's remap table
     /// programmed, runs a clean session — matching signatures, no read
     /// mismatch, content preserved. Equals [`verify_repair`]'s
-    /// [`RepairVerification::clean`] on the same repaired memory.
+    /// [`RepairVerification::clean`] on the same repaired memory. The
+    /// sweep jumps by squarings
+    /// ([`twm_bist::run_scheme_session_local_squaring`]).
     ///
     /// # Errors
     ///
@@ -158,7 +201,8 @@ impl FaultLocalSession {
         addresses.extend(repairable.remap_table().iter().map(|entry| entry.word));
         addresses.sort_unstable();
         addresses.dedup();
-        let outcome = run_scheme_session_local(&self.reference, &mut repairable, &addresses)?;
+        let outcome =
+            run_scheme_session_local_squaring(&self.reference, &mut repairable, &addresses)?;
         self.release(repairable.into_main(), addresses);
         Ok(outcome.clean())
     }

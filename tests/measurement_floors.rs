@@ -12,6 +12,10 @@
 //!   elements repeated four times costs at most 1.5× the report under the
 //!   plain test: the table is built once per engine, so a report's cost
 //!   does not grow with the test;
+//! * **single-cell trail table** — the signature trails of the whole
+//!   32×32 TWM_TA × March C− SAF+TF universe (4,096 faults) from the
+//!   single-cell table, in one batch, are at least 5× faster than one
+//!   fault-local sweep (`run_scheme_session_local`) per fault;
 //! * **fleet runtime cache** — diagnosing one device through a warm
 //!   shard runtime is at least 5× faster than through a cold one (a
 //!   fresh `FleetService`, dictionary registration and runtime build);
@@ -55,7 +59,7 @@ use twm::march::algorithms::march_c_minus;
 use twm::march::MarchTest;
 use twm::mem::{BitAddress, Fault, FaultyMemory, MemoryConfig, SplitMix64, Transition};
 use twm::obs::{trace, ProfilerSink};
-use twm::repair::{DictionaryOptions, SignatureDictionary};
+use twm::repair::{DictionaryOptions, FaultLocalSession, SignatureDictionary};
 
 /// Minimum table-resolved `report` speed-up over the scalar `verdicts`
 /// stream.
@@ -65,6 +69,9 @@ const PACKED_SPEEDUP_FLOOR: f64 = 5.0;
 const COUPLING_SPEEDUP_FLOOR: f64 = 5.0;
 /// Maximum cost of a SAF/TF report under a test four times as long.
 const TEST_LENGTH_CEILING: f64 = 1.5;
+/// Minimum speed-up of single-cell table trails over a fault-local sweep
+/// per fault.
+const TRAIL_TABLE_SPEEDUP_FLOOR: f64 = 5.0;
 /// Minimum warm-cache speed-up over a cold runtime build, per device.
 const FLEET_SPEEDUP_FLOOR: f64 = 5.0;
 /// Maximum cost of tracing into a profiler sink, in percent.
@@ -327,6 +334,61 @@ fn saf_tf_report_cost_does_not_grow_with_test_length() {
     assert!(
         long_over_short <= TEST_LENGTH_CEILING,
         "a 4x test's report costs {long_over_short:.2}x, above {TEST_LENGTH_CEILING}x"
+    );
+}
+
+/// The trail-table floor's inputs: a TWM_TA × March C− session on a
+/// 32×32 memory over random content, and its SAF+TF universe.
+fn trail_table_workload() -> (FaultLocalSession, Vec<Fault>) {
+    let config = MemoryConfig::new(32, 32).unwrap();
+    let content = ContentPolicy::Random { seed: 7 };
+    let transform = SchemeRegistry::all(32)
+        .unwrap()
+        .transform(SchemeId::TwmTa, &march_c_minus())
+        .unwrap();
+    let session = FaultLocalSession::new(&transform, config, content, Misr::standard(32)).unwrap();
+    let universe = UniverseBuilder::new(config).stuck_at().transition().build();
+    (session, universe)
+}
+
+/// The sweep arm: one fault-local sweep per fault.
+fn swept_trails(session: &FaultLocalSession, universe: &[Fault]) -> Vec<SignatureTrail> {
+    universe
+        .iter()
+        .map(|fault| session.trail(&[*fault]).unwrap())
+        .collect()
+}
+
+fn assert_trail_table_arms_agree(session: &FaultLocalSession, universe: &[Fault]) {
+    assert_eq!(
+        session.single_fault_trails(universe).unwrap(),
+        swept_trails(session, universe),
+        "table and swept trails must stay identical"
+    );
+}
+
+#[test]
+fn trail_table_floor_arms_agree() {
+    let _exclusive = exclusive();
+    let (session, universe) = trail_table_workload();
+    assert_trail_table_arms_agree(&session, &universe);
+}
+
+#[test]
+#[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
+fn trail_table_beats_a_sweep_per_fault() {
+    let _exclusive = exclusive();
+    let (session, universe) = trail_table_workload();
+    assert_trail_table_arms_agree(&session, &universe);
+
+    let speedup = b_over_a(
+        || drop(session.single_fault_trails(&universe).unwrap()),
+        || drop(swept_trails(&session, &universe)),
+    );
+    println!("single-cell trail table: {speedup:.1}x a sweep per fault");
+    assert!(
+        speedup >= TRAIL_TABLE_SPEEDUP_FLOOR,
+        "trail-table speed-up {speedup:.1}x is below {TRAIL_TABLE_SPEEDUP_FLOOR}x"
     );
 }
 
