@@ -115,7 +115,7 @@ impl CellTrailTable {
     /// fits it, so these sessions cannot fail.
     #[must_use]
     pub fn new(reference: &SessionReference) -> Self {
-        let powers = &reference.powers;
+        let powers = PowerTable::new(&reference.misr);
         let width = powers.width();
         let bytes = width.div_ceil(8);
         let words = reference.image.words() as u64;
@@ -153,7 +153,11 @@ impl CellTrailTable {
                         Some(&(_, at)) => at,
                         None => {
                             let at = spans.len();
-                            push_multiplier(&mut spans, powers, powers.power(reads as u64 * words));
+                            push_multiplier(
+                                &mut spans,
+                                &powers,
+                                powers.power(reads as u64 * words),
+                            );
                             span_of.push((reads, at));
                             at
                         }
@@ -231,7 +235,7 @@ impl CellTrailTable {
         let mut carries = Vec::new();
         let mut carry = 1u128;
         for stage in predicted.iter().rev() {
-            push_multiplier(&mut carries, powers, carry);
+            push_multiplier(&mut carries, &powers, carry);
             carry = times(&spans[stage.span..][..bytes], carry);
         }
         let carries: Vec<&[ByteTable]> = carries.chunks_exact(bytes).rev().collect();
@@ -257,7 +261,7 @@ impl CellTrailTable {
             keys.extend(sums);
         }
         Self {
-            powers: powers.clone(),
+            powers,
             image: reference.image.clone(),
             trail: reference.trail.clone(),
             classes,

@@ -22,7 +22,7 @@ use twm_march::{MarchTest, OpKind};
 use twm_mem::{AddressOrder, AddressSequence, BitStorage, MemoryAccess, Word};
 
 use crate::executor::{execute_lowered_observed, ExecutionOptions, ExecutionResult};
-use crate::misr::{Misr, PowerTable};
+use crate::misr::Misr;
 use crate::{BistError, LoweredElement, LoweredTest};
 
 /// The outcome of a transparent BIST session.
@@ -323,9 +323,6 @@ pub struct SessionReference {
     pub(crate) prediction: Option<LoweredTest>,
     pub(crate) test: LoweredTest,
     pub(crate) misr: Misr,
-    /// The powers `x^(2^i) mod P` every fold of a fault-local session
-    /// jumps with.
-    pub(crate) powers: PowerTable,
     pub(crate) image: BitStorage,
     pub(crate) trail: Vec<Word>,
     mismatches: usize,
@@ -409,7 +406,6 @@ impl SessionReference {
         Ok(Self {
             prediction,
             test,
-            powers: PowerTable::new(&misr),
             misr,
             image,
             trail,
@@ -488,16 +484,13 @@ impl LocalSessionOutcome {
 /// `t` in the full read stream. MISR compaction is linear over GF(2),
 /// so each signature equals the fault-free one XOR
 /// `Σ eₜ · x^(T−1−t) mod P` over the errors before it. The sum is folded
-/// by Horner's rule with one jump per gap between consecutive errors and
-/// element boundaries, each `popcount(gap)` multiplications by the powers
-/// `x^(2^i)` the reference keeps, four bits of the multiplier at a time.
-/// Cost: O(ops per word · |addresses| + (errors + elements) · width ·
-/// log T), independent of the memory size — ~2–7 µs per single stuck-at
-/// fault at 32×32 and ~9–13 µs at 1K×32 and 64K×32 (TWM_TA × March C−,
-/// 2-vCPU Xeon; 13–21, 42–64 and 81–107 µs with squaring jumps). A single
-/// stuck-at or transition fault is ~8–35× cheaper still through
-/// [`crate::CellTrailTable`], which answers it from per-element terms
-/// without a sweep.
+/// by Horner's rule with one [`Misr::jump`] per gap between consecutive
+/// errors and element boundaries. Cost: O(ops per word · |addresses| +
+/// (errors + elements) · width² · log T), independent of the memory size
+/// — ~11–21 µs per single stuck-at fault at 32×32 and ~80–110 µs at
+/// 64K×32 (TWM_TA × March C−, 2-vCPU Xeon). A single stuck-at or
+/// transition fault is answered without a sweep, at a small fraction of
+/// that, by [`crate::CellTrailTable`].
 ///
 /// The memory is left as the full session would leave the swept words;
 /// other words are not touched.
@@ -515,38 +508,6 @@ pub fn run_scheme_session_local<M: MemoryAccess>(
     reference: &SessionReference,
     memory: &mut M,
     addresses: &[usize],
-) -> Result<LocalSessionOutcome, BistError> {
-    local_session(reference, memory, addresses, Some(&reference.powers))
-}
-
-/// [`run_scheme_session_local`] with every jump taken by [`Misr::jump`]'s
-/// `log₂ k` squarings instead of the reference's powers of `x`: the same
-/// outcome, at what a fault-local session cost before the power table
-/// (19–24 µs against 7 µs for a repair check at 1K×32, TWM_TA × March C−,
-/// 2-vCPU Xeon). Fault-local repair verification stays on it for now: the
-/// repository's benchmark replays every diagnosed device of a traced
-/// fleet run through the naive session, so a faster diagnose path
-/// lengthens that replay, which already runs close to the harness's time
-/// limit (see the ROADMAP).
-///
-/// # Errors
-///
-/// Same as [`run_scheme_session_local`].
-pub fn run_scheme_session_local_squaring<M: MemoryAccess>(
-    reference: &SessionReference,
-    memory: &mut M,
-    addresses: &[usize],
-) -> Result<LocalSessionOutcome, BistError> {
-    local_session(reference, memory, addresses, None)
-}
-
-/// [`run_scheme_session_local`], jumping with `powers` or, without them,
-/// by squarings.
-fn local_session<M: MemoryAccess>(
-    reference: &SessionReference,
-    memory: &mut M,
-    addresses: &[usize],
-    powers: Option<&PowerTable>,
 ) -> Result<LocalSessionOutcome, BistError> {
     let words = reference.image.words();
     if memory.width() != reference.misr.width() {
@@ -572,7 +533,6 @@ fn local_session<M: MemoryAccess>(
     // Horner accumulators of the error streams: `absorbed()` is the
     // stream position the accumulated sum is taken at.
     let mut folds = Folds {
-        powers,
         predicted: reference.misr.clone(),
         tested: reference.misr.clone(),
         trail: reference.trail.clone(),
@@ -587,12 +547,11 @@ fn local_session<M: MemoryAccess>(
         &mut folds,
     )?;
     let Folds {
-        powers,
         mut predicted,
         mut trail,
         ..
     } = folds;
-    advance(&mut predicted, sweep.predicted_end, powers);
+    predicted.jump(sweep.predicted_end - predicted.absorbed());
     trail[0] = trail[0] ^ predicted.signature();
 
     let mut altered = 0usize;
@@ -631,36 +590,25 @@ pub(crate) trait ErrorSink {
 
 /// [`run_scheme_session_local`]'s sink: Horner accumulators of both
 /// streams, each element's test-stream sum XORed into the trail.
-struct Folds<'a> {
-    powers: Option<&'a PowerTable>,
+struct Folds {
     predicted: Misr,
     tested: Misr,
     trail: Vec<Word>,
 }
 
-impl ErrorSink for Folds<'_> {
+impl ErrorSink for Folds {
     fn error(&mut self, stream: Stream, position: u64, error: Word) {
         let errors = match stream {
             Stream::Predicted => &mut self.predicted,
             Stream::Tested => &mut self.tested,
         };
-        advance(errors, position, self.powers);
+        errors.jump(position - errors.absorbed());
         errors.absorb(error);
     }
 
     fn element_end(&mut self, stage: usize, end: u64) {
-        advance(&mut self.tested, end, self.powers);
+        self.tested.jump(end - self.tested.absorbed());
         self.trail[stage + 1] = self.trail[stage + 1] ^ self.tested.signature();
-    }
-}
-
-/// Advances `misr` by zero words to stream position `position`: by the
-/// powers of `x` when given, else by squarings.
-fn advance(misr: &mut Misr, position: u64, powers: Option<&PowerTable>) {
-    let k = position - misr.absorbed();
-    match powers {
-        Some(powers) => misr.jump_with(k, powers),
-        None => misr.jump(k),
     }
 }
 

@@ -64,9 +64,9 @@ pub use executor::{
     ExecutionResult, ReadRecord,
 };
 pub use flow::{
-    run_scheme_session, run_scheme_session_local, run_scheme_session_local_squaring,
-    run_scheme_session_staged, run_transparent_session, run_transparent_session_staged,
-    LocalSessionOutcome, SessionOutcome, SessionReference, StagedSessionOutcome,
+    run_scheme_session, run_scheme_session_local, run_scheme_session_staged,
+    run_transparent_session, run_transparent_session_staged, LocalSessionOutcome, SessionOutcome,
+    SessionReference, StagedSessionOutcome,
 };
 pub use lowered::{LoweredElement, LoweredOp, LoweredTest};
 pub use misr::Misr;

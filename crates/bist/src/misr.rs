@@ -170,16 +170,6 @@ impl Misr {
         self.state = self.mul_mod(self.state, power);
     }
 
-    /// [`Misr::jump`] with the powers of `x` read from `table` (built for
-    /// this register's polynomial): a jump of `k > width` costs
-    /// `popcount(k)` multiplications and no squarings.
-    pub(crate) fn jump_with(&mut self, k: u64, table: &PowerTable) {
-        self.absorbed += k;
-        if self.state != 0 {
-            self.state = table.shift(self.state, k);
-        }
-    }
-
     /// `value · x mod P`: one shift with feedback, the absorb step for a
     /// zero word. Branch-free (the feedback bit of a signature stream is
     /// unpredictable), and with no variable shift on the state's
@@ -209,91 +199,44 @@ impl Misr {
     }
 }
 
-/// Arithmetic modulo one MISR's feedback polynomial `P`, with the powers
-/// `x^(2^i) mod P`, `i < 64`, precomputed — kept beside a long-lived
-/// session reference, so that a fault-local fold jumps by any `k` in
-/// `popcount(k)` multiplications ([`Misr::jump_with`]) and the
-/// single-cell trail table places its terms without squarings.
-///
-/// A multiplication takes the multiplier four bits at a time: the
-/// product moves up four bits per step, and the bits it carries past the
-/// width fold back through a 16-entry table.
+/// The powers `x^(2^i) mod P`, `i < 64`, of one MISR's feedback
+/// polynomial `P`, so that `x^k mod P` costs `popcount(k) − 1`
+/// multiplications instead of `log₂ k` squarings. The single-cell trail
+/// table ([`crate::CellTrailTable`]) places its terms with them; the
+/// arithmetic is the register's own ([`Misr::jump`]'s shift and product).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PowerTable {
-    width: usize,
-    polynomial: u128,
-    /// The `width` low bits.
-    mask: u128,
-    /// `v · x^width mod P` for every `v < 16`.
-    carries: [u128; 16],
+    /// A register of the polynomial; its state is not used.
+    register: Misr,
     powers: [u128; 64],
 }
 
 impl PowerTable {
     /// The table of `misr`'s polynomial.
     pub(crate) fn new(misr: &Misr) -> Self {
-        let mut table = Self {
-            width: misr.width,
-            polynomial: misr.polynomial,
-            mask: Word::ones(misr.width).to_bits(),
-            carries: [0; 16],
-            powers: [0; 64],
-        };
-        // x^width ≡ the taps.
-        let mut carry = misr.polynomial;
-        let mut carried = [0u128; 4];
-        for slot in &mut carried {
-            *slot = carry;
-            carry = table.times_x(carry);
+        let mut register = misr.clone();
+        register.reset();
+        let mut powers = [register.times_x(1); 64];
+        for i in 1..powers.len() {
+            powers[i] = register.mul_mod(powers[i - 1], powers[i - 1]);
         }
-        table.carries = std::array::from_fn(|v| {
-            (0..4)
-                .filter(|i| v >> i & 1 == 1)
-                .fold(0, |sum, i| sum ^ carried[i])
-        });
-        table.powers[0] = table.times_x(1);
-        for i in 1..table.powers.len() {
-            table.powers[i] = table.mul(table.powers[i - 1], table.powers[i - 1]);
-        }
-        table
+        Self { register, powers }
     }
 
     /// The register width.
     pub(crate) fn width(&self) -> usize {
-        self.width
+        self.register.width
     }
 
     /// `value · x mod P`.
     #[inline]
     pub(crate) fn times_x(&self, value: u128) -> u128 {
-        ((value << 1) & self.mask)
-            ^ (self.polynomial & 0u128.wrapping_sub((value >> (self.width - 1)) & 1))
+        self.register.times_x(value)
     }
 
     /// `a · b mod P`.
     pub(crate) fn mul(&self, a: u128, b: u128) -> u128 {
-        if self.width < 4 {
-            return (0..self.width).rev().fold(0, |product, bit| {
-                self.times_x(product) ^ (a & 0u128.wrapping_sub((b >> bit) & 1))
-            });
-        }
-        let mut shifted = [a; 4];
-        for i in 1..4 {
-            shifted[i] = self.times_x(shifted[i - 1]);
-        }
-        let mut multiples = [0u128; 16];
-        for v in 1..16 {
-            multiples[v] = multiples[v & (v - 1)] ^ shifted[v.trailing_zeros() as usize];
-        }
-        let mut product = 0u128;
-        for &byte in b.to_le_bytes()[..self.width.div_ceil(8)].iter().rev() {
-            for nibble in [byte >> 4, byte & 15] {
-                product = ((product << 4) & self.mask)
-                    ^ self.carries[(product >> (self.width - 4)) as usize]
-                    ^ multiples[usize::from(nibble)];
-            }
-        }
-        product
+        self.register.mul_mod(a, b)
     }
 
     /// `x^k mod P` in `popcount(k) − 1` multiplications.
@@ -311,7 +254,7 @@ impl PowerTable {
     /// `value · x^k mod P`: `k` feedback shifts up to the width, above it
     /// a multiplication by [`PowerTable::power`].
     pub(crate) fn shift(&self, value: u128, k: u64) -> u128 {
-        if k <= self.width as u64 {
+        if k <= self.width() as u64 {
             (0..k).fold(value, |value, _| self.times_x(value))
         } else {
             self.mul(value, self.power(k))
@@ -432,9 +375,9 @@ mod tests {
     }
 
     #[test]
-    fn table_jumps_equal_squaring_jumps() {
+    fn table_shifts_equal_squaring_jumps() {
         let mut rng = twm_mem::SplitMix64::new(0x7AB1E);
-        for width in JUMP_WIDTHS {
+        for width in JUMP_WIDTHS.into_iter().chain([1, 5, 33, 127]) {
             let start = random_state(width, &mut rng);
             let table = PowerTable::new(&start);
             let mut ks: Vec<u64> = (0..=300).collect();
@@ -442,28 +385,13 @@ mod tests {
             ks.extend((0..200).map(|_| rng.next_u64() >> (1 + rng.next_below(63))));
             ks.push(u64::MAX >> 1);
             for k in ks {
-                let mut squared = start.clone();
-                squared.jump(k);
-                let mut tabled = start.clone();
-                tabled.jump_with(k, &table);
-                assert_eq!(tabled, squared, "width {width}, k {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn table_products_equal_bitwise_products() {
-        let mut rng = twm_mem::SplitMix64::new(0x9F0D);
-        for width in JUMP_WIDTHS.into_iter().chain([1, 5, 7, 9, 33, 65, 127]) {
-            for polynomial in [Misr::standard(width).polynomial, rng.next_u128() | 1] {
-                let misr = Misr::new(width, polynomial & Word::ones(width).to_bits()).unwrap();
-                let table = PowerTable::new(&misr);
-                let mask = Word::ones(width).to_bits();
-                for _ in 0..50 {
-                    let (a, b) = (rng.next_u128() & mask, rng.next_u128() & mask);
-                    assert_eq!(table.mul(a, b), misr.mul_mod(a, b), "width {width}");
-                    assert_eq!(table.times_x(a), misr.times_x(a), "width {width}");
-                }
+                let mut jumped = start.clone();
+                jumped.jump(k);
+                assert_eq!(
+                    table.shift(start.state, k),
+                    jumped.state,
+                    "width {width}, k {k}"
+                );
             }
         }
     }

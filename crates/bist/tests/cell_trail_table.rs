@@ -1,13 +1,18 @@
-//! The single-cell trail table against the naive session: a stuck-at or
+//! The single-cell trail table against the sessions: a stuck-at or
 //! transition fault's table trail must be the trail
 //! [`run_scheme_session_staged`] produces on a memory built with the fault
 //! and the reference content — on 1–9-word memories at every width from 1
 //! to 128, under every scheme the width admits (only Nicolaidis at width
-//! one) and under all-zero and random content. The naive session is slow
-//! in a debug build, so each memory checks all of its faults when it has
-//! few and a drawn sample of them otherwise, asked for in one batch.
+//! one) and under all-zero and random content. Every fault of every
+//! memory is checked against the fault-local sweep
+//! ([`run_scheme_session_local`], itself property-tested against the
+//! naive session in `tests/fault_local_session.rs`); the naive session is
+//! slow in a debug build, so it checks all of a memory's faults when it
+//! has few and a drawn sample of them otherwise, asked for in one batch.
 
-use twm_bist::{run_scheme_session_staged, CellTrailTable, Misr, SessionReference};
+use twm_bist::{
+    run_scheme_session_local, run_scheme_session_staged, CellTrailTable, Misr, SessionReference,
+};
 use twm_core::scheme::{NicolaidisScheme, SchemeRegistry, SchemeTransform, TransparentScheme};
 use twm_march::algorithms::{march_c_minus, march_u};
 use twm_march::MarchTest;
@@ -51,7 +56,8 @@ fn memory(config: MemoryConfig, seed: Option<u64>, faults: &[Fault]) -> FaultyMe
     memory
 }
 
-/// Asserts that the table answers the SAF/TF faults of `config` with the
+/// Asserts that the table answers every SAF/TF fault of `config` with
+/// the fault-local sweep's trail, all of them in one batch, and with the
 /// naive session's trail: all of them if there are at most `checked`,
 /// else `checked` drawn ones, asked for in one batch.
 fn assert_table_matches(
@@ -68,7 +74,22 @@ fn assert_table_matches(
     )
     .unwrap();
     let table = CellTrailTable::new(&reference);
-    let mut faults = universe(config);
+    let name = transform.transparent_test().name();
+    let universe = universe(config);
+    let trails = table.trails(&universe);
+    assert_eq!(trails.len(), universe.len());
+    for (fault, trail) in universe.iter().zip(&trails) {
+        let mut faulty = memory(config, seed, &[*fault]);
+        let local =
+            run_scheme_session_local(&reference, &mut faulty, &[fault.victim().word]).unwrap();
+        assert_eq!(
+            trail.as_deref(),
+            Some(local.trail.as_slice()),
+            "{name} {config:?} seed {seed:?}: {fault:?} against the sweep"
+        );
+    }
+
+    let mut faults = universe;
     if faults.len() > checked {
         let mut rng = SplitMix64::new(faults.len() as u64);
         faults = (0..checked)
@@ -85,8 +106,7 @@ fn assert_table_matches(
         assert_eq!(
             trail.as_deref(),
             Some(naive.as_slice()),
-            "{} {config:?} seed {seed:?}: {fault:?}",
-            transform.transparent_test().name()
+            "{name} {config:?} seed {seed:?}: {fault:?}"
         );
     }
 }

@@ -215,7 +215,7 @@ impl SignatureDictionary {
     /// ([`twm_bist::CellTrailTable`], built on the first such fault: one
     /// table multiplication per element, ~0.2–0.5 µs per fault of a
     /// 32×32 or 64K×32 TWM_TA × March C− universe on a 2-vCPU Xeon,
-    /// against ~2–13 µs for a sweep); every other injection sweeps only
+    /// against ~11–110 µs for a sweep); every other injection sweeps only
     /// its footprint words on a reused arena memory and folds its read
     /// errors into the fault-free trail. No injection costs work on the
     /// other words. The naive reference is

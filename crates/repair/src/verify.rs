@@ -8,8 +8,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use serde::{Deserialize, Serialize};
 
 use twm_bist::{
-    run_scheme_session, run_scheme_session_local, run_scheme_session_local_squaring,
-    CellTrailTable, Misr, SessionOutcome, SessionReference,
+    run_scheme_session, run_scheme_session_local, CellTrailTable, Misr, SessionOutcome,
+    SessionReference,
 };
 use twm_core::scheme::SchemeTransform;
 use twm_coverage::ContentPolicy;
@@ -180,9 +180,7 @@ impl FaultLocalSession {
     /// with `spares` fresh spare words and the plan's remap table
     /// programmed, runs a clean session — matching signatures, no read
     /// mismatch, content preserved. Equals [`verify_repair`]'s
-    /// [`RepairVerification::clean`] on the same repaired memory. The
-    /// sweep jumps by squarings
-    /// ([`twm_bist::run_scheme_session_local_squaring`]).
+    /// [`RepairVerification::clean`] on the same repaired memory.
     ///
     /// # Errors
     ///
@@ -201,8 +199,7 @@ impl FaultLocalSession {
         addresses.extend(repairable.remap_table().iter().map(|entry| entry.word));
         addresses.sort_unstable();
         addresses.dedup();
-        let outcome =
-            run_scheme_session_local_squaring(&self.reference, &mut repairable, &addresses)?;
+        let outcome = run_scheme_session_local(&self.reference, &mut repairable, &addresses)?;
         self.release(repairable.into_main(), addresses);
         Ok(outcome.clean())
     }

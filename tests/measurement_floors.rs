@@ -14,7 +14,7 @@
 //!   does not grow with the test;
 //! * **single-cell trail table** — the signature trails of the whole
 //!   32×32 TWM_TA × March C− SAF+TF universe (4,096 faults) from the
-//!   single-cell table, in one batch, are at least 5× faster than one
+//!   single-cell table, in one batch, are at least 10× faster than one
 //!   fault-local sweep (`run_scheme_session_local`) per fault;
 //! * **fleet runtime cache** — diagnosing one device through a warm
 //!   shard runtime is at least 5× faster than through a cold one (a
@@ -71,7 +71,7 @@ const COUPLING_SPEEDUP_FLOOR: f64 = 5.0;
 const TEST_LENGTH_CEILING: f64 = 1.5;
 /// Minimum speed-up of single-cell table trails over a fault-local sweep
 /// per fault.
-const TRAIL_TABLE_SPEEDUP_FLOOR: f64 = 5.0;
+const TRAIL_TABLE_SPEEDUP_FLOOR: f64 = 10.0;
 /// Minimum warm-cache speed-up over a cold runtime build, per device.
 const FLEET_SPEEDUP_FLOOR: f64 = 5.0;
 /// Maximum cost of tracing into a profiler sink, in percent.
