@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use twm_core::scheme::SchemeTransform;
-use twm_march::{MarchTest, OpKind};
+use twm_march::OpKind;
 use twm_mem::{AddressOrder, AddressSequence, BitStorage, MemoryAccess, Word};
 
 use crate::executor::{execute_lowered_observed, ExecutionOptions, ExecutionResult};
@@ -71,27 +71,6 @@ impl SessionOutcome {
     }
 }
 
-/// Runs a complete transparent BIST session (prediction phase, test phase,
-/// signature comparison) on the given memory.
-///
-/// The provided MISR is used as a template for both phases (each phase gets
-/// a reset copy), so its width must match the memory's word width.
-///
-/// # Errors
-///
-/// Returns [`BistError::WidthMismatch`] if the MISR width differs from the
-/// memory word width, and the executor's errors for unresolvable data or
-/// invalid addresses.
-pub fn run_transparent_session<M: MemoryAccess>(
-    transparent_test: &MarchTest,
-    prediction_test: &MarchTest,
-    memory: &mut M,
-    misr: Misr,
-) -> Result<SessionOutcome, BistError> {
-    run_session(transparent_test, Some(prediction_test), memory, misr, false)
-        .map(|staged| staged.outcome)
-}
-
 /// A transparent BIST session together with its per-element signature trail
 /// and the raw test-phase execution — the observation a diagnosis flow
 /// fuses.
@@ -128,23 +107,7 @@ impl StagedSessionOutcome {
     }
 }
 
-/// [`run_transparent_session`] with the per-element signature trail and the
-/// test-phase execution kept — the session hook behind signature
-/// dictionaries and diagnosis fusion.
-///
-/// # Errors
-///
-/// Same as [`run_transparent_session`].
-pub fn run_transparent_session_staged<M: MemoryAccess>(
-    transparent_test: &MarchTest,
-    prediction_test: &MarchTest,
-    memory: &mut M,
-    misr: Misr,
-) -> Result<StagedSessionOutcome, BistError> {
-    run_session(transparent_test, Some(prediction_test), memory, misr, true)
-}
-
-/// The one session implementation behind every flow entry point.
+/// The one session implementation behind both full-memory entry points.
 ///
 /// Phase 1 (with a prediction test) compacts the raw read data; without
 /// one — concurrent checking — the predicted signature is compacted from
@@ -153,12 +116,12 @@ pub fn run_transparent_session_staged<M: MemoryAccess>(
 /// every element boundary. Reads are compacted as they execute; the
 /// test-phase read log is kept only when `record_reads` is set.
 fn run_session<M: MemoryAccess>(
-    transparent_test: &MarchTest,
-    prediction_test: Option<&MarchTest>,
+    transform: &SchemeTransform,
     memory: &mut M,
     misr: Misr,
     record_reads: bool,
 ) -> Result<StagedSessionOutcome, BistError> {
+    let prediction_test = transform.signature_prediction();
     if misr.width() != memory.width() {
         return Err(BistError::WidthMismatch {
             misr: misr.width(),
@@ -188,7 +151,7 @@ fn run_session<M: MemoryAccess>(
 
     // Cumulative read counts at the element boundaries: a full execution
     // visits each element's reads contiguously.
-    let lowered = LoweredTest::new(transparent_test, memory.width())?;
+    let lowered = LoweredTest::new(transform.transparent_test(), memory.width())?;
     let words = memory.words();
     let boundaries: Vec<usize> = lowered
         .elements()
@@ -243,35 +206,33 @@ fn run_session<M: MemoryAccess>(
     })
 }
 
-/// Runs the BIST session described by any [`SchemeTransform`] on the given
-/// memory — the scheme-generic entry point of the flow.
+/// Runs the complete BIST session described by any [`SchemeTransform`]
+/// (prediction phase, test phase, signature comparison) on the given
+/// memory — the entry point of the flow.
 ///
-/// For schemes with a signature-prediction test this is exactly
-/// [`run_transparent_session`] over the transform's two tests. For schemes
-/// with concurrent (code-based) checking and no prediction phase — TOMT —
-/// the transparent test is executed once and the *predicted* signature is
-/// compacted from the fault-free expected data of every read (what the code
-/// checker would accept), so [`SessionOutcome::fault_detected`] still
-/// models the checker flagging a corrupted word;
-/// [`SessionOutcome::prediction_operations`] is 0 because no prediction
-/// pass touches the memory.
+/// The provided MISR is used as a template for both phases (each phase
+/// gets a reset copy), so its width must match the memory's word width.
+///
+/// For schemes with a signature-prediction test, phase 1 executes it and
+/// compacts the raw read data. For schemes with concurrent (code-based)
+/// checking and no prediction phase — TOMT — the transparent test is
+/// executed once and the *predicted* signature is compacted from the
+/// fault-free expected data of every read (what the code checker would
+/// accept), so [`SessionOutcome::fault_detected`] still models the checker
+/// flagging a corrupted word; [`SessionOutcome::prediction_operations`] is
+/// 0 because no prediction pass touches the memory.
 ///
 /// # Errors
 ///
-/// Same as [`run_transparent_session`].
+/// Returns [`BistError::WidthMismatch`] if the MISR width differs from the
+/// memory word width, and the executor's errors for unresolvable data or
+/// invalid addresses.
 pub fn run_scheme_session<M: MemoryAccess>(
     transform: &SchemeTransform,
     memory: &mut M,
     misr: Misr,
 ) -> Result<SessionOutcome, BistError> {
-    run_session(
-        transform.transparent_test(),
-        transform.signature_prediction(),
-        memory,
-        misr,
-        false,
-    )
-    .map(|staged| staged.outcome)
+    run_session(transform, memory, misr, false).map(|staged| staged.outcome)
 }
 
 /// [`run_scheme_session`] with the per-element signature trail and the
@@ -287,19 +248,13 @@ pub fn run_scheme_session<M: MemoryAccess>(
 ///
 /// # Errors
 ///
-/// Same as [`run_transparent_session`].
+/// Same as [`run_scheme_session`].
 pub fn run_scheme_session_staged<M: MemoryAccess>(
     transform: &SchemeTransform,
     memory: &mut M,
     misr: Misr,
 ) -> Result<StagedSessionOutcome, BistError> {
-    run_session(
-        transform.transparent_test(),
-        transform.signature_prediction(),
-        memory,
-        misr,
-        true,
-    )
+    run_session(transform, memory, misr, true)
 }
 
 /// A scheme session lowered once, with the fault-free session it produces
@@ -1005,21 +960,5 @@ mod tests {
         let a = run(Fault::stuck_at(BitAddress::new(2, 1), true));
         let b = run(Fault::stuck_at(BitAddress::new(9, 6), false));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn scheme_session_matches_the_two_phase_flow_for_predicting_schemes() {
-        let t = transformed(8);
-        let mut via_scheme = MemoryBuilder::new(16, 8).random_content(9).build().unwrap();
-        let mut via_pair = MemoryBuilder::new(16, 8).random_content(9).build().unwrap();
-        let a = run_scheme_session(&t, &mut via_scheme, Misr::standard(8)).unwrap();
-        let b = run_transparent_session(
-            t.transparent_test(),
-            t.signature_prediction().unwrap(),
-            &mut via_pair,
-            Misr::standard(8),
-        )
-        .unwrap();
-        assert_eq!(a, b);
     }
 }

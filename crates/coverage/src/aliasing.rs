@@ -6,9 +6,9 @@
 //! escapes even though some read returned a wrong value. Aliasing is the
 //! stated motivation for the signature-free schemes the paper cites (DPSC,
 //! TOMT). [`crate::CoverageEngine::aliasing`] quantifies it: every fault of
-//! a universe is evaluated with both the exact-compare oracle and the full
-//! two-phase signature flow, and the faults whose detection is lost to
-//! compaction are collected in an [`AliasingReport`].
+//! a universe runs the engine's scheme session once, which yields both the
+//! exact-compare verdict and the signature verdict, and the faults whose
+//! detection is lost to compaction are collected in an [`AliasingReport`].
 
 use serde::{Deserialize, Serialize};
 
@@ -44,36 +44,33 @@ impl AliasingReport {
 #[cfg(test)]
 mod tests {
     use crate::universe::UniverseBuilder;
-    use crate::{ContentPolicy, CoverageEngine, CoverageError};
+    use crate::{ContentPolicy, CoverageEngine, CoverageEngineBuilder, CoverageError};
     use twm_bist::Misr;
-    use twm_core::{TransparentScheme, TwmTa};
+    use twm_core::TwmTa;
     use twm_march::algorithms::march_c_minus;
     use twm_mem::MemoryConfig;
+
+    /// A TWM_TA × March C− engine builder over `config`.
+    fn twm_ta(config: MemoryConfig) -> CoverageEngineBuilder {
+        let scheme = TwmTa::new(config.width()).unwrap();
+        CoverageEngine::for_scheme(&scheme, &march_c_minus(), config).unwrap()
+    }
 
     #[test]
     fn signature_detection_tracks_exact_detection_for_single_faults() {
         let width = 8;
         let config = MemoryConfig::new(8, width).unwrap();
-        let transformed = TwmTa::new(width)
-            .unwrap()
-            .transform(&march_c_minus())
-            .unwrap();
         let faults = UniverseBuilder::new(config)
             .stuck_at()
             .transition()
             .coupling_inversion()
             .sample_per_class(60, 13)
             .build();
-        let report = CoverageEngine::builder(config)
-            .test(transformed.transparent_test())
+        let report = twm_ta(config)
             .content(ContentPolicy::Random { seed: 404 })
             .build()
             .unwrap()
-            .aliasing(
-                transformed.signature_prediction().unwrap(),
-                &Misr::standard(width),
-                &faults,
-            )
+            .aliasing(&Misr::standard(width), &faults)
             .unwrap();
         assert_eq!(report.total, faults.len());
         // Every sampled SAF/TF/CFin produces at least one wrong read.
@@ -92,26 +89,17 @@ mod tests {
     fn aliasing_runs_on_the_first_content_round_only() {
         let width = 4;
         let config = MemoryConfig::new(6, width).unwrap();
-        let transformed = TwmTa::new(width)
-            .unwrap()
-            .transform(&march_c_minus())
-            .unwrap();
         let faults = UniverseBuilder::new(config)
             .all_classes()
             .sample_per_class(20, 7)
             .build();
         let aliasing = |contents_per_fault| {
-            CoverageEngine::builder(config)
-                .test(transformed.transparent_test())
+            twm_ta(config)
                 .content(ContentPolicy::Random { seed: 31 })
                 .contents_per_fault(contents_per_fault)
                 .build()
                 .unwrap()
-                .aliasing(
-                    transformed.signature_prediction().unwrap(),
-                    &Misr::standard(width),
-                    &faults,
-                )
+                .aliasing(&Misr::standard(width), &faults)
                 .unwrap()
         };
         let one = aliasing(1);
@@ -122,16 +110,31 @@ mod tests {
     #[test]
     fn empty_universe_is_rejected() {
         let config = MemoryConfig::new(4, 4).unwrap();
-        let transformed = TwmTa::new(4).unwrap().transform(&march_c_minus()).unwrap();
-        let result = CoverageEngine::builder(config)
-            .test(transformed.transparent_test())
+        let result = twm_ta(config)
             .build()
             .unwrap()
-            .aliasing(
-                transformed.signature_prediction().unwrap(),
-                &Misr::standard(4),
-                &[],
-            );
+            .aliasing(&Misr::standard(4), &[]);
         assert!(matches!(result, Err(CoverageError::EmptyUniverse)));
+    }
+
+    /// An engine built from a bare test has no scheme session to run.
+    #[test]
+    fn an_engine_without_a_scheme_is_rejected() {
+        let config = MemoryConfig::new(4, 4).unwrap();
+        let faults = UniverseBuilder::new(config).stuck_at().build();
+        let engine = CoverageEngine::builder(config)
+            .test(&march_c_minus())
+            .build()
+            .unwrap();
+        let result = engine.aliasing(&Misr::standard(4), &faults);
+        assert!(matches!(result, Err(CoverageError::MissingScheme)));
+        // A `with_test` sibling of a scheme engine carries no scheme either.
+        let sibling = twm_ta(config)
+            .build()
+            .unwrap()
+            .with_test(&march_c_minus())
+            .unwrap();
+        let result = sibling.aliasing(&Misr::standard(4), &faults);
+        assert!(matches!(result, Err(CoverageError::MissingScheme)));
     }
 }

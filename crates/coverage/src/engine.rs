@@ -8,30 +8,32 @@
 //! * the pre-generated pseudo-random initial contents,
 //! * built on first use, a verdict table that answers every single-fault
 //!   verdict without running the march (see [`CoverageEngine::report`]),
-//! * a pool of reusable [`FaultyMemory`] arenas, re-armed per fault via
-//!   [`FaultyMemory::rearm_local`] — only the fault's footprint words are
-//!   restored, so a run costs O(footprint), not O(memory), and repeated
-//!   evaluations allocate no per-fault memories.
+//! * a pool of reusable [`FaultyMemory`] arenas for the runs that do
+//!   simulate: each is re-armed per run via [`FaultyMemory::rearm_local`],
+//!   which restores only the run's footprint words, so a run costs
+//!   O(footprint), not O(memory), and allocates no memory.
 //!
-//! The engine exposes three verbs:
+//! Every single-fault verdict comes from the table, through one chunked
+//! resolver on the worker pool:
 //!
 //! * [`CoverageEngine::report`] — evaluate a fault universe into a
-//!   [`CoverageReport`]: every fault, stuck-at, transition or coupling, is
-//!   looked up in the verdict table, bit-identical for any thread count;
+//!   [`CoverageReport`], bit-identical for any thread count;
 //! * [`CoverageEngine::verdicts`] — a streaming iterator of per-fault
 //!   [`FaultVerdict`]s with bounded memory, for universes that do not fit
 //!   in memory (the universe is consumed lazily, a bounded window at a
-//!   time, and verdicts are yielded in universe order), each run on a
-//!   fault-local arena;
+//!   time, and verdicts are yielded in universe order);
 //! * [`CoverageEngine::compare`] — fault-by-fault comparison against a
 //!   second engine, producing an [`EquivalenceReport`] (the paper's
-//!   Section 5 theorem check), on the same arenas.
+//!   Section 5 theorem check).
 //!
-//! Signature-aliasing analysis ([`CoverageEngine::aliasing`]) and
-//! multi-fault injections ([`CoverageEngine::injection_detected`]) share
-//! the same amortised setup. Every verdict equals the naive reference
+//! Multi-fault injections ([`CoverageEngine::injection_detected`]) sweep
+//! the faults' footprint words on an arena, and signature-aliasing
+//! analysis ([`CoverageEngine::aliasing`]) runs the engine's scheme
+//! session fault-locally on one. Every verdict equals the naive reference
 //! [`crate::fault_detected`] — a fresh memory and a full sweep of the
-//! symbolic test (property-tested in `tests/reference_equivalence.rs`).
+//! symbolic test — and every aliasing report equals a naive
+//! [`twm_bist::run_scheme_session`] per fault (property-tested in
+//! `tests/reference_equivalence.rs`).
 //!
 //! # Example
 //!
@@ -65,8 +67,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use twm_bist::flow::run_transparent_session;
-use twm_bist::{detect_lowered_at, LoweredTest, Misr};
+use twm_bist::{detect_lowered_at, run_scheme_session_local, LoweredTest, Misr, SessionReference};
 use twm_core::scheme::{SchemeTransform, TransparentScheme};
 use twm_march::MarchTest;
 use twm_mem::{BitStorage, Fault, FaultSet, FaultyMemory, MemoryConfig};
@@ -258,8 +259,7 @@ impl CoverageEngineBuilder {
 /// [`BitStorage`] images: one per content round for the random policy, none
 /// for the all-zero policy (a run zeroes its footprint words instead).
 /// Fault-local runs copy their footprint words from them
-/// ([`FaultyMemory::rearm_local`]); `aliasing` restores a whole image with
-/// a block copy ([`FaultyMemory::load_image`]).
+/// ([`FaultyMemory::rearm_local`]).
 ///
 /// Generated through [`FaultyMemory::fill_random`] itself so shared
 /// contents can never drift from what a per-fault fill would produce.
@@ -279,20 +279,14 @@ pub(crate) fn prepared_contents(
         .collect()
 }
 
-/// Number of faults pulled from the universe per worker thread per
-/// streaming window: large enough to amortise fan-out, small enough that
-/// [`CoverageEngine::verdicts`] stays bounded-memory.
-const STREAM_CHUNK: usize = 32;
-
 /// Number of consecutive universe faults a worker resolves from the
 /// verdict table per claim; their verdicts come back as one `u64` mask.
-const REPORT_CHUNK: usize = 64;
+const CHUNK: usize = 64;
 
-/// Number of faults a worker claims per steal from a streaming window's
-/// shared cursor: small enough that a ragged tail of expensive faults
-/// rebalances across workers, large enough to keep cursor contention
-/// negligible.
-const STEAL_GRAIN: usize = 4;
+/// Number of chunks pulled from the universe per worker thread per
+/// streaming window: large enough to amortise fan-out, small enough that
+/// [`CoverageEngine::verdicts`] stays bounded-memory.
+const STREAM_CHUNKS: usize = 64;
 
 /// Process-wide engine counters in the [`twm_obs::global`] registry.
 /// Counting is batched (one `add` per report or per worker drain, never
@@ -303,16 +297,13 @@ struct EngineObs {
     reports: twm_obs::Counter,
     /// Wall time of each `report` call.
     report_latency: twm_obs::Histogram,
-    /// Report chunks (up to [`REPORT_CHUNK`] consecutive faults of any
-    /// class) resolved from the verdict table.
+    /// Chunks (up to [`CHUNK`] consecutive faults of any class) resolved
+    /// from the verdict table by `report`, `verdicts` and `compare`.
     packed_batches: twm_obs::Counter,
-    /// Faults resolved from the verdict table: every fault of a report.
+    /// Faults resolved from the verdict table: every fault of a report, a
+    /// verdict stream or a comparison.
     packed_faults: twm_obs::Counter,
-    /// Faults evaluated on the scalar fault-local arena, by `verdicts` and
-    /// `compare`; `report` adds none.
-    scalar_faults: twm_obs::Counter,
-    /// Work items claimed from a shared cursor (report chunks and
-    /// streaming-window grains).
+    /// Chunks claimed from the resolver's shared cursor.
     window_steals: twm_obs::Counter,
     /// Streaming windows evaluated by `verdicts`.
     verdict_windows: twm_obs::Counter,
@@ -334,7 +325,6 @@ fn engine_obs() -> &'static EngineObs {
             ),
             packed_batches: registry.counter("twm_coverage_packed_batches_total", &[]),
             packed_faults: registry.counter("twm_coverage_packed_faults_total", &[]),
-            scalar_faults: registry.counter("twm_coverage_scalar_faults_total", &[]),
             window_steals: registry.counter("twm_coverage_window_steals_total", &[]),
             verdict_windows: registry.counter("twm_coverage_verdict_windows_total", &[]),
             pool_idle_arenas: registry.gauge("twm_coverage_pool_idle_arenas", &[]),
@@ -361,10 +351,9 @@ pub struct CoverageEngine {
     /// Shared (`Arc`) so [`CoverageEngine::with_test`] siblings reuse one
     /// generation.
     content_images: Arc<Vec<BitStorage>>,
-    /// Checked-in arena memories, re-armed per fault by workers. Bounded by
-    /// the maximum number of concurrent checkouts (≤ worker threads). Their
-    /// content outside the last run's footprint may be stale — see
-    /// [`CoverageEngine::checkout`].
+    /// Checked-in arena memories, re-armed per run. Bounded by the maximum
+    /// number of concurrent checkouts. Their content outside the last run's
+    /// footprint may be stale — see [`CoverageEngine::with_arena`].
     pool: Mutex<Vec<FaultyMemory>>,
     /// Persistent workers (`threads - 1`; their threads spawn on the first
     /// parallel fan-out), shared (`Arc`) with [`CoverageEngine::with_test`]
@@ -372,7 +361,7 @@ pub struct CoverageEngine {
     workers: Arc<WorkerPool>,
     /// Built by the first `report`, `verdicts`, `compare` or
     /// `injection_detected` call (two one-word runs of the test); its row
-    /// groups follow on the first `report` lookup that needs each.
+    /// groups follow on the first lookup that needs each.
     table: OnceLock<VerdictTable>,
 }
 
@@ -548,8 +537,7 @@ impl CoverageEngine {
     /// a mask and tallies the rest, and the masks are merged back in
     /// **universe order**, so the report is bit-identical to the reference
     /// [`crate::fault_detected`] for any worker-thread count
-    /// (property-tested in `tests/reference_equivalence.rs`). A report
-    /// never touches the scalar arena.
+    /// (property-tested in `tests/reference_equivalence.rs`).
     ///
     /// # Errors
     ///
@@ -560,7 +548,7 @@ impl CoverageEngine {
         let mut span = twm_obs::span("coverage.report");
         span.field("universe", universe.len());
         let start = Instant::now();
-        let result = self.report_inner(universe);
+        let result = self.resolved_report(universe).map(|(report, _)| report);
         let obs = engine_obs();
         obs.reports.incr();
         obs.report_latency
@@ -569,17 +557,44 @@ impl CoverageEngine {
         result
     }
 
-    fn report_inner(&self, universe: &[Fault]) -> Result<CoverageReport, CoverageError> {
+    /// The report of a non-empty universe, with the escape masks it was
+    /// built from ([`CoverageEngine::resolve`]).
+    fn resolved_report(
+        &self,
+        universe: &[Fault],
+    ) -> Result<(CoverageReport, Vec<u64>), CoverageError> {
         if universe.is_empty() {
             return Err(CoverageError::EmptyUniverse);
         }
-        let chunks = universe.len().div_ceil(REPORT_CHUNK);
+        let (tally, escapes) = self.resolve(universe).map_err(|(_, error)| error)?;
+        let mut report = CoverageReport::new(self.test.name());
+        report.record_tally(&tally, set_bits(&escapes).map(|at| universe[at]).collect());
+        Ok((report, escapes))
+    }
+
+    /// The verdict table, built on first use.
+    fn table(&self) -> &VerdictTable {
+        self.table
+            .get_or_init(|| VerdictTable::new(&self.lowered, self.config, &self.content_images))
+    }
+
+    /// Resolves `faults` from the verdict table on the worker pool: the
+    /// resolver behind `report`, `verdicts` and `compare`.
+    ///
+    /// Workers claim chunks of [`CHUNK`] consecutive faults from one atomic
+    /// cursor, tally them, and store each chunk's escape mask (bit `i` for
+    /// the chunk's fault `i`) by chunk index, so the masks come back in
+    /// universe order whatever the timing. Returns the merged tally and
+    /// the masks, or the position and error of the earliest fault that
+    /// does not fit the memory shape.
+    fn resolve(&self, faults: &[Fault]) -> Result<(Tally, Vec<u64>), (usize, CoverageError)> {
+        let chunks = faults.len().div_ceil(CHUNK);
         let obs = engine_obs();
         obs.packed_batches.add(chunks as u64);
-        obs.packed_faults.add(universe.len() as u64);
+        obs.packed_faults.add(faults.len() as u64);
 
         let table = self.table();
-        let undetected: Vec<AtomicU64> = (0..chunks).map(|_| AtomicU64::new(0)).collect();
+        let escapes: Vec<AtomicU64> = (0..chunks).map(|_| AtomicU64::new(0)).collect();
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
         // One job per worker: claim chunks from the shared cursor, store
@@ -596,10 +611,9 @@ impl CoverageEngine {
                     break;
                 }
                 steals += 1;
-                let faults =
-                    &universe[chunk * REPORT_CHUNK..universe.len().min((chunk + 1) * REPORT_CHUNK)];
-                match table.resolve(faults, self.config, &self.content_images, &mut tally) {
-                    Ok(mask) => undetected[chunk].store(mask, Ordering::Relaxed),
+                let run = &faults[chunk * CHUNK..faults.len().min((chunk + 1) * CHUNK)];
+                match table.resolve(run, self.config, &self.content_images, &mut tally) {
+                    Ok(mask) => escapes[chunk].store(mask, Ordering::Relaxed),
                     Err(_) => failed.store(true, Ordering::Relaxed),
                 }
             }
@@ -610,34 +624,21 @@ impl CoverageEngine {
         let tallies = self.workers.run((0..workers).map(|_| &job).collect());
         if failed.load(Ordering::Relaxed) {
             // Errors are properties of a (fault, memory shape) pair, so an
-            // in-order walk finds the earliest one, as documented.
-            return Err(universe
+            // in-order walk finds the earliest one.
+            return Err(faults
                 .iter()
-                .find_map(|fault| table::decode(fault, self.config).err())
+                .enumerate()
+                .find_map(|(at, fault)| Some((at, table::decode(fault, self.config).err()?)))
                 .expect("a chunk failed on some fault"));
         }
-
         let mut tally = Tally::default();
         for part in &tallies {
             tally.merge(part);
         }
-        let mut escaped = Vec::new();
-        for (chunk, mask) in undetected.iter().enumerate() {
-            let mut mask = mask.load(Ordering::Relaxed);
-            while mask != 0 {
-                escaped.push(universe[chunk * REPORT_CHUNK + mask.trailing_zeros() as usize]);
-                mask &= mask - 1;
-            }
-        }
-        let mut report = CoverageReport::new(self.test.name());
-        report.record_tally(&tally, escaped);
-        Ok(report)
-    }
-
-    /// The verdict table, built on first use.
-    fn table(&self) -> &VerdictTable {
-        self.table
-            .get_or_init(|| VerdictTable::new(&self.lowered, self.config, &self.content_images))
+        Ok((
+            tally,
+            escapes.into_iter().map(AtomicU64::into_inner).collect(),
+        ))
     }
 
     /// Streams per-fault verdicts over a universe without materialising a
@@ -646,12 +647,12 @@ impl CoverageEngine {
     ///
     /// The universe may be any iterator of faults (owned or borrowed); it
     /// is consumed lazily, one bounded window of `threads ×` [a small
-    /// constant] faults at a time, and verdicts are yielded **in universe
-    /// order**. Every fault runs on the scalar fault-local arena, never
-    /// through the verdict table. An empty universe yields an empty stream
-    /// — only [`CoverageEngine::report`] treats emptiness as an error.
+    /// constant] faults at a time, each window resolved from the verdict
+    /// table like a [`CoverageEngine::report`], and verdicts are yielded
+    /// **in universe order**. An empty universe yields an empty stream —
+    /// only `report` treats emptiness as an error.
     ///
-    /// Each item is a `Result`: a fault that cannot be injected or executed
+    /// Each item is a `Result`: a fault that does not fit the memory shape
     /// yields an `Err` at its position in the stream, and the stream ends
     /// after the first error.
     pub fn verdicts<I>(&self, universe: I) -> Verdicts<'_, I::IntoIter>
@@ -669,7 +670,8 @@ impl CoverageEngine {
 
     /// Compares the engine's test against a second engine fault by fault
     /// over the same universe — the coverage-equivalence experiment of the
-    /// paper's Section 5.
+    /// paper's Section 5. Each engine resolves the universe from its own
+    /// verdict table, as a [`CoverageEngine::report`] does.
     ///
     /// Each engine evaluates under its own content policy; the theorem is
     /// stated for a transparent test under arbitrary content
@@ -690,92 +692,104 @@ impl CoverageEngine {
         if self.config != second.config {
             return Err(CoverageError::ConfigMismatch);
         }
-        if universe.is_empty() {
-            return Err(CoverageError::EmptyUniverse);
-        }
-        let mut first_report = CoverageReport::new(self.test.name());
-        let mut second_report = CoverageReport::new(second.test.name());
-        let mut disagreements = Vec::new();
-        for (by_first, by_second) in self.verdicts(universe).zip(second.verdicts(universe)) {
-            let by_first = by_first?;
-            let by_second = by_second?;
-            first_report.record(by_first.fault, by_first.detected);
-            second_report.record(by_second.fault, by_second.detected);
-            if by_first.detected != by_second.detected {
-                disagreements.push(Disagreement {
-                    fault: by_first.fault,
-                    detected_by_first: by_first.detected,
-                    detected_by_second: by_second.detected,
-                });
-            }
-        }
+        let (first, first_escapes) = self.resolved_report(universe)?;
+        let (second, second_escapes) = second.resolved_report(universe)?;
+        let differ: Vec<u64> = first_escapes
+            .iter()
+            .zip(&second_escapes)
+            .map(|(a, b)| a ^ b)
+            .collect();
+        let disagreements = set_bits(&differ)
+            .map(|at| {
+                let detected_by_first = !escaped(&first_escapes, at);
+                Disagreement {
+                    fault: universe[at],
+                    detected_by_first,
+                    detected_by_second: !detected_by_first,
+                }
+            })
+            .collect();
         Ok(EquivalenceReport {
-            first: first_report,
-            second: second_report,
+            first,
+            second,
             disagreements,
         })
     }
 
-    /// Evaluates MISR-signature aliasing of the engine's (transparent) test
-    /// over a universe: every fault is run through the full two-phase
-    /// session (prediction test, transparent test, MISR comparison) with a
-    /// copy of `misr`, on an arena memory initialised with the engine's
-    /// **first** content round only — `contents_per_fault` does not
-    /// multiply the sessions.
+    /// Evaluates MISR-signature aliasing of the engine's scheme over a
+    /// universe: every fault runs the scheme's session (prediction phase,
+    /// transparent test and signature comparison, or the concurrent
+    /// checker of a prediction-free scheme) with a copy of `misr`, over the
+    /// engine's **first** content round only (all-zero under
+    /// [`ContentPolicy::Zeros`]) — `contents_per_fault` does not multiply
+    /// the sessions.
+    ///
+    /// The fault-free session is simulated once per call
+    /// ([`SessionReference`]); each fault then sweeps only its footprint
+    /// words ([`run_scheme_session_local`]) on a pooled arena. The fault is
+    /// detected exactly if some test-phase read mismatches, and by
+    /// signature if the predicted signature differs from the test
+    /// signature; it aliases if only the first holds.
     ///
     /// # Errors
     ///
-    /// Returns [`CoverageError::EmptyUniverse`] for an empty universe and
-    /// the underlying memory/BIST errors otherwise.
+    /// * [`CoverageError::MissingScheme`] if the engine was built without
+    ///   a scheme ([`CoverageEngine::for_scheme`]).
+    /// * [`CoverageError::EmptyUniverse`] for an empty universe.
+    /// * [`CoverageError::Bist`] if `misr` is not as wide as the memory
+    ///   words, [`CoverageError::Mem`] if a fault does not fit the memory.
     pub fn aliasing(
         &self,
-        prediction_test: &MarchTest,
         misr: &Misr,
         universe: &[Fault],
     ) -> Result<AliasingReport, CoverageError> {
+        let transform = self
+            .transform
+            .as_ref()
+            .ok_or(CoverageError::MissingScheme)?;
         if universe.is_empty() {
             return Err(CoverageError::EmptyUniverse);
         }
-        let mut report = AliasingReport::default();
-        let mut memory = self.checkout();
-        let result = (|| {
+        let image = match self.content_images.first() {
+            Some(image) => image.clone(),
+            None => BitStorage::new(self.config.words(), self.config.width())?,
+        };
+        let reference = SessionReference::new(transform, image, misr.clone())?;
+        self.with_arena(|memory| {
+            let mut report = AliasingReport::default();
             for &fault in universe {
-                memory.reset_with_fault(fault)?;
-                if let Some(image) = self.content_images.first() {
-                    memory.load_image(image)?;
-                }
-                let outcome = run_transparent_session(
-                    &self.test,
-                    prediction_test,
-                    &mut memory,
-                    misr.clone(),
-                )?;
+                let footprint = FaultSet::from_faults([fault]).word_footprint();
+                memory.rearm_local(&[fault], Some(reference.image()), &footprint)?;
+                let outcome = run_scheme_session_local(&reference, memory, &footprint)?;
+                let exact = outcome.mismatches > 0;
+                let signature = outcome.trail.first() != outcome.trail.last();
                 report.total += 1;
-                if outcome.fault_detected_exact() {
-                    report.detected_exact += 1;
-                }
-                if outcome.fault_detected() {
-                    report.detected_signature += 1;
-                }
-                if outcome.aliased() {
+                report.detected_exact += usize::from(exact);
+                report.detected_signature += usize::from(signature);
+                if exact && !signature {
                     report.aliased.push(fault);
                 }
             }
             Ok(report)
-        })();
-        self.checkin(memory);
-        result
+        })
     }
 
     /// Whether a *set* of simultaneously injected faults is detected by the
     /// engine's test (under every tried initial content) — the
     /// diagnosis-style multi-fault counterpart of a per-fault verdict.
     ///
-    /// The sweep visits only the union of the faults' word footprints
-    /// ([`FaultSet::word_footprint`]), which is verdict-equivalent to the
+    /// Each content round (one on zeroed content for the all-zero policy)
+    /// re-arms a pooled arena with [`FaultyMemory::rearm_local`] — only the
+    /// union of the faults' word footprints ([`FaultSet::word_footprint`])
+    /// is copied from the round's image — and sweeps only those words
+    /// ([`twm_bist::detect_lowered_at`]), which is verdict-equivalent to the
     /// full-address sweep of the reference [`crate::fault_detected`]
     /// (property-tested in `crates/bist/tests/multi_fault_local.rs` and
-    /// `tests/reference_equivalence.rs`).
+    /// `tests/reference_equivalence.rs`). A word outside the footprint
+    /// behaves fault-free, and a test that reads before it writes can
+    /// mismatch there anyway: a round in which such a word exists detects
+    /// without a sweep (the verdict table's per-round list; empty for
+    /// transparent and write-first tests).
     ///
     /// # Errors
     ///
@@ -787,125 +801,74 @@ impl CoverageEngine {
             return Err(CoverageError::EmptyUniverse);
         }
         let footprint = FaultSet::from_faults(faults.iter().copied()).word_footprint();
-        let mut memory = self.checkout();
-        let result = self.detected_under_contents(&mut memory, faults, &footprint);
-        self.checkin(memory);
-        result
+        let strays = &self.table().strays;
+        self.with_arena(|memory| {
+            for round in 0..self.content_images.len().max(1) {
+                memory.rearm_local(faults, self.content_images.get(round), &footprint)?;
+                let stray = strays
+                    .get(round)
+                    .is_some_and(|words| lies_outside(words, &footprint));
+                if !stray && !detect_lowered_at(&self.lowered, memory, &footprint)? {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        })
     }
 
-    /// Checks an arena memory out of the pool, building one if it is empty.
+    /// Runs `run` on an arena memory checked out of the pool (a new one if
+    /// the pool is empty) and checks the arena back in.
     ///
     /// Pool invariant: an arena's content is only defined on the words its
-    /// current run re-armed. Fault-local runs restore just their footprint
-    /// ([`FaultyMemory::rearm_local`]) and leave every other word as an
-    /// earlier run left it, which is sound because
-    /// [`twm_bist::detect_lowered_at`] neither reads nor writes a word
-    /// outside the footprint it sweeps. A caller that runs a whole-memory
-    /// session (`aliasing`) must reset and load the whole arena first.
-    fn checkout(&self) -> FaultyMemory {
-        let memory = self.pool.lock().expect("arena pool lock poisoned").pop();
-        match memory {
+    /// current run re-armed. Every run restores just its footprint
+    /// ([`FaultyMemory::rearm_local`]) and leaves every other word as an
+    /// earlier run left it, which is sound because neither
+    /// [`twm_bist::detect_lowered_at`] nor [`run_scheme_session_local`]
+    /// reads or writes a word outside the footprint it sweeps.
+    fn with_arena<T>(
+        &self,
+        run: impl FnOnce(&mut FaultyMemory) -> Result<T, CoverageError>,
+    ) -> Result<T, CoverageError> {
+        let idle = self.pool.lock().expect("arena pool lock poisoned").pop();
+        let mut memory = match idle {
             Some(memory) => {
                 engine_obs().pool_idle_arenas.decr();
                 memory
             }
             None => FaultyMemory::fault_free(self.config),
-        }
-    }
-
-    /// Returns an arena memory to the pool.
-    fn checkin(&self, memory: FaultyMemory) {
+        };
+        let result = run(&mut memory);
         self.pool
             .lock()
             .expect("arena pool lock poisoned")
             .push(memory);
         engine_obs().pool_idle_arenas.incr();
+        result
     }
+}
 
-    /// Whether one fault is detected (under every tried initial content) on
-    /// an arena memory: only the fault's footprint words are re-armed and
-    /// swept ([`twm_bist::detect_lowered_at`] — a word no fault touches can
-    /// neither misread nor disturb anything, so the verdict equals a full
-    /// sweep's at a fraction of the cost).
-    fn detected(&self, memory: &mut FaultyMemory, fault: Fault) -> Result<bool, CoverageError> {
-        // The footprint is at most two words: the victim's and, for
-        // coupling faults, the aggressor's — sorted, deduplicated, and
-        // built without per-fault allocation.
-        let victim = fault.victim().word;
-        let mut footprint = [victim; 2];
-        let words = match fault.aggressor() {
-            Some(aggressor) if aggressor.word != victim => {
-                footprint = [victim.min(aggressor.word), victim.max(aggressor.word)];
-                2
-            }
-            _ => 1,
-        };
-        self.detected_under_contents(memory, std::slice::from_ref(&fault), &footprint[..words])
-    }
+/// Whether position `at` is set in escape masks from
+/// [`CoverageEngine::resolve`].
+fn escaped(escapes: &[u64], at: usize) -> bool {
+    escapes[at / CHUNK] >> (at % CHUNK) & 1 != 0
+}
 
-    /// Runs the lowered test once per content round (once on zeroed
-    /// content for the all-zero policy) with `faults` injected, sweeping
-    /// only `footprint`; detected means detected under **every** round.
-    ///
-    /// Before each round the arena is re-armed with
-    /// [`FaultyMemory::rearm_local`]: the fault set is rebuilt in place and
-    /// only the footprint words are copied from the round's image (zeroed
-    /// under [`ContentPolicy::Zeros`]). Words outside the footprint keep
-    /// whatever an earlier run left there — the pool invariant of
-    /// [`CoverageEngine::checkout`] — so a round costs O(footprint), not
-    /// O(memory).
-    ///
-    /// A word outside the footprint behaves fault-free, and a test that
-    /// reads before it writes can mismatch there anyway: a round in which
-    /// such a word exists detects without a sweep (the verdict table's
-    /// per-round list; empty for transparent and write-first tests).
-    fn detected_under_contents(
-        &self,
-        memory: &mut FaultyMemory,
-        faults: &[Fault],
-        footprint: &[usize],
-    ) -> Result<bool, CoverageError> {
-        let strays = &self.table().strays;
-        for round in 0..self.content_images.len().max(1) {
-            memory.rearm_local(faults, self.content_images.get(round), footprint)?;
-            let stray = strays
-                .get(round)
-                .is_some_and(|words| lies_outside(words, footprint));
-            if !stray && !detect_lowered_at(&self.lowered, memory, footprint)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Evaluates one bounded window of faults, returning its verdicts in
-    /// window order. Workers claim [`STEAL_GRAIN`]-sized runs of the window
-    /// from the pool's shared cursor, so a ragged tail of expensive faults
-    /// rebalances instead of stalling the window barrier, and the verdict
-    /// order never depends on timing.
-    fn evaluate_window(&self, window: &[Fault]) -> Vec<Result<bool, CoverageError>> {
-        let runs: Vec<&[Fault]> = window.chunks(STEAL_GRAIN).collect();
-        let obs = engine_obs();
-        obs.verdict_windows.incr();
-        obs.scalar_faults.add(window.len() as u64);
-        obs.window_steals.add(runs.len() as u64);
-        let per_run = self.workers.map(&runs, |run| {
-            let mut memory = self.checkout();
-            let verdicts: Vec<_> = run
-                .iter()
-                .map(|&fault| self.detected(&mut memory, fault))
-                .collect();
-            self.checkin(memory);
-            verdicts
-        });
-        per_run.into_iter().flatten().collect()
-    }
+/// The positions set in escape masks, ascending.
+fn set_bits(escapes: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    escapes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &mask)| mask != 0)
+        .flat_map(|(chunk, &mask)| {
+            (0..CHUNK)
+                .filter(move |bit| mask >> bit & 1 != 0)
+                .map(move |bit| chunk * CHUNK + bit)
+        })
 }
 
 /// Streaming per-fault verdict iterator — see [`CoverageEngine::verdicts`].
 ///
-/// Holds at most one bounded window of pending verdicts; arena memories
-/// go back to the engine's pool after every window.
+/// Holds at most one bounded window of pending verdicts.
 #[derive(Debug)]
 pub struct Verdicts<'e, I> {
     engine: &'e CoverageEngine,
@@ -920,25 +883,37 @@ where
     I: Iterator,
     I::Item: Borrow<Fault>,
 {
-    /// Pulls and evaluates the next window of faults from the universe.
+    /// Pulls and resolves the next window of faults from the universe.
     fn refill(&mut self) {
         let engine = self.engine;
-        let window: Vec<Fault> = self
+        let mut window: Vec<Fault> = self
             .universe
             .by_ref()
-            .take(engine.worker_threads() * STREAM_CHUNK)
+            .take(engine.worker_threads() * STREAM_CHUNKS * CHUNK)
             .map(|fault| *fault.borrow())
             .collect();
         if window.is_empty() {
             return;
         }
-        let verdicts = engine.evaluate_window(&window);
-        self.buffer.extend(
-            window
-                .into_iter()
-                .zip(verdicts)
-                .map(|(fault, result)| result.map(|detected| FaultVerdict { fault, detected })),
-        );
+        engine_obs().verdict_windows.incr();
+        let (escapes, error) = match engine.resolve(&window) {
+            Ok((_, escapes)) => (escapes, None),
+            Err((at, error)) => {
+                window.truncate(at);
+                let (_, escapes) = engine
+                    .resolve(&window)
+                    .expect("every fault before the earliest error fits");
+                (escapes, Some(error))
+            }
+        };
+        self.buffer
+            .extend(window.into_iter().enumerate().map(|(at, fault)| {
+                Ok(FaultVerdict {
+                    fault,
+                    detected: !escaped(&escapes, at),
+                })
+            }));
+        self.buffer.extend(error.map(Err));
     }
 }
 
@@ -1005,11 +980,11 @@ mod tests {
         assert_eq!(sibling.report(&faults).unwrap().total_coverage(), 1.0);
     }
 
-    /// A report of every class, on a parallel engine, resolves every fault
-    /// from the table: it checks no arena out of the scalar pool, which
-    /// `verdicts` then does.
+    /// Every table path — `report`, `verdicts` and `compare` — resolves
+    /// every fault of every class without an arena; `injection_detected`
+    /// checks one out of the pool and back in.
     #[test]
-    fn a_mixed_report_checks_out_no_scalar_arena() {
+    fn only_injections_check_out_an_arena() {
         let config = MemoryConfig::new(6, 4).unwrap();
         let faults = UniverseBuilder::new(config)
             .all_classes()
@@ -1022,8 +997,14 @@ mod tests {
             .unwrap();
         let report = engine.report(&faults).unwrap();
         assert_eq!(report.total_faults(), faults.len());
-        assert!(engine.pool.lock().unwrap().is_empty());
         assert_eq!(engine.verdicts(&faults).count(), faults.len());
-        assert!(!engine.pool.lock().unwrap().is_empty());
+        assert!(engine
+            .compare(&engine, &faults)
+            .unwrap()
+            .disagreements
+            .is_empty());
+        assert!(engine.pool.lock().unwrap().is_empty());
+        assert!(engine.injection_detected(&faults[..2]).unwrap());
+        assert_eq!(engine.pool.lock().unwrap().len(), 1);
     }
 }

@@ -29,6 +29,9 @@ pub enum CoverageError {
     ConfigMismatch,
     /// A transformation scheme failed to produce its transparent test.
     Core(CoreError),
+    /// A scheme session was asked of an engine that carries no scheme
+    /// transform (build the engine via `CoverageEngine::for_scheme`).
+    MissingScheme,
     /// A scheme built for one word width was asked to evaluate against a
     /// memory of another width.
     SchemeWidthMismatch {
@@ -58,6 +61,10 @@ impl fmt::Display for CoverageError {
                 write!(f, "engines evaluate against different memory shapes")
             }
             CoverageError::Core(err) => write!(f, "scheme transformation error: {err}"),
+            CoverageError::MissingScheme => write!(
+                f,
+                "aliasing analysis requires a scheme-built engine (CoverageEngine::for_scheme)"
+            ),
             CoverageError::SchemeWidthMismatch { scheme, memory } => write!(
                 f,
                 "scheme targets {scheme}-bit words but the memory has {memory}-bit words"
@@ -109,6 +116,10 @@ mod tests {
         assert!(err.to_string().contains("scheme transformation error"));
         assert!(err.source().is_some());
         assert!(!CoverageError::EmptyUniverse.to_string().is_empty());
+        assert!(CoverageError::MissingScheme
+            .to_string()
+            .contains("for_scheme"));
+        assert!(CoverageError::MissingScheme.source().is_none());
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! * [`universe`] — enumerate (or sample) the fault universe of a memory
 //!   configuration, class by class;
-//! * [`engine`] — the [`CoverageEngine`]: run a march test against every
-//!   fault of a universe and report the per-class coverage, stream
-//!   per-fault verdicts, or compare two tests fault by fault;
+//! * [`engine`] — the [`CoverageEngine`]: evaluate a march test against
+//!   every fault of a universe and report the per-class coverage, stream
+//!   per-fault verdicts, compare two tests fault by fault, or measure a
+//!   scheme's signature aliasing;
 //! * [`equivalence`] — the coverage-equivalence report types (the coverage
 //!   theorem check, produced by [`CoverageEngine::compare`]);
 //! * [`states`] — the state-traversal analysis behind Figure 1: which
@@ -31,10 +32,11 @@
 //! `(memory shape, march test)` pair; it owns the pre-lowered operation
 //! stream, the pre-generated pseudo-random initial contents, a verdict
 //! table built on first use, and a pool of reusable
-//! [`twm_mem::FaultyMemory`] arenas re-armed per fault. A report looks
-//! every fault — stuck-at, transition and all three coupling classes —
-//! up in the table without running the march; the verdict stream and the
-//! comparison run each fault on an arena. Repeated evaluations over
+//! [`twm_mem::FaultyMemory`] arenas. A report, the verdict stream and the
+//! comparison look every fault — stuck-at, transition and all three
+//! coupling classes — up in the table without running the march;
+//! multi-fault injections and aliasing sessions sweep only their faults'
+//! words on an arena re-armed per run. Repeated evaluations over
 //! different universes allocate no per-fault memories:
 //!
 //! ```

@@ -3,23 +3,26 @@
 //! fresh `FaultyMemory`, `fill_random`, and a full-address sweep of the
 //! test per content round).
 //!
-//! `report` looks every fault up in the engine's verdict table —
-//! stuck-at and transition faults in rows from one-word runs, coupling
-//! faults in rows from lane-sliced one- and two-word runs — without
-//! running the march; `verdicts` and `compare` stream one fault at a time
-//! on the scalar fault-local arena; `injection_detected` sweeps a
-//! multi-fault footprint there. Each is checked here against the
+//! `report`, `verdicts` and `compare` look every fault up in the engine's
+//! verdict table — stuck-at and transition faults in rows from one-word
+//! runs, coupling faults in rows from lane-sliced one- and two-word runs —
+//! without running the march; `injection_detected` sweeps a fault set's
+//! footprint words on a pooled arena. Each is checked here against the
 //! reference — verdict by verdict and in universe order — across word
 //! widths 1–128, both content policies, one to three contents per fault,
 //! serial, parallel and degenerate thread counts, TWM_TA transparent
 //! tests, and literal tests that read before they write, which mismatch
 //! on fault-free words outside any fault's footprint.
 //!
-//! The scalar arena restores only a run's footprint words and leaves the
-//! rest of the pooled memory as earlier runs left it; the reuse tests at
-//! the end evaluate faults back to back on one serial engine, with
-//! overlapping footprints and whole-memory `aliasing` sessions in between,
-//! so stale content would show as a wrong verdict.
+//! `aliasing` runs the engine's scheme session fault-locally on the same
+//! pooled arenas; its reports are checked against a naive oracle kept in
+//! this file, a full `run_scheme_session` on a fresh memory per fault.
+//!
+//! An arena restores only a run's footprint words and leaves the rest of
+//! the pooled memory as earlier runs left it; the reuse tests at the end
+//! evaluate faults back to back on one serial engine, with overlapping
+//! footprints and `aliasing` sessions in between, so stale content would
+//! show as a wrong verdict or report.
 //!
 //! Thread counts are passed explicitly through `Strategy::Parallel` (not
 //! the `TWM_COVERAGE_THREADS` environment variable) so concurrently
@@ -29,17 +32,18 @@
 
 use proptest::prelude::*;
 
-use twm_bist::Misr;
+use twm_bist::{run_scheme_session, Misr};
+use twm_core::scheme::{SchemeRegistry, SchemeTransform};
 use twm_core::{TransparentScheme, TwmTa};
 use twm_coverage::universe::{CouplingScope, UniverseBuilder};
 use twm_coverage::{
-    fault_detected, ContentPolicy, CoverageEngine, CoverageError, CoverageReport,
+    fault_detected, AliasingReport, ContentPolicy, CoverageEngine, CoverageError, CoverageReport,
     EvaluationOptions, FaultVerdict, Strategy as Exec,
 };
 use twm_march::algorithms::{march_c_minus, march_u, mats_plus};
 use twm_march::notation::parse_march;
 use twm_march::{DataPattern, DataSpec, MarchElement, MarchTest, Operation};
-use twm_mem::{BitAddress, Fault, MemError, MemoryConfig, SplitMix64, Transition};
+use twm_mem::{BitAddress, Fault, FaultyMemory, MemError, MemoryConfig, SplitMix64, Transition};
 
 /// Serial plus the parallel thread counts every equivalence is checked at.
 const STRATEGIES: [Exec; 4] = [
@@ -115,6 +119,48 @@ fn reference_report(
         report.record(verdict.fault, verdict.detected);
     }
     report
+}
+
+/// The naive aliasing oracle: per fault, a fresh memory carrying it and
+/// the engine's first content round (all-zero under `Zeros`) runs the full
+/// scheme session.
+fn naive_aliasing(
+    transform: &SchemeTransform,
+    universe: &[Fault],
+    config: MemoryConfig,
+    options: EvaluationOptions,
+    misr: &Misr,
+) -> AliasingReport {
+    let mut report = AliasingReport::default();
+    for &fault in universe {
+        let mut memory = FaultyMemory::with_faults(config, vec![fault]).unwrap();
+        if let ContentPolicy::Random { seed } = options.content {
+            memory.fill_random(seed);
+        }
+        let outcome = run_scheme_session(transform, &mut memory, misr.clone()).unwrap();
+        report.total += 1;
+        report.detected_exact += usize::from(outcome.fault_detected_exact());
+        report.detected_signature += usize::from(outcome.fault_detected());
+        if outcome.aliased() {
+            report.aliased.push(fault);
+        }
+    }
+    report
+}
+
+/// A serial engine for `scheme`'s transparent form of `source`.
+fn scheme_engine(
+    scheme: &dyn TransparentScheme,
+    source: &MarchTest,
+    config: MemoryConfig,
+    options: EvaluationOptions,
+) -> CoverageEngine {
+    CoverageEngine::for_scheme(scheme, source, config)
+        .unwrap()
+        .options(options)
+        .strategy(Exec::Serial)
+        .build()
+        .unwrap()
 }
 
 proptest! {
@@ -402,11 +448,55 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `aliasing` equals the naive oracle for every registered scheme —
+    /// TOMT's concurrent checker included — over sampled faults of every
+    /// class, under both content policies and one or two contents per
+    /// fault.
+    #[test]
+    fn aliasing_matches_the_naive_session_for_every_scheme(
+        width in prop_oneof![Just(4usize), Just(8), Just(16)],
+        words in 2usize..6,
+        universe_seed in 0u64..1_000,
+        content_seed in 0u64..1_000,
+        zeros in any::<bool>(),
+        contents in 1usize..3,
+    ) {
+        let config = MemoryConfig::new(words, width).unwrap();
+        let faults = UniverseBuilder::new(config)
+            .all_classes()
+            .coupling_scope(CouplingScope::AllPairs)
+            .sample_per_class(8, universe_seed)
+            .build();
+        let options = if zeros {
+            EvaluationOptions {
+                content: ContentPolicy::Zeros,
+                contents_per_fault: 1,
+            }
+        } else {
+            random(content_seed, contents)
+        };
+        let misr = Misr::standard(width);
+        for scheme in SchemeRegistry::all(width).unwrap().iter() {
+            let transform = scheme.transform(&march_c_minus()).unwrap();
+            let e = scheme_engine(scheme, &march_c_minus(), config, options);
+            prop_assert_eq!(
+                e.aliasing(&misr, &faults).unwrap(),
+                naive_aliasing(&transform, &faults, config, options, &misr),
+                "{}",
+                scheme.name()
+            );
+        }
+    }
+}
+
 /// A report whose universe holds bad faults of every class returns the
 /// error of the earliest one in universe order, for every strategy —
 /// whichever worker hits a bad fault first, and whether it is out of
 /// range (its aggressor or its victim) or couples a cell with itself —
-/// the same error the scalar stream yields first.
+/// the same error the verdict stream yields first.
 #[test]
 fn report_returns_the_earliest_error_in_universe_order() {
     let config = MemoryConfig::new(4, 2).unwrap();
@@ -630,10 +720,10 @@ fn reuse_options() -> [EvaluationOptions; 4] {
 }
 
 /// One serial engine (so one pooled arena) evaluates every fault of an
-/// overlapping sequence alone, back to back, through `verdicts` and
-/// `injection_detected`; the whole sequence again through `verdicts`,
-/// `report` and `compare`; and consecutive pairs and triples as
-/// multi-fault injections. Every verdict equals `fault_detected`.
+/// overlapping sequence alone, back to back, through `injection_detected`
+/// (and `verdicts`); the whole sequence again through `verdicts`, `report`
+/// and `compare`; and consecutive pairs and triples as multi-fault
+/// injections. Every verdict equals `fault_detected`.
 ///
 /// Besides March C− and its TWM_TA transparent form on 4-bit words, a
 /// short literal test runs on 1-bit words: its first write rises only the
@@ -641,7 +731,7 @@ fn reuse_options() -> [EvaluationOptions; 4] {
 /// or a rising aggressor hangs on the initial content of every footprint
 /// word, and a word left stale by an earlier run flips verdicts.
 #[test]
-fn pooled_scalar_arena_reuse_matches_reference() {
+fn pooled_arena_reuse_matches_reference() {
     let transformed = TwmTa::new(4).unwrap().transform(&march_c_minus()).unwrap();
     let write_first = parse_march("write-first", "⇑(w1); ⇑(r1,w0); ⇓(r0)").unwrap();
     let wide = MemoryConfig::new(6, 4).unwrap();
@@ -690,32 +780,35 @@ fn pooled_scalar_arena_reuse_matches_reference() {
     }
 }
 
-/// Fault-local runs interleaved with `aliasing`, which resets and loads
-/// the whole pooled arena: the verdicts after each aliasing pass still
-/// equal `fault_detected`, and each aliasing report equals the one of a
-/// fresh engine.
+/// Footprint sweeps interleaved with `aliasing` sessions on one serial
+/// scheme engine's pooled arena: each aliasing report equals the naive
+/// oracle, and the verdicts after each aliasing pass still equal
+/// `fault_detected`.
 #[test]
-fn scalar_arena_reuse_interleaved_with_aliasing_matches_reference() {
+fn arena_reuse_interleaved_with_aliasing_matches_reference() {
     let width = 4;
     let config = MemoryConfig::new(6, width).unwrap();
     let sequence = overlapping_sequence(config);
-    let transformed = TwmTa::new(width)
-        .unwrap()
-        .transform(&march_c_minus())
-        .unwrap();
-    let test = transformed.transparent_test();
-    let prediction = transformed.signature_prediction().unwrap();
+    let scheme = TwmTa::new(width).unwrap();
+    let transform = scheme.transform(&march_c_minus()).unwrap();
+    let test = transform.transparent_test();
     let misr = Misr::standard(width);
     for options in reuse_options() {
-        let e = engine(test, config, options, Exec::Serial);
+        let e = scheme_engine(&scheme, &march_c_minus(), config, options);
         let reference = reference_verdicts(test, &sequence, config, options);
         for (chunk, expected) in sequence.chunks(7).zip(reference.chunks(7)) {
-            let fresh = engine(test, config, options, Exec::Serial);
             assert_eq!(
-                e.aliasing(prediction, &misr, chunk).unwrap(),
-                fresh.aliasing(prediction, &misr, chunk).unwrap(),
+                e.aliasing(&misr, chunk).unwrap(),
+                naive_aliasing(&transform, chunk, config, options, &misr),
                 "{options:?} {chunk:?}"
             );
+            for (fault, expected) in chunk.iter().zip(expected) {
+                assert_eq!(
+                    e.injection_detected(&[*fault]).unwrap(),
+                    expected.detected,
+                    "{options:?} {fault:?}"
+                );
+            }
             let streamed: Vec<FaultVerdict> = e.verdicts(chunk).collect::<Result<_, _>>().unwrap();
             assert_eq!(streamed, expected, "{options:?}");
             for set in chunk.windows(2) {

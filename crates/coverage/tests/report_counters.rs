@@ -1,7 +1,8 @@
-//! `report` resolves every fault class from the verdict table and never
-//! touches the scalar fault-local arena; the engine's process-wide
-//! counters say so. The only test in its binary, so no other test moves
-//! the counters while it reads them.
+//! `report`, `verdicts` and `compare` resolve every fault class from the
+//! verdict table and never touch an arena, while `injection_detected`
+//! sweeps on a pooled one; the engine's process-wide counters say so. The
+//! only test in its binary, so no other test moves the counters while it
+//! reads them.
 
 use twm_coverage::universe::{CouplingScope, UniverseBuilder};
 use twm_coverage::{CoverageEngine, Strategy};
@@ -18,11 +19,12 @@ fn idle_arenas() -> i64 {
         .get()
 }
 
-/// A mixed SAF/TF/CF report counts every fault as table-resolved, adds
-/// no scalar fault and leaves the arena pools alone; the `verdicts`
-/// stream over the same universe runs every fault on the scalar arena.
+/// A mixed SAF/TF/CF report counts every fault and chunk as
+/// table-resolved and leaves the arena pools alone; the `verdicts` stream
+/// and a `compare` over the same universe add their faults to the same
+/// counters, and only `injection_detected` returns an arena to the pool.
 #[test]
-fn a_mixed_report_runs_no_fault_on_the_scalar_arena() {
+fn table_paths_count_every_fault_and_check_out_no_arena() {
     let config = MemoryConfig::new(8, 8).unwrap();
     let faults = UniverseBuilder::new(config)
         .all_classes()
@@ -36,33 +38,49 @@ fn a_mixed_report_runs_no_fault_on_the_scalar_arena() {
         .strategy(Strategy::Parallel { threads: 2 })
         .build()
         .unwrap();
+    let chunks = faults.len().div_ceil(64) as u64;
+    let table_counts = || {
+        (
+            counter("twm_coverage_packed_faults_total"),
+            counter("twm_coverage_packed_batches_total"),
+        )
+    };
 
-    let (packed, batches, scalar, idle) = (
-        counter("twm_coverage_packed_faults_total"),
-        counter("twm_coverage_packed_batches_total"),
-        counter("twm_coverage_scalar_faults_total"),
-        idle_arenas(),
-    );
+    let (packed, batches) = table_counts();
+    let idle = idle_arenas();
     let report = engine.report(&faults).unwrap();
     assert_eq!(report.total_faults(), faults.len());
     assert_eq!(
-        counter("twm_coverage_packed_faults_total") - packed,
-        faults.len() as u64
+        table_counts(),
+        (packed + faults.len() as u64, batches + chunks)
     );
-    assert_eq!(
-        counter("twm_coverage_packed_batches_total") - batches,
-        faults.len().div_ceil(64) as u64
-    );
-    assert_eq!(counter("twm_coverage_scalar_faults_total"), scalar);
     assert_eq!(idle_arenas(), idle, "a report checks no arena in or out");
 
+    // The stream fits one window here: one resolver pass.
+    let (packed, batches) = table_counts();
     assert_eq!(engine.verdicts(&faults).count(), faults.len());
     assert_eq!(
-        counter("twm_coverage_scalar_faults_total") - scalar,
-        faults.len() as u64
+        table_counts(),
+        (packed + faults.len() as u64, batches + chunks)
     );
-    assert!(
-        idle_arenas() > idle,
-        "the stream's arenas return to the pool"
+    let (packed, batches) = table_counts();
+    assert!(engine
+        .compare(&engine, &faults)
+        .unwrap()
+        .disagreements
+        .is_empty());
+    assert_eq!(
+        table_counts(),
+        (packed + 2 * faults.len() as u64, batches + 2 * chunks)
+    );
+    assert_eq!(idle_arenas(), idle, "no table path checks an arena out");
+
+    let (packed, batches) = table_counts();
+    assert!(engine.injection_detected(&faults[..3]).unwrap());
+    assert_eq!(table_counts(), (packed, batches));
+    assert_eq!(
+        idle_arenas(),
+        idle + 1,
+        "an injection's arena returns to the pool"
     );
 }

@@ -1,8 +1,8 @@
-//! The verdict table against the scalar stream: `report` resolves every
+//! The verdict table against a sweep per fault: `report` resolves every
 //! fault from the engine's verdict table — stuck-at and transition faults
-//! and all three coupling classes — while `verdicts` runs each fault on
-//! the fault-local arena. Both must give the same verdict for every fault,
-//! in universe order.
+//! and all three coupling classes — while `injection_detected(&[fault])`
+//! runs the test over the fault's footprint words on a pooled arena. Both
+//! must give the same verdict for every fault, in universe order.
 //!
 //! The suite covers dense universes (every SAF and TF of one word, so one
 //! report chunk holds both stuck-at faults of a bit), sparse and ragged
@@ -12,12 +12,12 @@
 //! bits and words), universes mixing coupling faults between same-word,
 //! adjacent and far words with SAF/TF faults, out-of-range faults, and
 //! known answers that pin the table to the fault model rather than to the
-//! scalar path alone.
+//! sweep alone.
 
 use twm_core::{TransparentScheme, TwmTa};
 use twm_coverage::{
     fault_detected, ContentPolicy, CoverageEngine, CoverageError, CoverageReport,
-    EvaluationOptions, FaultVerdict, Strategy, UniverseBuilder,
+    EvaluationOptions, Strategy, UniverseBuilder,
 };
 use twm_march::algorithms::{march_c_minus, march_u, mats_plus};
 use twm_march::notation::parse_march;
@@ -82,21 +82,21 @@ fn engine(
         .unwrap()
 }
 
-/// The report the scalar stream yields for `faults`, in universe order.
-fn streamed_report(engine: &CoverageEngine, faults: &[Fault]) -> CoverageReport {
+/// The report a footprint sweep per fault yields for `faults`, in
+/// universe order.
+fn swept_report(engine: &CoverageEngine, faults: &[Fault]) -> CoverageReport {
     let mut report = CoverageReport::new(engine.test().name());
-    for verdict in engine.verdicts(faults) {
-        let FaultVerdict { fault, detected } = verdict.unwrap();
-        report.record(fault, detected);
+    for &fault in faults {
+        report.record(fault, engine.injection_detected(&[fault]).unwrap());
     }
     report
 }
 
-/// `report` (table) and `verdicts` (scalar) agree on `faults`.
-fn assert_table_matches_stream(engine: &CoverageEngine, faults: &[Fault], context: &str) {
+/// `report` (table) and a sweep per fault agree on `faults`.
+fn assert_table_matches_sweep(engine: &CoverageEngine, faults: &[Fault], context: &str) {
     assert_eq!(
         engine.report(faults).unwrap(),
-        streamed_report(engine, faults),
+        swept_report(engine, faults),
         "{} {context}",
         engine.test().name()
     );
@@ -153,7 +153,7 @@ fn random_mixed_fault(config: MemoryConfig, rng: &mut SplitMix64) -> Fault {
 /// Every SAF and TF of word 3, class-major: at width ≤ 32 the first report
 /// chunk holds both stuck-at faults of every bit.
 #[test]
-fn every_saf_and_tf_of_one_word_matches_the_scalar_stream() {
+fn every_saf_and_tf_of_one_word_matches_a_sweep_per_fault() {
     for width in WIDTHS {
         let config = MemoryConfig::new(6, width).unwrap();
         let cells = || (0..width).map(|bit| BitAddress::new(3, bit));
@@ -166,7 +166,7 @@ fn every_saf_and_tf_of_one_word_matches_the_scalar_stream() {
         for test in tests(width) {
             for options in [zeros(), random(width as u64, 2)] {
                 let e = engine(&test, config, options, Strategy::Serial);
-                assert_table_matches_stream(&e, &faults, &format!("width {width} {options:?}"));
+                assert_table_matches_sweep(&e, &faults, &format!("width {width} {options:?}"));
             }
         }
     }
@@ -176,7 +176,7 @@ fn every_saf_and_tf_of_one_word_matches_the_scalar_stream() {
 /// straddle the 64-fault report chunk (1, 63, 64, 65 and 130 faults), on
 /// serial and parallel engines.
 #[test]
-fn sparse_and_ragged_universes_match_the_scalar_stream() {
+fn sparse_and_ragged_universes_match_a_sweep_per_fault() {
     let mut rng = SplitMix64::new(0x5EA5E);
     for width in [1, 8, 33, 128] {
         let config = MemoryConfig::new(7, width).unwrap();
@@ -189,11 +189,7 @@ fn sparse_and_ragged_universes_match_the_scalar_stream() {
                     (random(width as u64, 3), Strategy::Parallel { threads: 2 }),
                 ] {
                     let e = engine(&test, config, options, strategy);
-                    assert_table_matches_stream(
-                        &e,
-                        &faults,
-                        &format!("{width} bits, {len} faults"),
-                    );
+                    assert_table_matches_sweep(&e, &faults, &format!("{width} bits, {len} faults"));
                 }
             }
         }
@@ -205,7 +201,7 @@ fn sparse_and_ragged_universes_match_the_scalar_stream() {
 /// the 64-fault chunk, at every width, under every test, content policy
 /// and a serial or parallel engine.
 #[test]
-fn mixed_coupling_and_single_cell_universes_match_the_scalar_stream() {
+fn mixed_coupling_and_single_cell_universes_match_a_sweep_per_fault() {
     let mut rng = SplitMix64::new(0xC0_FFEE);
     for width in WIDTHS {
         let config = MemoryConfig::new(1 + width % 6, width).unwrap();
@@ -220,7 +216,7 @@ fn mixed_coupling_and_single_cell_universes_match_the_scalar_stream() {
                     (random(width as u64, 3), Strategy::Parallel { threads: 3 }),
                 ] {
                     let e = engine(&test, config, options, strategy);
-                    assert_table_matches_stream(
+                    assert_table_matches_sweep(
                         &e,
                         &faults,
                         &format!("{}x{width}, {len} faults, {options:?}", config.words()),
@@ -244,7 +240,7 @@ fn duplicate_faults_resolve_at_every_slot() {
         for options in [zeros(), random(21, 2)] {
             let e = engine(&test, config, options, Strategy::Parallel { threads: 2 });
             let report = e.report(&faults).unwrap();
-            assert_eq!(report, streamed_report(&e, &faults), "{}", test.name());
+            assert_eq!(report, swept_report(&e, &faults), "{}", test.name());
             for fault in &all {
                 let listed = faults.iter().filter(|f| *f == fault).count();
                 let escaped = report.undetected.iter().filter(|f| *f == fault).count();
@@ -339,7 +335,7 @@ fn literal_reads_of_unwritten_patterns_detect_every_fault() {
             } else {
                 assert!(report.undetected.is_empty(), "{words}x{width}");
             }
-            assert_eq!(report, streamed_report(&e, &faults), "{words}x{width}");
+            assert_eq!(report, swept_report(&e, &faults), "{words}x{width}");
             for &fault in faults.iter().step_by(7) {
                 assert_eq!(
                     !report.undetected.contains(&fault),
@@ -353,7 +349,7 @@ fn literal_reads_of_unwritten_patterns_detect_every_fault() {
 
 /// Stuck-at and transition faults interleaved with every coupling fault of
 /// a small memory: the chunks merge back in universe order, so the
-/// `undetected` list is the scalar stream's, fault for fault.
+/// `undetected` list is the sweep's, fault for fault.
 #[test]
 fn mixed_universes_merge_chunk_verdicts_in_universe_order() {
     let config = MemoryConfig::new(5, 4).unwrap();
@@ -381,24 +377,24 @@ fn mixed_universes_merge_chunk_verdicts_in_universe_order() {
             for strategy in [Strategy::Serial, Strategy::Parallel { threads: 3 }] {
                 let e = engine(&test, config, options, strategy);
                 let report = e.report(&faults).unwrap();
-                let streamed = streamed_report(&e, &faults);
+                let swept = swept_report(&e, &faults);
                 assert_eq!(
                     report.undetected,
-                    streamed.undetected,
+                    swept.undetected,
                     "{} {options:?}",
                     test.name()
                 );
-                assert_eq!(report, streamed, "{} {options:?}", test.name());
+                assert_eq!(report, swept, "{} {options:?}", test.name());
             }
         }
     }
 }
 
 /// An out-of-range stuck-at or transition fault fails `report` with the
-/// same error the scalar stream yields for it, on every strategy, whether
-/// its word or its bit is out of range.
+/// same error the verdict stream and a sweep yield for it, on every
+/// strategy, whether its word or its bit is out of range.
 #[test]
-fn out_of_range_table_faults_fail_like_the_scalar_stream() {
+fn out_of_range_table_faults_fail_like_a_sweep() {
     let config = MemoryConfig::new(4, 8).unwrap();
     let good = UniverseBuilder::new(config).stuck_at().transition().build();
     for bad in [
@@ -421,15 +417,17 @@ fn out_of_range_table_faults_fail_like_the_scalar_stream() {
             );
             let streamed = e.verdicts(&faults).find_map(Result::err).unwrap();
             assert_eq!(streamed.to_string(), error.to_string());
+            let swept = e.injection_detected(&[bad]).unwrap_err();
+            assert_eq!(swept.to_string(), error.to_string());
             // The engine stays usable after the failed report.
-            assert_table_matches_stream(&e, &good, "after an error");
+            assert_table_matches_sweep(&e, &good, "after an error");
         }
     }
 }
 
 /// Every SAF and TF of a 16×32 memory — 2,048 faults, 32 full report
 /// chunks — under TWM_TA's transparent March C− and three content rounds:
-/// the report is identical for every thread count and equals the stream.
+/// the report is identical for every thread count and equals the sweep.
 #[test]
 fn table_reports_are_identical_for_every_thread_count() {
     let config = MemoryConfig::new(16, 32).unwrap();
@@ -440,12 +438,7 @@ fn table_reports_are_identical_for_every_thread_count() {
         let options = random(3, 3);
         let serial = engine(&test, config, options, Strategy::Serial);
         let expected = serial.report(&faults).unwrap();
-        assert_eq!(
-            expected,
-            streamed_report(&serial, &faults),
-            "{}",
-            test.name()
-        );
+        assert_eq!(expected, swept_report(&serial, &faults), "{}", test.name());
         for threads in [2, 3, 5, 64] {
             let parallel = engine(&test, config, options, Strategy::Parallel { threads });
             assert_eq!(

@@ -189,65 +189,14 @@ impl FaultyMemory {
         self.faults.clear();
     }
 
-    /// Resets the array content to all-zero and clears the access counters
-    /// and any recorded trace, keeping the injected faults and the storage
-    /// allocation.
-    ///
-    /// After the reset the memory is indistinguishable from one freshly
-    /// built with [`FaultyMemory::with_faults`] over the same fault set:
-    /// stuck-at values and activated state coupling are re-enforced on the
-    /// zeroed content, the counters read zero, and the trace is empty (the
-    /// tracing *switch* keeps its setting, as it is configuration rather
-    /// than run state).
-    pub fn reset_content(&mut self) {
-        self.storage.clear();
-        self.stats = AccessStats::default();
-        self.trace = Trace::new();
-        self.enforce_static_faults();
-    }
-
-    /// Re-arms the memory with a new fault set, resetting content, counters
-    /// and trace — the arena-reuse equivalent of dropping the memory and
-    /// building a fresh one with [`FaultyMemory::with_faults`], without
-    /// giving up the [`BitStorage`] allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same validation errors as [`FaultyMemory::with_faults`];
-    /// on error the memory keeps its previous faults and content.
-    pub fn reset_with_faults<F: Into<FaultSet>>(&mut self, faults: F) -> Result<(), MemError> {
-        let faults = faults.into();
-        faults.validate(self.config.words(), self.config.width())?;
-        self.faults = faults;
-        self.reset_content();
-        Ok(())
-    }
-
-    /// [`FaultyMemory::reset_with_faults`] for the single-fault case, reusing
-    /// the existing [`FaultSet`] allocation. Sweeps that visit only the
-    /// fault's words re-arm with [`FaultyMemory::rearm_local`] instead,
-    /// which leaves the rest of the memory alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same validation errors as [`FaultyMemory::with_faults`];
-    /// on error the memory keeps its previous faults and content.
-    pub fn reset_with_fault(&mut self, fault: Fault) -> Result<(), MemError> {
-        FaultSet::validate_fault(&fault, self.config.words(), self.config.width())?;
-        self.faults.clear();
-        self.faults.insert(fault);
-        self.reset_content();
-        Ok(())
-    }
-
     /// Re-arms the memory with a new fault set over a content image,
-    /// copying only `words` back from it: what
-    /// [`FaultyMemory::reset_with_faults`] followed by
+    /// copying only `words` back from it: what a fresh
+    /// [`FaultyMemory::with_faults`] followed by
     /// [`FaultyMemory::load_image`] produces, for a memory that already
     /// holds `image` everywhere outside `words`, in O(|words| + |faults|)
-    /// instead of O(memory). An arena reused across fault-local sweeps
-    /// lists the words the previous run could change: its faults'
-    /// footprint and every word it wrote.
+    /// instead of O(memory). Counters and trace are cleared. An arena
+    /// reused across fault-local sweeps lists the words the previous run
+    /// could change: its faults' footprint and every word it wrote.
     ///
     /// # Errors
     ///
@@ -272,9 +221,8 @@ impl FaultyMemory {
 
     /// [`FaultyMemory::rearm_words`] for an arena that sweeps only `words`
     /// and never reads the rest: re-arms the memory with `faults`, reusing
-    /// its [`FaultSet`] allocation like
-    /// [`FaultyMemory::reset_with_fault`], and restores `words` from
-    /// `image` (`None` = all-zero content). Content outside `words` is left
+    /// its [`FaultSet`] allocation, and restores `words` from `image`
+    /// (`None` = all-zero content). Content outside `words` is left
     /// as it is, so it may be stale from an earlier run; a fault-local
     /// sweep (`twm_bist::detect_lowered_at`) over a footprint that
     /// `words` covers reaches the same verdict as on a memory reset and
@@ -855,8 +803,10 @@ mod tests {
         assert!(!arena.take_trace().is_empty());
         let _ = exercise(&mut arena);
 
-        // Re-arm with a different fault; compare against a fresh build.
-        arena.reset_with_fault(second).unwrap();
+        // Re-arm every word with a different fault; compare against a
+        // fresh build.
+        let every_word: Vec<usize> = (0..c.words()).collect();
+        arena.rearm_local(&[second], None, &every_word).unwrap();
         let mut fresh = FaultyMemory::with_faults(c, vec![second]).unwrap();
         fresh.set_tracing(true);
         assert_eq!(arena.content(), fresh.content());
@@ -977,47 +927,6 @@ mod tests {
         assert!(arena.rearm_local(&[], None, &[0, 6]).is_err());
         assert_eq!(arena.content(), before);
         assert_eq!(arena.faults().len(), 1);
-    }
-
-    #[test]
-    fn reset_with_faults_accepts_sets_and_rejects_bad_faults() {
-        let c = config(4, 4);
-        let mut mem = FaultyMemory::fault_free(c);
-        mem.fill_random(3);
-        mem.reset_with_faults(vec![Fault::stuck_at(BitAddress::new(0, 0), true)])
-            .unwrap();
-        assert_eq!(mem.faults().len(), 1);
-        assert!(mem.peek_bit(BitAddress::new(0, 0)).unwrap());
-
-        // Invalid faults are rejected and leave the previous state in place.
-        assert!(mem
-            .reset_with_fault(Fault::stuck_at(BitAddress::new(9, 0), true))
-            .is_err());
-        assert_eq!(mem.faults().len(), 1);
-        assert!(mem
-            .reset_with_faults(vec![Fault::coupling_inversion(
-                BitAddress::new(1, 1),
-                BitAddress::new(1, 1),
-                Transition::Rising,
-            )])
-            .is_err());
-        assert_eq!(mem.faults().len(), 1);
-    }
-
-    #[test]
-    fn reset_content_clears_stats_and_trace_but_keeps_faults() {
-        let saf = Fault::stuck_at(BitAddress::new(0, 1), true);
-        let mut mem = FaultyMemory::with_faults(config(3, 4), vec![saf]).unwrap();
-        mem.set_tracing(true);
-        mem.fill_random(9);
-        let _ = exercise(&mut mem);
-        mem.reset_content();
-        assert_eq!(mem.stats(), AccessStats::default());
-        assert!(mem.take_trace().is_empty());
-        assert_eq!(mem.faults().len(), 1);
-        // Zeroed content with the stuck-at re-enforced.
-        let fresh = FaultyMemory::with_faults(config(3, 4), vec![saf]).unwrap();
-        assert_eq!(mem.content(), fresh.content());
     }
 
     #[test]

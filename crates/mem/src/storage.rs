@@ -248,16 +248,6 @@ impl BitStorage {
         Ok(())
     }
 
-    /// Resets every bit to zero without touching the allocation.
-    ///
-    /// This is the arena-reuse primitive behind
-    /// [`crate::FaultyMemory::reset_content`]: a cleared store is
-    /// indistinguishable from a freshly constructed one, but the block
-    /// vector (and therefore the heap allocation) is retained.
-    pub fn clear(&mut self) {
-        self.blocks.fill(0);
-    }
-
     /// Loads the whole contents from a slice of words.
     ///
     /// # Errors
@@ -463,15 +453,6 @@ mod tests {
             narrow.copy_from(&source),
             Err(MemError::WidthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn clear_zeroes_without_reallocating() {
-        let mut s = BitStorage::new(3, 40).unwrap();
-        s.set_word_bits(0, 0xFF_FFFF_FFFF);
-        s.set_word_bits(2, 0xAB);
-        s.clear();
-        assert_eq!(s, BitStorage::new(3, 40).unwrap());
     }
 
     #[test]

@@ -127,10 +127,10 @@ proptest! {
         prop_assert_eq!(mem.content(), before);
     }
 
-    /// A memory re-armed through `reset_with_fault` behaves bit-for-bit like
-    /// a freshly constructed one for any dirtying history and any subsequent
-    /// operation sequence — the contract arena reuse in the coverage engine
-    /// relies on.
+    /// A memory re-armed through `rearm_local` over every word behaves
+    /// bit-for-bit like a freshly constructed one for any dirtying history
+    /// and any subsequent operation sequence — the contract arena reuse in
+    /// the coverage engine relies on.
     #[test]
     fn rearmed_memory_matches_fresh_memory(
         words in 2usize..8,
@@ -158,7 +158,8 @@ proptest! {
             arena.read_word(addr % words).unwrap();
         }
 
-        arena.reset_with_fault(fault).unwrap();
+        let every_word: Vec<usize> = (0..words).collect();
+        arena.rearm_local(&[fault], None, &every_word).unwrap();
         let mut fresh = FaultyMemory::with_faults(config, vec![fault]).unwrap();
         prop_assert_eq!(arena.content(), fresh.content());
 

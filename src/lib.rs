@@ -26,9 +26,9 @@
 //!   test-vs-test comparisons — including
 //!   [`CoverageEngine::for_scheme`](coverage::CoverageEngine::for_scheme)
 //!   and the one-call [`scheme_matrix`](coverage::scheme_matrix) comparison
-//!   grid over every registered scheme. SAF/TF faults are looked up in a
-//!   per-engine verdict table instead of running the march, bit-identical
-//!   to scalar evaluation.
+//!   grid over every registered scheme. Every single-fault verdict, of
+//!   every fault class, is looked up in a per-engine verdict table instead
+//!   of running the march, bit-identical to the naive simulator.
 //! * [`search`] — march-test generation & minimisation: a deterministic,
 //!   seeded, parallel search over [`MarchTest`](march::MarchTest)
 //!   candidates (greedy drop-one-op minimisation,
@@ -159,14 +159,17 @@
 //! from a table the engine builds on first use: bit masks from one-word
 //! runs of the test with the fault on every bit, and, for coupling
 //! faults, from one- and two-word runs that simulate a victim on every
-//! bit at once (~25× faster than the scalar fault-local path for SAF/TF
-//! faults on 64K-word memories, ~40× for coupling faults). Every verdict
-//! is bit-identical to the naive reference [`coverage::fault_detected`]
-//! (property-tested in `crates/coverage/tests/reference_equivalence.rs`).
-//! The release-mode test `tests/measurement_floors.rs` holds the
-//! table-resolved report to at least 5× the scalar path for both and its
-//! cost flat as the test grows, and `perfbench/` (the repository
-//! benchmark) measures coverage-sweep throughput end to end.
+//! bit at once (~30× faster than simulating each fault over its own
+//! words for SAF/TF faults on 64K-word memories, ~40× for coupling
+//! faults). Reports, verdict streams and comparisons all read the table;
+//! only multi-fault injections and signature-aliasing sessions simulate.
+//! Every verdict is bit-identical to the naive reference
+//! [`coverage::fault_detected`] (property-tested in
+//! `crates/coverage/tests/reference_equivalence.rs`). The release-mode
+//! test `tests/measurement_floors.rs` holds the table-resolved report to
+//! at least 5× a fault-local sweep per fault for both and its cost flat
+//! as the test grows, and `perfbench/` (the repository benchmark)
+//! measures coverage-sweep throughput end to end.
 //!
 //! ## Searching for better march tests
 //!
@@ -357,9 +360,8 @@
 //! ## Watching it run
 //!
 //! Every subsystem above is instrumented through [`obs`]: the coverage
-//! engine counts table-resolved vs scalar fault evaluations and window
-//! steals,
-//! the fleet service records per-request latency histograms and cache
+//! engine counts table-resolved faults and chunks, chunk claims and idle
+//! arenas, the fleet service records per-request latency histograms and cache
 //! hits/misses/evictions/spills, the pager counts page reads and
 //! checksum failures, and the TCP front keeps a per-frame access log.
 //! Metrics are always on (lock-free atomics); tracing is off until you

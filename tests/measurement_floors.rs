@@ -3,8 +3,9 @@
 //!
 //! * **table-resolved report** — `report` over 512 SAF/TF faults at
 //!   64K×32, which looks every fault up in the engine's verdict table, is
-//!   at least 5× faster than the scalar fault-local path (the `verdicts`
-//!   stream folded into a report);
+//!   at least 5× faster than a fault-local sweep per fault
+//!   (`injection_detected(&[fault])` on the same engine, folded into a
+//!   report);
 //! * **table-resolved coupling report** — the same over 512 CFst, CFid
 //!   and CFin faults on same-word and adjacent-word cell pairs, which the
 //!   table answers from its coupling rows;
@@ -61,11 +62,10 @@ use twm::mem::{BitAddress, Fault, FaultyMemory, MemoryConfig, SplitMix64, Transi
 use twm::obs::{trace, ProfilerSink};
 use twm::repair::{DictionaryOptions, FaultLocalSession, SignatureDictionary};
 
-/// Minimum table-resolved `report` speed-up over the scalar `verdicts`
-/// stream.
+/// Minimum table-resolved `report` speed-up over a sweep per fault.
 const PACKED_SPEEDUP_FLOOR: f64 = 5.0;
-/// Minimum table-resolved coupling `report` speed-up over the scalar
-/// `verdicts` stream.
+/// Minimum table-resolved coupling `report` speed-up over a sweep per
+/// fault.
 const COUPLING_SPEEDUP_FLOOR: f64 = 5.0;
 /// Maximum cost of a SAF/TF report under a test four times as long.
 const TEST_LENGTH_CEILING: f64 = 1.5;
@@ -168,13 +168,13 @@ fn packed_workload() -> (CoverageEngine, Vec<Fault>) {
     )
 }
 
-/// The table floor's denominator: the `verdicts` stream, which never
-/// uses the verdict table, folded into a report.
-fn scalar_report(engine: &CoverageEngine, faults: &[Fault]) -> CoverageReport {
+/// The table floors' denominator: `injection_detected` on each fault
+/// alone, which sweeps the fault's footprint words instead of reading the
+/// verdict table, folded into a report.
+fn swept_report(engine: &CoverageEngine, faults: &[Fault]) -> CoverageReport {
     let mut report = CoverageReport::new(march_c_minus().name());
-    for verdict in engine.verdicts(faults) {
-        let verdict = verdict.unwrap();
-        report.record(verdict.fault, verdict.detected);
+    for &fault in faults {
+        report.record(fault, engine.injection_detected(&[fault]).unwrap());
     }
     report
 }
@@ -182,8 +182,8 @@ fn scalar_report(engine: &CoverageEngine, faults: &[Fault]) -> CoverageReport {
 fn assert_packed_arms_agree(engine: &CoverageEngine, faults: &[Fault]) {
     assert_eq!(
         engine.report(faults).unwrap(),
-        scalar_report(engine, faults),
-        "table-resolved and scalar reports must stay bit-identical"
+        swept_report(engine, faults),
+        "table-resolved and swept reports must stay bit-identical"
     );
 }
 
@@ -196,16 +196,16 @@ fn packed_floor_arms_agree() {
 
 #[test]
 #[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
-fn packed_report_beats_the_scalar_stream() {
+fn packed_report_beats_a_sweep_per_fault() {
     let _exclusive = exclusive();
     let (engine, faults) = packed_workload();
     assert_packed_arms_agree(&engine, &faults);
 
     let speedup = b_over_a(
         || drop(engine.report(&faults).unwrap()),
-        || drop(scalar_report(&engine, &faults)),
+        || drop(swept_report(&engine, &faults)),
     );
-    println!("table-resolved report: {speedup:.2}x the scalar stream");
+    println!("table-resolved report: {speedup:.2}x a sweep per fault");
     assert!(
         speedup >= PACKED_SPEEDUP_FLOOR,
         "table-resolved report speed-up {speedup:.2}x is below {PACKED_SPEEDUP_FLOOR}x"
@@ -263,16 +263,16 @@ fn coupling_floor_arms_agree() {
 
 #[test]
 #[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
-fn coupling_report_beats_the_scalar_stream() {
+fn coupling_report_beats_a_sweep_per_fault() {
     let _exclusive = exclusive();
     let (engine, faults) = coupling_workload();
     assert_packed_arms_agree(&engine, &faults);
 
     let speedup = b_over_a(
         || drop(engine.report(&faults).unwrap()),
-        || drop(scalar_report(&engine, &faults)),
+        || drop(swept_report(&engine, &faults)),
     );
-    println!("table-resolved coupling report: {speedup:.2}x the scalar stream");
+    println!("table-resolved coupling report: {speedup:.2}x a sweep per fault");
     assert!(
         speedup >= COUPLING_SPEEDUP_FLOOR,
         "table-resolved coupling report speed-up {speedup:.2}x is below {COUPLING_SPEEDUP_FLOOR}x"
