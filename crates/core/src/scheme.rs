@@ -84,6 +84,21 @@ impl SchemeId {
     pub fn comparison() -> [SchemeId; 3] {
         [SchemeId::Scheme1, SchemeId::Tomt, SchemeId::TwmTa]
     }
+
+    /// The scheme this id names, for `width`-bit words — one scheme
+    /// without building a whole [`SchemeRegistry`].
+    ///
+    /// # Errors
+    ///
+    /// The scheme constructor's [`CoreError::InvalidWidth`].
+    pub fn scheme(self, width: usize) -> Result<Box<dyn TransparentScheme>, CoreError> {
+        Ok(match self {
+            SchemeId::Nicolaidis => Box::new(NicolaidisScheme::new(width)?),
+            SchemeId::Scheme1 => Box::new(Scheme1::new(width)?),
+            SchemeId::Tomt => Box::new(TomtScheme::new(width)?),
+            SchemeId::TwmTa => Box::new(TwmTa::new(width)?),
+        })
+    }
 }
 
 impl fmt::Display for SchemeId {
@@ -594,12 +609,7 @@ impl SchemeRegistry {
     /// Returns [`CoreError::InvalidWidth`] for widths below 2 or above the
     /// supported maximum (the word-oriented schemes need at least 2 bits).
     pub fn all(width: usize) -> Result<Self, CoreError> {
-        let mut registry = Self::comparison(width)?;
-        registry.schemes.insert(
-            0,
-            Box::new(NicolaidisScheme::new(width)?) as Box<dyn TransparentScheme>,
-        );
-        Ok(registry)
+        Self::of(width, SchemeId::all())
     }
 
     /// The schemes of the paper's Tables 2/3 comparison: Scheme 1, TOMT
@@ -610,10 +620,15 @@ impl SchemeRegistry {
     /// Returns [`CoreError::InvalidWidth`] for widths below 2 or above the
     /// supported maximum.
     pub fn comparison(width: usize) -> Result<Self, CoreError> {
+        Self::of(width, SchemeId::comparison())
+    }
+
+    /// A registry of the schemes `ids` name, in that order.
+    fn of(width: usize, ids: impl IntoIterator<Item = SchemeId>) -> Result<Self, CoreError> {
         let mut registry = Self::empty(width)?;
-        registry.register(Box::new(Scheme1::new(width)?))?;
-        registry.register(Box::new(TomtScheme::new(width)?))?;
-        registry.register(Box::new(TwmTa::new(width)?))?;
+        for id in ids {
+            registry.register(id.scheme(width)?)?;
+        }
         Ok(registry)
     }
 

@@ -1,27 +1,25 @@
-//! The LRU-bounded runtime cache: per-shard engines, transforms and
-//! diagnosis state, rebuilt on miss and shared across worker threads.
+//! The LRU-bounded runtime cache: per-shard diagnosis state, rebuilt on
+//! miss and shared across worker threads.
 //!
 //! A shard's runtime is everything batched diagnosis needs beyond the
-//! dictionary itself: the scheme registry for the memory width, every
-//! scheme's transform of the source test (the expensive part of a
-//! [`twm_repair::DiagnosticSession`]), the dictionary-scheme transform
-//! used for repair verification (also prepared as a
-//! [`twm_repair::FaultLocalSession`] under the dictionary's content), the
-//! MISR template and a [`CoverageEngine`] carrying the prepared reference
-//! contents.
+//! dictionary itself: the dictionary-scheme transform of the source test
+//! (the one repair verification re-runs), prepared once as a
+//! [`twm_repair::FaultLocalSession`] under the dictionary's content, and
+//! the MISR template. A cold build transforms the source under that one
+//! scheme only.
 //!
-//! Engines are built in two steps so shards of the same memory shape and
-//! content policy share the prepared contents: a **base** engine per
+//! The cache also memoises one **base** [`CoverageEngine`] per
 //! `(config, content)` pair (kept for the life of the cache — there are
-//! few distinct shapes in a deployment), then the cheap
-//! [`CoverageEngine::with_scheme`] sibling per shard, which clones `Arc`s
-//! instead of regenerating contents.
+//! few distinct shapes in a deployment), from which server-side
+//! dictionary builds derive their engines through the cheap
+//! [`CoverageEngine::with_scheme`] sibling path, cloning `Arc`s instead
+//! of regenerating contents.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use twm_bist::Misr;
-use twm_core::scheme::{SchemeRegistry, SchemeTransform};
+use twm_core::scheme::SchemeTransform;
 use twm_coverage::{ContentPolicy, CoverageEngine, Strategy};
 use twm_march::MarchTest;
 use twm_mem::MemoryConfig;
@@ -35,13 +33,14 @@ use crate::FleetError;
 
 /// Process-wide runtime-cache counters in the [`twm_obs::global`]
 /// registry — the scrapeable mirror of every cache instance's
-/// [`CacheMetrics`] snapshot, plus the spill counter the service bumps
-/// when a demoted shard goes to disk.
+/// [`CacheMetrics`] snapshot, plus the spill counters the service bumps
+/// when a demoted shard goes to disk, or fails to and stays resident.
 pub(crate) struct CacheObs {
     pub(crate) hits: Counter,
     pub(crate) misses: Counter,
     pub(crate) evictions: Counter,
     pub(crate) spills: Counter,
+    pub(crate) spill_failures: Counter,
 }
 
 pub(crate) fn cache_obs() -> &'static CacheObs {
@@ -53,6 +52,7 @@ pub(crate) fn cache_obs() -> &'static CacheObs {
             misses: registry.counter("twm_fleet_cache_misses_total", &[]),
             evictions: registry.counter("twm_fleet_cache_evictions_total", &[]),
             spills: registry.counter("twm_fleet_cache_spills_total", &[]),
+            spill_failures: registry.counter("twm_fleet_cache_spill_failures_total", &[]),
         }
     })
 }
@@ -60,22 +60,11 @@ pub(crate) fn cache_obs() -> &'static CacheObs {
 /// Everything a worker thread needs to diagnose one shard's reports.
 #[derive(Debug)]
 pub struct ShardRuntime {
-    /// The source march test the deployment runs.
-    pub source: MarchTest,
-    /// The scheme registry for the shard's memory width.
-    pub registry: SchemeRegistry,
-    /// Every registered scheme's transform of the source test, in
-    /// registry order — feeds
-    /// [`twm_repair::DiagnosticSession::with_transforms`].
-    pub transforms: Vec<SchemeTransform>,
     /// The shard's dictionary handle — resident, or served from its
     /// spill file through the bounded page cache.
     pub dictionary: DictionaryHandle,
-    /// A coverage engine under the dictionary's scheme, sharing its base
-    /// engine's prepared contents.
-    pub engine: CoverageEngine,
-    /// The dictionary-scheme transform (the one repair verification
-    /// re-runs).
+    /// The dictionary-scheme transform of the source test (the one
+    /// repair verification re-runs).
     pub probe: SchemeTransform,
     /// The dictionary's MISR template (reset state).
     pub misr: Misr,
@@ -86,32 +75,17 @@ pub struct ShardRuntime {
 }
 
 impl ShardRuntime {
-    fn build(entry: &ShardEntry, base: &CoverageEngine) -> Result<Self, FleetError> {
+    fn build(entry: &ShardEntry) -> Result<Self, FleetError> {
         let dictionary = entry.dictionary.clone();
         let config = dictionary.config();
-        let registry = SchemeRegistry::all(config.width())?;
-        let transforms = registry.transform_all(&entry.source)?;
-        let scheme = registry
-            .get(dictionary.scheme())
-            .ok_or(FleetError::UnknownShard(ShardKey::new(
-                config,
-                dictionary.scheme(),
-                &entry.source,
-            )))?;
-        let engine = base.with_scheme(scheme, &entry.source)?;
-        let probe = registry
-            .ids()
-            .position(|id| id == dictionary.scheme())
-            .map(|at| transforms[at].clone())
-            .expect("registry.get succeeded, so the id is present");
+        let probe = dictionary
+            .scheme()
+            .scheme(config.width())?
+            .transform(&entry.source)?;
         let misr = dictionary.misr_template().clone();
         let local = FaultLocalSession::new(&probe, config, dictionary.content(), misr.clone())?;
         Ok(Self {
-            source: entry.source.clone(),
-            registry,
-            transforms,
             dictionary,
-            engine,
             probe,
             misr,
             local,
@@ -120,7 +94,7 @@ impl ShardRuntime {
 }
 
 /// LRU cache of shard runtimes plus the per-`(config, content)` base
-/// engines they are derived from.
+/// engines server-side dictionary builds derive from.
 #[derive(Debug)]
 pub struct RuntimeCache {
     capacity: usize,
@@ -164,8 +138,7 @@ impl RuntimeCache {
     ///
     /// # Errors
     ///
-    /// Propagates registry, transform and engine-build errors from a cold
-    /// build.
+    /// Propagates scheme, transform and session errors from a cold build.
     pub fn runtime(
         &mut self,
         key: ShardKey,
@@ -180,8 +153,7 @@ impl RuntimeCache {
         }
         self.misses.incr();
         cache_obs().misses.incr();
-        let base = self.base_engine(key.config, entry.dictionary.content(), &entry.source)?;
-        let runtime = Arc::new(ShardRuntime::build(entry, &base)?);
+        let runtime = Arc::new(ShardRuntime::build(entry)?);
         if self.runtimes.len() == self.capacity {
             let oldest = self
                 .runtimes

@@ -16,10 +16,12 @@
 //!   disk under a bounded page cache), with streaming wire-format
 //!   export/import for persistence.
 //! * [`cache`] — [`RuntimeCache`]: an LRU bound over per-shard
-//!   [`ShardRuntime`]s (scheme registry, transforms, coverage engine,
-//!   MISR), rebuilt on miss through the cheap
-//!   [`twm_coverage::CoverageEngine::with_scheme`] sibling path so
-//!   shards of one memory shape share prepared contents.
+//!   [`ShardRuntime`]s (the dictionary handle, the dictionary-scheme
+//!   probe transform, its prepared repair-verification session and the
+//!   MISR template), rebuilt on miss from that one transform; plus the
+//!   per-shape base engines server-side dictionary builds derive from
+//!   through the cheap [`twm_coverage::CoverageEngine::with_scheme`]
+//!   sibling path.
 //! * [`service`] — [`FleetService::handle`]: the synchronous
 //!   [`Request`] → [`Response`] core. [`Request::DiagnoseBatch`] maps
 //!   devices over the service's [`twm_coverage::WorkerPool`] and returns

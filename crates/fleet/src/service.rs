@@ -652,10 +652,13 @@ impl FleetService {
             // Cold shards fell out of the runtime LRU: demote their
             // dictionaries to spill files (no-op without a spill config).
             // The spilled shard keeps serving — its next lookups stream
-            // from disk through the bounded page cache.
+            // from disk through the bounded page cache. A failed spill
+            // leaves the shard resident and is counted, not fatal.
             for evicted in cache.take_evicted() {
-                if store.spill(evicted)? {
-                    cache_obs().spills.incr();
+                match store.spill(evicted) {
+                    Ok(true) => cache_obs().spills.incr(),
+                    Ok(false) => {}
+                    Err(_) => cache_obs().spill_failures.incr(),
                 }
             }
         }

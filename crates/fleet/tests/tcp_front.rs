@@ -244,3 +244,62 @@ fn evicted_shards_spill_to_disk_and_keep_diagnosing_identically() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A spill that cannot be written fails no batch: the evicted shard
+/// stays resident, keeps answering with the reference verdicts, and the
+/// failure is counted in `twm_fleet_cache_spill_failures_total`.
+#[test]
+fn a_failed_spill_leaves_the_shard_resident_and_is_counted() {
+    let failures = || {
+        twm_obs::global()
+            .counter("twm_fleet_cache_spill_failures_total", &[])
+            .get()
+    };
+    // The spill directory's parent is a regular file, so creating the
+    // directory fails on every spill.
+    let blocker = std::env::temp_dir().join(format!("twm-fleet-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let broken = FleetService::new(FleetConfig {
+        cache_capacity: 1,
+        spill: Some(SpillConfig::new(blocker.join("spill"))),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let reference = FleetService::new(FleetConfig::default()).unwrap();
+
+    let shard_a = ShardKey::new(config(), SchemeId::TwmTa, &march_c_minus());
+    let shard_b = ShardKey::new(config(), SchemeId::Scheme1, &mats_plus());
+    for (scheme, source) in [
+        (SchemeId::TwmTa, march_c_minus()),
+        (SchemeId::Scheme1, mats_plus()),
+    ] {
+        for service in [&broken, &reference] {
+            let response = service.handle(Request::RegisterDictionary {
+                source: source.clone(),
+                dictionary: build_dictionary(scheme, &source),
+            });
+            assert!(matches!(response, Response::Registered { .. }));
+        }
+    }
+    let batch_a = Request::DiagnoseBatch {
+        reports: reports(shard_a, SchemeId::TwmTa, &march_c_minus()),
+    };
+    let batch_b = Request::DiagnoseBatch {
+        reports: reports(shard_b, SchemeId::Scheme1, &mats_plus()),
+    };
+    let answer = |service: &FleetService, batch: &Request| match service.handle(batch.clone()) {
+        Response::Batch(report) => report,
+        other => panic!("diagnosis failed: {other:?}"),
+    };
+
+    assert_eq!(answer(&broken, &batch_a), answer(&reference, &batch_a));
+    assert_eq!(failures(), 0);
+    // B's cold build evicts A from the 1-slot cache; A's spill fails.
+    assert_eq!(answer(&broken, &batch_b), answer(&reference, &batch_b));
+    assert_eq!(failures(), 1);
+    // A stayed resident and still answers; evicting B fails once more.
+    assert_eq!(answer(&broken, &batch_a), answer(&reference, &batch_a));
+    assert_eq!(failures(), 2);
+    assert!(!blocker.join("spill").exists());
+    std::fs::remove_file(&blocker).unwrap();
+}

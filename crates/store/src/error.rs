@@ -3,6 +3,7 @@ use std::io;
 
 use twm_repair::RepairError;
 
+use crate::record::RecordError;
 use crate::wire::WireError;
 use crate::FORMAT_VERSION;
 
@@ -41,8 +42,11 @@ pub enum StoreError {
     /// The file's structure is internally inconsistent (bad entry shapes,
     /// out-of-range handles, unsorted trails).
     Corrupt(String),
-    /// A wire-encoded region (metadata, payload record) failed to decode.
+    /// The wire-encoded metadata region failed to decode.
     Wire(WireError),
+    /// A positional payload record failed to decode (unknown variant,
+    /// undefined flags, truncation, trailing bytes, overflow).
+    Record(RecordError),
     /// The store options are unusable (page too small for an index entry,
     /// zero-size pages).
     InvalidOptions(String),
@@ -70,6 +74,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::Corrupt(message) => write!(f, "corrupt store: {message}"),
             StoreError::Wire(e) => write!(f, "store wire region: {e}"),
+            StoreError::Record(e) => write!(f, "store payload record: {e}"),
             StoreError::InvalidOptions(message) => write!(f, "invalid store options: {message}"),
             StoreError::UnsortedClasses => {
                 write!(f, "class stream is not strictly sorted by trail")
@@ -84,6 +89,7 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io(e) => Some(e),
             StoreError::Wire(e) => Some(e),
+            StoreError::Record(e) => Some(e),
             StoreError::Repair(e) => Some(e),
             _ => None,
         }
@@ -99,6 +105,12 @@ impl From<io::Error> for StoreError {
 impl From<WireError> for StoreError {
     fn from(e: WireError) -> Self {
         StoreError::Wire(e)
+    }
+}
+
+impl From<RecordError> for StoreError {
+    fn from(e: RecordError) -> Self {
+        StoreError::Record(e)
     }
 }
 
@@ -141,6 +153,7 @@ mod tests {
             StoreError::Truncated { page: 7 },
             StoreError::Corrupt("entry prefix exceeds trail length".into()),
             StoreError::Wire(WireError::Malformed("bad tag".into())),
+            StoreError::Record(RecordError::UnknownVariant { variant: 9 }),
             StoreError::InvalidOptions("page size 8 below minimum".into()),
             StoreError::UnsortedClasses,
             StoreError::Repair(RepairError::EmptyUniverse),

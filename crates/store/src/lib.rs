@@ -11,16 +11,19 @@
 //!   fingerprint, MISR template, content policy, fault-free trail);
 //!   sorted **prefix-compressed** trail-index pages; and variable-length
 //!   payload pages reached by `(page, offset)` handles.
+//! * [`record`] — the positional payload-record codec (varint counts and
+//!   cells, fault variants by index, strict decoding).
 //! * [`Pager`] — checksum-verified page reads behind a bounded LRU cache
 //!   ([`PageCacheMetrics`] mirrors the fleet runtime-cache counters), so
 //!   serving memory is the **cache budget**, not the dictionary size.
 //! * [`PagedDictionary`] — implements `twm_repair`'s [`TrailLookup`]
 //!   alongside the in-RAM `SignatureDictionary`: lookups binary-search
-//!   index pages streamed from disk and deserialise one class. Built
+//!   index pages streamed from disk and decode one class. Built
 //!   either by [`PagedDictionary::build_to_disk`] (streams classes during
 //!   construction) or persisted from RAM with [`PagedDictionary::write`].
-//! * [`wire`] — the self-describing codec, now streaming over
-//!   [`std::io::Read`]/[`std::io::Write`]; `twm-fleet`'s codec wraps it.
+//! * [`wire`] — the self-describing codec, streaming over
+//!   [`std::io::Read`]/[`std::io::Write`]; `twm-fleet`'s codec wraps it
+//!   and the store's metadata region uses it.
 //!
 //! ```
 //! use twm_core::scheme::{SchemeId, SchemeRegistry};
@@ -64,15 +67,21 @@ pub mod error;
 pub mod format;
 pub mod paged;
 pub mod pager;
+pub mod record;
 pub mod wire;
 pub(crate) mod writer;
 
-/// On-disk format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version this build reads and writes. Version 2 seals
+/// pages with the word-wise [`format::page_checksum`], stores trail
+/// words at ⌈width/8⌉ bytes and payloads as positional
+/// [`record`]s; a version-1 file is rejected as
+/// [`StoreError::UnsupportedVersion`] and must be rebuilt.
+pub const FORMAT_VERSION: u32 = 2;
 
 pub use error::StoreError;
 pub use paged::{ClassIter, PagedDictionary, StoreOptions};
 pub use pager::{PageCacheMetrics, Pager};
+pub use record::RecordError;
 // The lookup trait the paged backend implements, re-exported so store
 // users need not name `twm_repair` for the common path.
 pub use twm_repair::TrailLookup;

@@ -5,10 +5,12 @@
 //! Only the header and the small metadata region (scheme, shapes, MISR
 //! template, fault-free trail) are resident; every lookup binary-searches
 //! **index pages** streamed from disk by their first trail, scans one
-//! page reconstructing prefix-compressed trails, and follows the payload
-//! handle to deserialise just the matched class. Serving memory is
-//! bounded by [`StoreOptions::cache_budget`], not dictionary size.
+//! page skipping prefix-compressed entries by their shared-prefix
+//! lengths, and follows the payload handle to decode just the matched
+//! class's positional record. Serving memory is bounded by
+//! [`StoreOptions::cache_budget`], not dictionary size.
 
+use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -27,10 +29,11 @@ use twm_repair::{
 };
 
 use crate::format::{
-    fnv64, verify_page, Header, END_OF_PAGE, ENTRY_FIXED, MAGIC, MAX_PAGE_SIZE, MIN_PAGE_SIZE,
-    TRAIL_WORD_BYTES,
+    fnv64, trail_word_bytes, verify_page, Header, END_OF_PAGE, ENTRY_FIXED, MAGIC, MAX_PAGE_SIZE,
+    MIN_PAGE_SIZE,
 };
 use crate::pager::{PageCacheMetrics, Pager};
+use crate::record::{decode_injections, read_varint, MAX_VARINT_LEN};
 use crate::writer::write_store;
 use crate::{wire, StoreError, FORMAT_VERSION};
 
@@ -169,7 +172,7 @@ impl PagedDictionary {
             store.page_size,
             &meta,
             dictionary.undetected(),
-            dictionary.classes().iter().cloned(),
+            dictionary.classes(),
         )?;
         Ok(())
     }
@@ -253,6 +256,13 @@ impl PagedDictionary {
             )));
         }
         meta_bytes.truncate(header.meta_bytes as usize);
+        if !(1..=twm_mem::MAX_WORD_WIDTH).contains(&(header.width as usize)) {
+            return Err(StoreError::Corrupt(format!(
+                "header width {} outside [1, {}]",
+                header.width,
+                twm_mem::MAX_WORD_WIDTH
+            )));
+        }
         let meta: StoreMeta = wire::from_bytes(&meta_bytes)?;
         if meta.fault_free.len() != header.trail_words as usize {
             return Err(StoreError::Corrupt(format!(
@@ -333,8 +343,8 @@ impl PagedDictionary {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Looks up an observed trail, deserialising its ambiguity class from
-    /// the payload region on a hit. Trails of a different shape than the
+    /// Looks up an observed trail, decoding its ambiguity class from the
+    /// payload region on a hit. Trails of a different shape than the
     /// dictionary's miss (as with the in-RAM backend).
     ///
     /// # Errors
@@ -358,44 +368,31 @@ impl PagedDictionary {
 
         let mut pager = self.lock_pager();
         // Binary search for the last index page whose first trail is <=
-        // the target.
+        // the target: the last probe that compared <= is that page.
         let mut low = 0u32;
         let mut high = self.header.index_pages;
+        let mut below = None;
         while low < high {
             let mid = low + (high - low) / 2;
-            let first = self.first_trail(&mut pager, mid)?;
-            if first.as_slice() <= target.as_slice() {
-                low = mid + 1;
-            } else {
+            let page = pager.page(self.header.index_start() + mid)?;
+            if self.first_trail_cmp(&page, mid, &target)? == Ordering::Greater {
                 high = mid;
+            } else {
+                low = mid + 1;
+                below = Some((mid, page));
             }
         }
-        let Some(page_index) = low.checked_sub(1) else {
+        let Some((page_index, page)) = below else {
             return Ok(None); // target sorts before the first indexed trail
         };
-
-        // Scan the page, reconstructing prefix-compressed trails.
-        let page = pager.page(self.header.index_start() + page_index)?;
-        let mut at = 0usize;
-        let mut current: Vec<u128> = Vec::with_capacity(trail_words);
-        while let Some(entry) = self.decode_entry(&page, &mut at, &mut current, page_index)? {
-            if current.as_slice() == target.as_slice() {
-                let injections = self.read_injections(&mut pager, entry, page_index)?;
-                let signatures = current
-                    .iter()
-                    .map(|&bits| Word::from_bits(bits, width))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| StoreError::Corrupt(format!("stored trail word: {e}")))?;
-                return Ok(Some(AmbiguityClass {
-                    trail: SignatureTrail::new(signatures),
-                    injections,
-                }));
-            }
-            if current.as_slice() > target.as_slice() {
-                break; // sorted page: the target cannot appear later
-            }
-        }
-        Ok(None)
+        let Some(entry) = self.find_in_page(&page, &target, page_index)? else {
+            return Ok(None);
+        };
+        let injections = self.read_injections(&mut pager, entry, page_index)?;
+        Ok(Some(AmbiguityClass {
+            trail: trail.clone(),
+            injections,
+        }))
     }
 
     /// Reads the injections not signature-detectable under the reference
@@ -446,17 +443,65 @@ impl PagedDictionary {
         .map_err(StoreError::Repair)
     }
 
-    /// First trail of an index page (page-relative index).
-    fn first_trail(&self, pager: &mut Pager, page_index: u32) -> Result<Vec<u128>, StoreError> {
-        let page = pager.page(self.header.index_start() + page_index)?;
-        let mut at = 0usize;
-        let mut current = Vec::new();
-        match self.decode_entry(&page, &mut at, &mut current, page_index)? {
-            Some(_) => Ok(current),
-            None => Err(StoreError::Corrupt(format!(
+    /// How the first trail of an index page (page-relative index)
+    /// orders against `target`.
+    fn first_trail_cmp(
+        &self,
+        page: &[u8],
+        page_index: u32,
+        target: &[u128],
+    ) -> Result<Ordering, StoreError> {
+        let Some(entry) = self.entry_at(page, 0, page_index)? else {
+            return Err(StoreError::Corrupt(format!(
                 "index page {page_index} holds no entries"
-            ))),
+            )));
+        };
+        Ok(self.cmp_suffix(page, &entry, target).0)
+    }
+
+    /// Compares `entry`'s stored suffix words with the same positions of
+    /// `target`, returning the order and the number of leading trail
+    /// words the entry shares with `target` (when it is not equal).
+    fn cmp_suffix(&self, page: &[u8], entry: &IndexEntry, target: &[u128]) -> (Ordering, usize) {
+        let word_bytes = trail_word_bytes(self.header.width as usize);
+        let mut word_at = entry.words_at;
+        for (position, &expected) in target.iter().enumerate().skip(entry.prefix) {
+            match read_word(page, word_at, word_bytes).cmp(&expected) {
+                Ordering::Equal => word_at += word_bytes,
+                order => return (order, position),
+            }
         }
+        (Ordering::Equal, target.len())
+    }
+
+    /// Scans one sorted index page for `target` without rebuilding the
+    /// trails it passes. `matched` is how many leading words the previous
+    /// entry shares with the (larger) target: an entry sharing more with
+    /// its predecessor still sorts below the target and is skipped
+    /// unread; one sharing less already sorts above it and ends the scan;
+    /// only an entry sharing exactly `matched` words has its suffix read.
+    fn find_in_page(
+        &self,
+        page: &[u8],
+        target: &[u128],
+        page_index: u32,
+    ) -> Result<Option<IndexEntry>, StoreError> {
+        let mut at = 0usize;
+        let mut matched = 0usize;
+        while let Some(entry) = self.entry_at(page, at, page_index)? {
+            at = entry.end;
+            match entry.prefix.cmp(&matched) {
+                Ordering::Greater => continue,
+                Ordering::Less => return Ok(None),
+                Ordering::Equal => {}
+            }
+            match self.cmp_suffix(page, &entry, target) {
+                (Ordering::Equal, _) => return Ok(Some(entry)),
+                (Ordering::Less, shared) => matched = shared,
+                (Ordering::Greater, _) => return Ok(None),
+            }
+        }
+        Ok(None)
     }
 
     /// Decodes the entry at `*at`, advancing the cursor and rebuilding
@@ -468,26 +513,43 @@ impl PagedDictionary {
         current: &mut Vec<u128>,
         page_index: u32,
     ) -> Result<Option<IndexEntry>, StoreError> {
+        let Some(entry) = self.entry_at(page, *at, page_index)? else {
+            return Ok(None);
+        };
+        let word_bytes = trail_word_bytes(self.header.width as usize);
+        current.truncate(entry.prefix);
+        current.extend(
+            (entry.words_at..entry.end)
+                .step_by(word_bytes)
+                .map(|word_at| read_word(page, word_at, word_bytes)),
+        );
+        *at = entry.end;
+        Ok(Some(entry))
+    }
+
+    /// Parses and validates the fixed part of the entry at `at`. Returns
+    /// `None` at end-of-page.
+    fn entry_at(
+        &self,
+        page: &[u8],
+        at: usize,
+        page_index: u32,
+    ) -> Result<Option<IndexEntry>, StoreError> {
         let trail_words = self.header.trail_words as usize;
         let capacity = page.len();
-        if *at + 2 > capacity {
+        if at + 2 > capacity {
             return Ok(None);
         }
-        let prefix = u16::from_le_bytes(page[*at..*at + 2].try_into().expect("2 bytes"));
-        if prefix == END_OF_PAGE {
+        let u16_at = |from: usize| usize::from(u16::from_le_bytes([page[from], page[from + 1]]));
+        let u32_at =
+            |from: usize| u32::from_le_bytes(page[from..from + 4].try_into().expect("4 bytes"));
+        let prefix = u16_at(at);
+        if prefix == usize::from(END_OF_PAGE) || at + ENTRY_FIXED > capacity {
+            // A tail too short for an entry is the zero padding of the
+            // page.
             return Ok(None);
         }
-        if *at + ENTRY_FIXED > capacity {
-            // A zeroed tail decodes as prefix 0 / suffix 0 — only valid
-            // as an entry when a real entry fits; anything else is
-            // structural corruption unless it is the zero padding of the
-            // final partial page.
-            return Ok(None);
-        }
-        let suffix = usize::from(u16::from_le_bytes(
-            page[*at + 2..*at + 4].try_into().expect("2 bytes"),
-        ));
-        let prefix = usize::from(prefix);
+        let suffix = u16_at(at + 2);
         if prefix + suffix != trail_words {
             // The zero padding after the last entry of a page reads as
             // prefix 0 + suffix 0; a dictionary trail always has at least
@@ -500,41 +562,25 @@ impl PagedDictionary {
                  length {trail_words}"
             )));
         }
-        if *at == 0 && prefix != 0 {
+        if at == 0 && prefix != 0 {
             return Err(StoreError::Corrupt(format!(
                 "index page {page_index}: first entry carries prefix {prefix}"
             )));
         }
-        if prefix > current.len() {
-            return Err(StoreError::Corrupt(format!(
-                "index page {page_index}: entry prefix {prefix} exceeds the reconstructed trail"
-            )));
-        }
-        let suffix_bytes = suffix * TRAIL_WORD_BYTES;
-        if *at + ENTRY_FIXED + suffix_bytes > capacity {
+        let words_at = at + ENTRY_FIXED;
+        let end = words_at + suffix * trail_word_bytes(self.header.width as usize);
+        if end > capacity {
             return Err(StoreError::Corrupt(format!(
                 "index page {page_index}: entry suffix runs past the page"
             )));
         }
-        let injections = u32::from_le_bytes(page[*at + 4..*at + 8].try_into().expect("4 bytes"));
-        let handle_page = u32::from_le_bytes(page[*at + 8..*at + 12].try_into().expect("4 bytes"));
-        let handle_offset =
-            u32::from_le_bytes(page[*at + 12..*at + 16].try_into().expect("4 bytes"));
-        current.truncate(prefix);
-        let mut word_at = *at + ENTRY_FIXED;
-        for _ in 0..suffix {
-            current.push(u128::from_le_bytes(
-                page[word_at..word_at + TRAIL_WORD_BYTES]
-                    .try_into()
-                    .expect("16 bytes"),
-            ));
-            word_at += TRAIL_WORD_BYTES;
-        }
-        *at = word_at;
         Ok(Some(IndexEntry {
-            injections,
-            handle_page,
-            handle_offset,
+            prefix,
+            words_at,
+            end,
+            injections: u32_at(at + 4),
+            handle_page: u32_at(at + 8),
+            handle_offset: u32_at(at + 12),
         }))
     }
 
@@ -542,7 +588,10 @@ impl PagedDictionary {
     /// at `pos` (records may span pages).
     fn read_payload(&self, pager: &mut Pager, pos: u64, len: usize) -> Result<Vec<u8>, StoreError> {
         let capacity = self.header.capacity() as u64;
-        if pos + len as u64 > self.header.payload_bytes {
+        if pos
+            .checked_add(len as u64)
+            .is_none_or(|end| end > self.header.payload_bytes)
+        {
             return Err(StoreError::Corrupt(format!(
                 "payload read of {len} bytes at {pos} runs past the {}-byte payload region",
                 self.header.payload_bytes
@@ -564,16 +613,39 @@ impl PagedDictionary {
         Ok(out)
     }
 
-    /// Reads the wire record at linear payload position `pos`.
-    fn read_record<T: for<'de> Deserialize<'de>>(
-        &self,
-        pager: &mut Pager,
-        pos: u64,
-    ) -> Result<T, StoreError> {
-        let len_bytes = self.read_payload(pager, pos, 4)?;
-        let len = u32::from_le_bytes(len_bytes.as_slice().try_into().expect("4 bytes")) as usize;
-        let bytes = self.read_payload(pager, pos + 4, len)?;
-        Ok(wire::from_bytes(&bytes)?)
+    /// Reads the payload record at linear payload position `pos`: a
+    /// varint byte length, then the positional injection record.
+    fn read_record(&self, pager: &mut Pager, pos: u64) -> Result<Vec<Vec<Fault>>, StoreError> {
+        // Most records lie within one page: decode them in place.
+        let capacity = self.header.capacity() as u64;
+        if pos < self.header.payload_bytes {
+            let page_start = pos - pos % capacity;
+            let page_index = u32::try_from(pos / capacity)
+                .map_err(|_| StoreError::Corrupt("payload position exceeds u32 pages".into()))?;
+            let page = pager.page(self.header.payload_start() + page_index)?;
+            let stream_end = (self.header.payload_bytes - page_start).min(capacity) as usize;
+            let record = &page[(pos - page_start) as usize..stream_end];
+            if let Ok((len, used)) = read_varint(record) {
+                if let Some(body) = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| record[used..].get(..len))
+                {
+                    return Ok(decode_injections(body)?);
+                }
+            }
+        }
+        // A record spanning pages (or a malformed one) is gathered, and
+        // its errors typed, through the linear stream.
+        let head_len = self
+            .header
+            .payload_bytes
+            .saturating_sub(pos)
+            .min(MAX_VARINT_LEN as u64) as usize;
+        let head = self.read_payload(pager, pos, head_len)?;
+        let (len, used) = read_varint(&head)?;
+        let len = usize::try_from(len).map_err(|_| crate::RecordError::Overflow)?;
+        let body = self.read_payload(pager, pos + used as u64, len)?;
+        Ok(decode_injections(&body)?)
     }
 
     fn read_injections(
@@ -584,7 +656,7 @@ impl PagedDictionary {
     ) -> Result<Vec<Vec<Fault>>, StoreError> {
         let capacity = self.header.capacity() as u64;
         let pos = u64::from(entry.handle_page) * capacity + u64::from(entry.handle_offset);
-        let injections: Vec<Vec<Fault>> = self.read_record(pager, pos)?;
+        let injections = self.read_record(pager, pos)?;
         if injections.len() != entry.injections as usize {
             return Err(StoreError::Corrupt(format!(
                 "index page {page_index}: entry promises {} injections, payload holds {}",
@@ -596,11 +668,25 @@ impl PagedDictionary {
     }
 }
 
+/// One index entry's fixed fields and where its suffix words lie.
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
+    /// Leading trail words shared with the previous entry of the page.
+    prefix: usize,
+    /// Page offset of the first suffix word.
+    words_at: usize,
+    /// Page offset just past the entry.
+    end: usize,
     injections: u32,
     handle_page: u32,
     handle_offset: u32,
+}
+
+/// The `word_bytes`-wide little-endian trail word at `at`.
+fn read_word(page: &[u8], at: usize, word_bytes: usize) -> u128 {
+    let mut word = [0u8; 16];
+    word[..word_bytes].copy_from_slice(&page[at..at + word_bytes]);
+    u128::from_le_bytes(word)
 }
 
 /// Streaming iterator over every class of a [`PagedDictionary`], in
@@ -790,9 +876,23 @@ mod tests {
         // Every class, bit-identical, via the streaming iterator...
         let streamed: Vec<AmbiguityClass> = store.iter().map(Result::unwrap).collect();
         assert_eq!(streamed.as_slice(), dictionary.classes());
-        // ...and via point lookups (disk-served binary search).
+        // ...and via point lookups (disk-served binary search), with
+        // near misses that sort between stored trails answered exactly as
+        // in RAM.
         for class in dictionary.classes() {
             assert_eq!(store.lookup(&class.trail).unwrap().as_ref(), Some(class));
+            let words = class.trail.signatures();
+            for position in [0, words.len() / 2, words.len() - 1] {
+                for flip in [1u128, 0b1000] {
+                    let mut near = words.to_vec();
+                    near[position] = Word::from_bits(near[position].to_bits() ^ flip, 4).unwrap();
+                    let near = SignatureTrail::new(near);
+                    assert_eq!(
+                        store.lookup(&near).unwrap().as_ref(),
+                        dictionary.lookup(&near)
+                    );
+                }
+            }
         }
         assert_eq!(
             store.undetected().unwrap().as_slice(),
@@ -883,6 +983,48 @@ mod tests {
         let err = write_store(&path, 256, &meta, &[], reversed).unwrap_err();
         assert!(matches!(err, StoreError::UnsortedClasses));
         assert!(!path.exists(), "failed writes must not leave partial files");
+    }
+
+    #[test]
+    fn a_rewrite_leaves_open_handles_answering_from_their_own_file() {
+        let first = dictionary(8, 4, 20);
+        let second = dictionary(6, 4, 0);
+        let path = temp_store("rewrite");
+        let options = StoreOptions {
+            page_size: 256,
+            cache_budget: 0, // every lookup reads the file
+        };
+        PagedDictionary::write(&first, &path, &options).unwrap();
+        let open = PagedDictionary::open(&path, &options).unwrap();
+        let before: Vec<Option<AmbiguityClass>> = first
+            .classes()
+            .iter()
+            .map(|class| open.lookup(&class.trail).unwrap())
+            .collect();
+
+        // The writer stages the new file and renames it over `path`: the
+        // open handle keeps its own, untruncated file.
+        PagedDictionary::write(&second, &path, &options).unwrap();
+        let after: Vec<Option<AmbiguityClass>> = first
+            .classes()
+            .iter()
+            .map(|class| open.lookup(&class.trail).unwrap())
+            .collect();
+        assert_eq!(after, before);
+        assert_eq!(open.read_dictionary().unwrap(), first);
+        assert_eq!(
+            PagedDictionary::open(&path, &options)
+                .unwrap()
+                .read_dictionary()
+                .unwrap(),
+            second
+        );
+        let staged = path.with_file_name(format!(
+            "{}.tmp",
+            path.file_name().unwrap().to_string_lossy()
+        ));
+        assert!(!staged.exists(), "the staged file is renamed away");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! The single-pass store writer: streams sorted ambiguity classes into a
 //! paged file without materialising the dictionary.
 //!
-//! Index entries append to the final file as classes drain (their region
-//! directly follows the metadata); payload records stream to a sibling
-//! temp file because their region comes last and its page count is only
-//! known at the end. Once the class stream is dry the temp bytes are
-//! page-chunked and checksummed into the final file, and the header —
-//! whose statistics fields accumulated during the drain — is rewritten
-//! over the placeholder page 0. Peak memory is one page buffer plus one
+//! The file is assembled at a sibling temp path and only renamed over
+//! the final path once complete and fsynced, so a crash never leaves a
+//! partial file there, and a rewrite never truncates a file an open
+//! [`crate::PagedDictionary`] still reads (the reader keeps the old
+//! inode). Index entries append to the temp file as classes drain (their
+//! region directly follows the metadata); payload records — positional
+//! [`crate::record`]s behind a varint length — stream to a second temp
+//! file because their region comes last and its page count is only known
+//! at the end. Once the class stream is dry the payload bytes are
+//! page-chunked and checksummed into the file, and the header — whose
+//! statistics fields accumulated during the drain — is rewritten over
+//! the placeholder page 0. Peak memory is one page buffer plus one
 //! class, whatever the dictionary size.
 
+use std::borrow::Borrow;
 use std::ffi::OsString;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -18,10 +24,11 @@ use std::path::{Path, PathBuf};
 use twm_repair::AmbiguityClass;
 
 use crate::format::{
-    pages_for, seal_page, Header, CHECKSUM_LEN, END_OF_PAGE, ENTRY_FIXED, MAX_PAGE_SIZE,
-    MIN_PAGE_SIZE, TRAIL_WORD_BYTES,
+    pages_for, seal_page, trail_word_bytes, Header, CHECKSUM_LEN, END_OF_PAGE, ENTRY_FIXED,
+    MAX_PAGE_SIZE, MIN_PAGE_SIZE,
 };
 use crate::paged::StoreMeta;
+use crate::record::{encode_injections, write_varint};
 use crate::{wire, StoreError};
 
 /// Longest count of equal leading words.
@@ -29,16 +36,21 @@ fn common_prefix(a: &[u128], b: &[u128]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-fn temp_payload_path(path: &Path) -> PathBuf {
+/// `path` with `suffix` appended to its file name.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut name = path
         .file_name()
         .map_or_else(|| OsString::from("store"), OsString::from);
-    name.push(".payload.tmp");
+    name.push(suffix);
     path.with_file_name(name)
 }
 
 /// Validates a page size against the entry geometry it must hold.
-pub(crate) fn validate_page_size(page_size: usize, trail_words: usize) -> Result<(), StoreError> {
+pub(crate) fn validate_page_size(
+    page_size: usize,
+    trail_words: usize,
+    width: usize,
+) -> Result<(), StoreError> {
     if !(MIN_PAGE_SIZE..=MAX_PAGE_SIZE).contains(&page_size) {
         return Err(StoreError::InvalidOptions(format!(
             "page size {page_size} outside [{MIN_PAGE_SIZE}, {MAX_PAGE_SIZE}]"
@@ -49,7 +61,7 @@ pub(crate) fn validate_page_size(page_size: usize, trail_words: usize) -> Result
             "trail length {trail_words} exceeds the index entry format"
         )));
     }
-    let full_entry = ENTRY_FIXED + trail_words * TRAIL_WORD_BYTES;
+    let full_entry = ENTRY_FIXED + trail_words * trail_word_bytes(width);
     let capacity = page_size - CHECKSUM_LEN;
     if full_entry > capacity {
         return Err(StoreError::InvalidOptions(format!(
@@ -63,7 +75,8 @@ pub(crate) fn validate_page_size(page_size: usize, trail_words: usize) -> Result
 /// Writes a complete store file at `path`. `classes` must yield
 /// strictly trail-ascending classes whose trails share `meta`'s
 /// fault-free shape — exactly what [`twm_repair::DictionaryStream`] and
-/// [`twm_repair::SignatureDictionary::classes`] produce.
+/// [`twm_repair::SignatureDictionary::classes`] produce, owned or
+/// borrowed.
 pub(crate) fn write_store<I>(
     path: &Path,
     page_size: usize,
@@ -72,70 +85,78 @@ pub(crate) fn write_store<I>(
     classes: I,
 ) -> Result<Header, StoreError>
 where
-    I: IntoIterator<Item = AmbiguityClass>,
+    I: IntoIterator,
+    I::Item: Borrow<AmbiguityClass>,
 {
-    let trail_words = meta.fault_free.len();
-    validate_page_size(page_size, trail_words)?;
-    let temp = temp_payload_path(path);
-    let result = write_store_inner(path, &temp, page_size, meta, undetected, classes);
-    let _ = std::fs::remove_file(&temp);
+    validate_page_size(page_size, meta.fault_free.len(), meta.config.width())?;
+    let staged = sibling(path, ".tmp");
+    let payload = sibling(path, ".payload.tmp");
+    let result = write_store_inner(&staged, &payload, page_size, meta, undetected, classes)
+        .and_then(|header| {
+            std::fs::rename(&staged, path)?;
+            Ok(header)
+        });
+    let _ = std::fs::remove_file(&payload);
     if result.is_err() {
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(&staged);
     }
     result
 }
 
+/// Appends one payload record — varint byte length, then the positional
+/// injection record — returning its linear payload position.
+fn write_record(
+    payload: &mut BufWriter<File>,
+    payload_bytes: &mut u64,
+    scratch: &mut Vec<u8>,
+    injections: &[Vec<twm_mem::Fault>],
+) -> Result<u64, StoreError> {
+    let at = *payload_bytes;
+    scratch.clear();
+    encode_injections(injections, scratch);
+    let body = scratch.len();
+    write_varint(scratch, body as u64);
+    let length = &scratch[body..];
+    payload.write_all(length)?;
+    payload.write_all(&scratch[..body])?;
+    *payload_bytes += scratch.len() as u64;
+    Ok(at)
+}
+
 fn write_store_inner<I>(
-    path: &Path,
-    temp: &Path,
+    staged: &Path,
+    payload_path: &Path,
     page_size: usize,
     meta: &StoreMeta,
     undetected: &[Vec<twm_mem::Fault>],
     classes: I,
 ) -> Result<Header, StoreError>
 where
-    I: IntoIterator<Item = AmbiguityClass>,
+    I: IntoIterator,
+    I::Item: Borrow<AmbiguityClass>,
 {
     let capacity = page_size - CHECKSUM_LEN;
     let trail_words = meta.fault_free.len();
     let width = meta.config.width();
+    let word_bytes = trail_word_bytes(width);
 
-    // Payload stream: length-prefixed wire records, undetected first (its
-    // handle is implicitly position 0).
-    // Read+write: the stream is read back for page-chunking at the end.
+    // Payload stream: undetected first (its handle is implicitly
+    // position 0). Read+write: the stream is read back for page-chunking
+    // at the end.
     let mut payload = BufWriter::new(
         std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(temp)?,
+            .open(payload_path)?,
     );
     let mut payload_bytes: u64 = 0;
-    let write_record = |payload: &mut BufWriter<File>,
-                        payload_bytes: &mut u64,
-                        bytes: &[u8]|
-     -> Result<u64, StoreError> {
-        let at = *payload_bytes;
-        let len = u32::try_from(bytes.len()).map_err(|_| {
-            StoreError::Corrupt(format!(
-                "payload record of {} bytes exceeds u32",
-                bytes.len()
-            ))
-        })?;
-        payload.write_all(&len.to_le_bytes())?;
-        payload.write_all(bytes)?;
-        *payload_bytes += 4 + u64::from(len);
-        Ok(at)
-    };
-    write_record(
-        &mut payload,
-        &mut payload_bytes,
-        &wire::to_bytes(undetected),
-    )?;
+    let mut scratch = Vec::new();
+    write_record(&mut payload, &mut payload_bytes, &mut scratch, undetected)?;
 
-    // Final file: placeholder header, then the metadata region.
-    let mut out = BufWriter::new(File::create(path)?);
+    // Staged file: placeholder header, then the metadata region.
+    let mut out = BufWriter::new(File::create(staged)?);
     out.write_all(&vec![0u8; page_size])?;
     let meta_encoded = wire::to_bytes(meta);
     let meta_pages = pages_for(meta_encoded.len() as u64, capacity);
@@ -151,14 +172,15 @@ where
     // every page full so pages are self-contained.
     let mut offset = 0usize;
     let mut index_pages = 0u32;
-    let mut page_prev: Vec<u128> = Vec::new();
-    let mut last_trail: Vec<u128> = Vec::new();
+    let mut words: Vec<u128> = Vec::with_capacity(trail_words);
+    let mut last_trail: Vec<u128> = Vec::with_capacity(trail_words);
     let mut entries = 0u64;
     let mut indexed = 0u64;
     let mut max_class_size = 0u64;
     let mut distinguishable = 0u64;
     page.fill(0);
     for class in classes {
+        let class = class.borrow();
         let signatures = class.trail.signatures();
         if signatures.len() != trail_words {
             return Err(StoreError::Corrupt(format!(
@@ -171,7 +193,8 @@ where
                 "class trail carries a signature wider than {width} bits"
             )));
         }
-        let words: Vec<u128> = signatures.iter().map(|word| word.to_bits()).collect();
+        words.clear();
+        words.extend(signatures.iter().map(|word| word.to_bits()));
         if entries > 0 && words <= last_trail {
             return Err(StoreError::UnsortedClasses);
         }
@@ -179,7 +202,8 @@ where
         let record_at = write_record(
             &mut payload,
             &mut payload_bytes,
-            &wire::to_bytes(&class.injections),
+            &mut scratch,
+            &class.injections,
         )?;
         let handle_page = u32::try_from(record_at / capacity as u64)
             .map_err(|_| StoreError::Corrupt("payload region exceeds u32 pages".into()))?;
@@ -187,12 +211,14 @@ where
         let injections = u32::try_from(class.injections.len())
             .map_err(|_| StoreError::Corrupt("class injection count exceeds u32".into()))?;
 
+        // The previous class is the previous entry of this page unless
+        // the page is fresh.
         let mut prefix = if offset == 0 {
             0
         } else {
-            common_prefix(&page_prev, &words)
+            common_prefix(&last_trail, &words)
         };
-        let mut entry_len = ENTRY_FIXED + (trail_words - prefix) * TRAIL_WORD_BYTES;
+        let mut entry_len = ENTRY_FIXED + (trail_words - prefix) * word_bytes;
         if offset + entry_len > capacity {
             // Seal this page (early-end sentinel if there is room) and
             // start a fresh one with a full entry.
@@ -205,7 +231,7 @@ where
             page.fill(0);
             offset = 0;
             prefix = 0;
-            entry_len = ENTRY_FIXED + trail_words * TRAIL_WORD_BYTES;
+            entry_len = ENTRY_FIXED + trail_words * word_bytes;
         }
         page[offset..offset + 2].copy_from_slice(&(prefix as u16).to_le_bytes());
         page[offset + 2..offset + 4]
@@ -215,8 +241,8 @@ where
         page[offset + 12..offset + 16].copy_from_slice(&handle_offset.to_le_bytes());
         let mut at = offset + ENTRY_FIXED;
         for &word in &words[prefix..] {
-            page[at..at + TRAIL_WORD_BYTES].copy_from_slice(&word.to_le_bytes());
-            at += TRAIL_WORD_BYTES;
+            page[at..at + word_bytes].copy_from_slice(&word.to_le_bytes()[..word_bytes]);
+            at += word_bytes;
         }
         offset += entry_len;
 
@@ -226,8 +252,7 @@ where
         if injections == 1 {
             distinguishable += 1;
         }
-        page_prev = words.clone();
-        last_trail = words;
+        std::mem::swap(&mut last_trail, &mut words);
     }
     if offset > 0 {
         if offset + 2 <= capacity {

@@ -7,7 +7,9 @@ use twm_coverage::{ContentPolicy, CoverageEngine, UniverseBuilder};
 use twm_march::algorithms::march_c_minus;
 use twm_mem::MemoryConfig;
 use twm_repair::{DictionaryOptions, SignatureDictionary};
-use twm_store::{PagedDictionary, StoreError, StoreOptions};
+use twm_store::format::{seal_page, Header};
+use twm_store::record::read_varint;
+use twm_store::{PagedDictionary, RecordError, StoreError, StoreOptions};
 
 const PAGE_SIZE: usize = 256;
 
@@ -108,7 +110,7 @@ fn every_flipped_byte_is_caught_or_harmless() {
             Err(other) => panic!("flip at {at}: unexpected error {other:?}"),
             // `exercise` itself asserts any successful lookup returned
             // the right class, so a clean pass here would mean the flip
-            // landed in dead padding — with FNV-sealed pages it cannot.
+            // landed in dead padding — with checksummed pages it cannot.
             Ok(()) => panic!("flip at {at} went undetected"),
         }
     }
@@ -133,6 +135,21 @@ fn foreign_versions_and_magics_are_typed() {
         })
     ));
 
+    // A version-1 file (FNV-sealed pages, wide trail words, wire
+    // payloads) is refused outright, never read as version 2.
+    assert_eq!(twm_store::FORMAT_VERSION, 2);
+    let mut legacy = bytes.clone();
+    legacy[8..12].copy_from_slice(&1u32.to_le_bytes());
+    seal_page(&mut legacy[..PAGE_SIZE]);
+    std::fs::write(&path, &legacy).unwrap();
+    assert!(matches!(
+        PagedDictionary::open(&path, &options()),
+        Err(StoreError::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+        })
+    ));
+
     // Break the magic.
     let mut foreign = bytes.clone();
     foreign[0] = b'X';
@@ -149,4 +166,102 @@ fn foreign_versions_and_magics_are_typed() {
         Err(StoreError::NotAStore)
     ));
     std::fs::remove_file(&path).unwrap();
+}
+
+/// The first class's payload record, located through index entry 0:
+/// `(payload page start in the file, record offset within the page)`.
+fn first_record(bytes: &[u8]) -> (usize, usize) {
+    let header = Header::decode(&bytes[..PAGE_SIZE]);
+    let entry = header.index_start() as usize * PAGE_SIZE;
+    let field = |at: usize| {
+        u32::from_le_bytes(bytes[entry + at..entry + at + 4].try_into().unwrap()) as usize
+    };
+    let (handle_page, handle_offset) = (field(8), field(12));
+    let page = (header.payload_start() as usize + handle_page) * PAGE_SIZE;
+    (page, handle_offset)
+}
+
+/// Rewrites the first class's payload record with `mutate` (given the
+/// record's bytes from its length prefix on, within its page), reseals
+/// the page so the checksum passes, and returns the reader's error.
+fn mutated_record_error(mutate: impl Fn(&mut [u8])) -> StoreError {
+    let dictionary = dictionary();
+    let (path, mut bytes) = store_bytes(&dictionary, "record");
+    let (page, offset) = first_record(&bytes);
+    mutate(&mut bytes[page + offset..page + PAGE_SIZE - 8]);
+    seal_page(&mut bytes[page..page + PAGE_SIZE]);
+    std::fs::write(&path, &bytes).unwrap();
+    let error = exercise(&path, &dictionary).expect_err("a malformed record must fail");
+    std::fs::remove_file(&path).unwrap();
+    error
+}
+
+/// Byte offsets within a one-injection, one-fault record: the length
+/// prefix's value and size, then the variant and flag bytes.
+fn record_layout(record: &[u8]) -> (u64, usize, usize) {
+    let (len, used) = read_varint(record).unwrap();
+    let body = &record[used..];
+    assert_eq!(&body[..2], &[1, 1], "first class must be one single fault");
+    (len, used, used + 2)
+}
+
+#[test]
+fn malformed_payload_records_are_typed() {
+    // Unknown fault variant.
+    let error = mutated_record_error(|record| {
+        let (_, _, variant) = record_layout(record);
+        record[variant] = 7;
+    });
+    assert!(
+        matches!(
+            error,
+            StoreError::Record(RecordError::UnknownVariant { variant: 7 })
+        ),
+        "{error:?}"
+    );
+
+    // A flag bit the variant does not define.
+    let error = mutated_record_error(|record| {
+        let (_, _, variant) = record_layout(record);
+        record[variant + 1] = 0x80;
+    });
+    assert!(
+        matches!(
+            error,
+            StoreError::Record(RecordError::BadFlags { flags: 0x80, .. })
+        ),
+        "{error:?}"
+    );
+
+    // A length prefix one short: the record ends mid-value.
+    let error = mutated_record_error(|record| {
+        let (len, used, _) = record_layout(record);
+        assert_eq!(used, 1);
+        record[0] = u8::try_from(len - 1).unwrap();
+    });
+    assert!(
+        matches!(error, StoreError::Record(RecordError::Truncated)),
+        "{error:?}"
+    );
+
+    // A length prefix one long: the next record's first byte trails.
+    let error = mutated_record_error(|record| {
+        let (len, used, _) = record_layout(record);
+        assert_eq!(used, 1);
+        record[0] = u8::try_from(len + 1).unwrap();
+    });
+    assert!(
+        matches!(
+            error,
+            StoreError::Record(RecordError::TrailingBytes { count: 1 })
+        ),
+        "{error:?}"
+    );
+
+    // A length prefix that never ends overflows instead of wrapping.
+    let error = mutated_record_error(|record| record[..11].fill(0xff));
+    assert!(
+        matches!(error, StoreError::Record(RecordError::Overflow)),
+        "{error:?}"
+    );
 }

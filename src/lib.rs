@@ -60,7 +60,8 @@
 //!   dictionaries sharded by `(memory shape, scheme, test fingerprint)`
 //!   in a [`DictionaryStore`](fleet::DictionaryStore) with wire-format
 //!   persistence, an LRU [`RuntimeCache`](fleet::RuntimeCache) of
-//!   per-shard engines/transforms, and the transport-agnostic
+//!   per-shard probe transforms and repair-verification sessions, and the
+//!   transport-agnostic
 //!   [`FleetService`](fleet::FleetService) whose
 //!   [`DiagnoseBatch`](fleet::Request::DiagnoseBatch) fans device trail
 //!   reports across worker threads — bit-identical to serial — and folds
