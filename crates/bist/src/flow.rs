@@ -19,11 +19,11 @@ use serde::{Deserialize, Serialize};
 
 use twm_core::scheme::SchemeTransform;
 use twm_march::OpKind;
-use twm_mem::{AddressOrder, AddressSequence, BitStorage, MemoryAccess, Word};
+use twm_mem::{AddressOrder, BitStorage, MemoryAccess, Word};
 
 use crate::executor::{execute_lowered_observed, ExecutionOptions, ExecutionResult};
 use crate::misr::Misr;
-use crate::{BistError, LoweredElement, LoweredTest};
+use crate::{BistError, LoweredElement, LoweredOp, LoweredTest};
 
 /// The outcome of a transparent BIST session.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -262,17 +262,20 @@ pub fn run_scheme_session_staged<M: MemoryAccess>(
 /// [`run_scheme_session_local`].
 ///
 /// Building one lowers the scheme's tests for the content's word width
-/// and simulates the fault-free session word by word over a plain copy
-/// of the content (stored values only: no memory model, no read log).
-/// The result carries the fault-free signature trail, exact-compare
-/// mismatch count and number of words whose content the session
-/// changes. [`run_scheme_session_staged`] on a fault-free memory holding
-/// the same content produces the same trail and counts
-/// (property-tested in `tests/fault_local_session.rs`). The simulation
-/// is kept apart from that executor path because a fleet runtime builds
-/// one reference per cold start: it is about 3× faster than running the
-/// executor on a fault-free memory (1K×32 and 64K×32, TWM_TA × March C−,
-/// 2-vCPU Xeon).
+/// and derives the fault-free session in closed form: the signature
+/// trail, exact-compare mismatch count and number of words whose content
+/// the session changes. Every word of a fault-free memory holds its
+/// content, or not, XOR a constant common to all words, and MISR
+/// compaction is linear over GF(2), so each element's signature is an
+/// affine function of the content, summed in one pass over it per read
+/// count and sweep direction.
+/// [`run_scheme_session_staged`] on a fault-free memory holding the same
+/// content produces the same trail and counts (property-tested in
+/// `tests/fault_local_session.rs`). A fleet runtime builds one reference
+/// per cold start, and it costs a few passes over the content instead of
+/// every operation on every word: ~30 µs at 1K×32 and ~1.3 ms at 64K×32
+/// for TWM_TA × March C−, against ~0.58 ms and ~43–46 ms op by op (2-vCPU
+/// Xeon).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionReference {
     pub(crate) prediction: Option<LoweredTest>,
@@ -285,7 +288,7 @@ pub struct SessionReference {
 }
 
 impl SessionReference {
-    /// Lowers `transform` for the content's word width and runs its
+    /// Lowers `transform` for the content's word width and derives its
     /// fault-free session over the content `image`.
     ///
     /// # Errors
@@ -313,51 +316,11 @@ impl SessionReference {
         let test = LoweredTest::new(transform.transparent_test(), width)?;
         let mut misr = misr;
         misr.reset();
-
-        let content = image.to_words();
-        let words = content.len();
-        let mut stored = content.clone();
-        let mut predicted = misr.clone();
-        if let Some(prediction) = &prediction {
-            for element in prediction.elements() {
-                for address in AddressSequence::new(words, element.order) {
-                    for op in &element.ops {
-                        match op.kind {
-                            OpKind::Write => stored[address] = op.value(content[address]),
-                            OpKind::Read => predicted.absorb(stored[address]),
-                        }
-                    }
-                }
-            }
-        }
-        let initial = stored.clone();
-        let mut tested = misr.clone();
-        let mut trail = vec![Word::zeros(width)];
-        let mut mismatches = 0usize;
-        for element in test.elements() {
-            for address in AddressSequence::new(words, element.order) {
-                for op in &element.ops {
-                    let value = op.value(initial[address]);
-                    match op.kind {
-                        OpKind::Write => stored[address] = value,
-                        OpKind::Read => {
-                            mismatches += usize::from(stored[address] != value);
-                            tested.absorb(stored[address] ^ op.pattern);
-                            if prediction.is_none() {
-                                predicted.absorb(value ^ op.pattern);
-                            }
-                        }
-                    }
-                }
-            }
-            trail.push(tested.signature());
-        }
-        trail[0] = predicted.signature();
-        let altered = stored
-            .iter()
-            .zip(&content)
-            .filter(|(after, before)| after != before)
-            .count();
+        let FaultFree {
+            trail,
+            mismatches,
+            altered,
+        } = fault_free_session(prediction.as_ref(), &test, &image, &misr);
         Ok(Self {
             prediction,
             test,
@@ -393,6 +356,286 @@ impl SessionReference {
     #[must_use]
     pub fn image(&self) -> &BitStorage {
         &self.image
+    }
+}
+
+/// A fault-free session over one content: the signature trail, the test
+/// phase's exact-compare mismatches and the number of words whose content
+/// the session changes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FaultFree {
+    trail: Vec<Word>,
+    mismatches: usize,
+    altered: usize,
+}
+
+/// What every word of a fault-free memory stores, or compacts at a read,
+/// at one point of a session: its content XOR `constant` when
+/// `transparent`, else `constant` alone.
+///
+/// One value describes every address. A word's ops depend only on its own
+/// content, so an element leaves every word transformed alike: a
+/// transparent op's data are the phase's origin (the content before the
+/// phase) XOR its pattern, which keeps the origin's flag and XORs the
+/// constant, and a literal op's data are its pattern, which clears the
+/// flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Affine {
+    transparent: bool,
+    constant: u128,
+}
+
+impl Affine {
+    /// The content itself.
+    const CONTENT: Self = Self {
+        transparent: true,
+        constant: 0,
+    };
+
+    /// `op`'s data in a phase whose origin is `self`.
+    fn data(self, op: &LoweredOp) -> Self {
+        if op.transparent {
+            self.xor(op.pattern.to_bits())
+        } else {
+            Self {
+                transparent: false,
+                constant: op.pattern.to_bits(),
+            }
+        }
+    }
+
+    fn xor(self, constant: u128) -> Self {
+        Self {
+            constant: self.constant ^ constant,
+            ..self
+        }
+    }
+}
+
+/// A sum over comparisons of the words at which two [`Affine`] values
+/// differ. Values of one flag differ at every word or at none. A
+/// transparent and a literal value differ wherever the content is not the
+/// XOR of their constants; those comparisons are kept as that constant
+/// and counted by one scan of the content ([`count_differing`]).
+#[derive(Debug, Default)]
+struct Differing {
+    words: usize,
+    unless_content_is: Vec<u128>,
+}
+
+impl Differing {
+    /// Adds the words of a `words`-word memory at which `a` and `b`
+    /// differ.
+    fn add(&mut self, a: Affine, b: Affine, words: usize) {
+        if a.transparent != b.transparent {
+            self.unless_content_is.push(a.constant ^ b.constant);
+        } else if a.constant != b.constant {
+            self.words += words;
+        }
+    }
+}
+
+/// Each sum of `sums`, in one scan of `content` for all of them.
+fn count_differing<const N: usize>(content: &[u128], sums: [&Differing; N]) -> [usize; N] {
+    let mut keys: Vec<u128> = sums
+        .iter()
+        .flat_map(|sum| sum.unless_content_is.iter().copied())
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut equal = vec![0usize; keys.len()];
+    if !keys.is_empty() {
+        for value in content {
+            for (key, equal) in keys.iter().zip(&mut equal) {
+                *equal += usize::from(value == key);
+            }
+        }
+    }
+    sums.map(|sum| {
+        sum.words
+            + sum
+                .unless_content_is
+                .iter()
+                .map(|key| content.len() - equal[keys.binary_search(key).expect("key is listed")])
+                .sum::<usize>()
+    })
+}
+
+/// MISR compaction of whole elements of a fault-free session, in closed
+/// form over one content.
+///
+/// An element of `R` reads per word absorbs, at the word in slot `i` of
+/// its sweep (address `aᵢ`), the reads `(tⱼ ? c(aᵢ) : 0) ⊕ dⱼ`, `j < R`
+/// ([`Affine`]), at stream positions `R·i + j`. Compaction is linear over
+/// GF(2) (see [`run_scheme_session_local`]), so with `n` words and
+/// `y = x^R` the element takes a state `S` to
+/// `S·yⁿ ⊕ T·H ⊕ D·G mod P`, where `T = Σ tⱼ·x^(R−1−j)`,
+/// `D = Σ dⱼ·x^(R−1−j)`, `H = Σ c(aᵢ)·y^(n−1−i)` and `G = Σ yⁱ`, `i < n`.
+/// `H` costs one pass over the content per read count and direction, by
+/// Horner's rule (`R` feedback shifts, then XOR the word); `yⁿ` and `G`
+/// cost `O(log n)` products per read count.
+struct Compactor<'a> {
+    misr: &'a Misr,
+    content: &'a [u128],
+    /// Per read count `R`: `yⁿ` and `G`.
+    spans: Vec<(usize, u128, u128)>,
+    /// Per read count and direction (descending or not): `H`.
+    sums: Vec<(usize, bool, u128)>,
+}
+
+impl<'a> Compactor<'a> {
+    fn new(misr: &'a Misr, content: &'a [u128]) -> Self {
+        Self {
+            misr,
+            content,
+            spans: Vec::new(),
+            sums: Vec::new(),
+        }
+    }
+
+    /// `state` after an element in `order` that compacts `reads` at every
+    /// word.
+    fn absorb(&mut self, state: u128, reads: &[Affine], order: AddressOrder) -> u128 {
+        if reads.is_empty() {
+            return state;
+        }
+        let misr = self.misr;
+        let (transparent, constant) = reads.iter().fold((0, 0), |(t, d), read| {
+            (
+                misr.times_x(t) ^ u128::from(read.transparent),
+                misr.times_x(d) ^ read.constant,
+            )
+        });
+        let (span, ones) = self.span(reads.len());
+        let mut next = misr.mul_mod(state, span);
+        if transparent != 0 {
+            let descending = order == AddressOrder::Descending;
+            next ^= misr.mul_mod(transparent, self.content_sum(reads.len(), descending));
+        }
+        if constant != 0 {
+            next ^= misr.mul_mod(constant, ones);
+        }
+        next
+    }
+
+    /// `yⁿ` and `G = Σ yⁱ`, `i < n`, for `y = x^reads`: square-and-multiply
+    /// over the bits of `n`, where doubling `m` takes `G` to `G·(1 + yᵐ)`
+    /// and adding one takes it to `G·y + 1`.
+    fn span(&mut self, reads: usize) -> (u128, u128) {
+        if let Some(&(_, power, ones)) = self.spans.iter().find(|span| span.0 == reads) {
+            return (power, ones);
+        }
+        let misr = self.misr;
+        let step = (0..reads).fold(1, |power, _| misr.times_x(power));
+        let words = self.content.len();
+        let (mut power, mut ones) = (1u128, 0u128);
+        for bit in (0..usize::BITS - words.leading_zeros()).rev() {
+            ones ^= misr.mul_mod(ones, power);
+            power = misr.mul_mod(power, power);
+            if (words >> bit) & 1 == 1 {
+                ones = misr.mul_mod(ones, step) ^ 1;
+                power = misr.mul_mod(power, step);
+            }
+        }
+        self.spans.push((reads, power, ones));
+        (power, ones)
+    }
+
+    /// `H` for `reads` per word, swept descending or not (ascending and
+    /// [`AddressOrder::Any`] alike, as [`twm_mem::AddressSequence`] runs
+    /// it).
+    fn content_sum(&mut self, reads: usize, descending: bool) -> u128 {
+        if let Some(&(.., sum)) = self
+            .sums
+            .iter()
+            .find(|sum| sum.0 == reads && sum.1 == descending)
+        {
+            return sum;
+        }
+        let misr = self.misr;
+        let horner =
+            |sum: u128, &value: &u128| (0..reads).fold(sum, |sum, _| misr.times_x(sum)) ^ value;
+        let sum = if descending {
+            self.content.iter().rev().fold(0, horner)
+        } else {
+            self.content.iter().fold(0, horner)
+        };
+        self.sums.push((reads, descending, sum));
+        sum
+    }
+}
+
+/// The fault-free session of `prediction` (if any) and `test` over the
+/// content `image`, compacted with the reset register `misr` — what
+/// [`run_scheme_session_staged`] reports on a fault-free memory holding
+/// `image`, without running an op: every element is one [`Affine`]
+/// transformation of every word, folded into the signatures by a
+/// [`Compactor`] and into the counts by [`Differing`].
+fn fault_free_session(
+    prediction: Option<&LoweredTest>,
+    test: &LoweredTest,
+    image: &BitStorage,
+    misr: &Misr,
+) -> FaultFree {
+    let words = image.words();
+    let content: Vec<u128> = (0..words).map(|word| image.word_bits(word)).collect();
+    let mut compactor = Compactor::new(misr, &content);
+    let mut stored = Affine::CONTENT;
+    let mut reads = Vec::new();
+    let mut predicted = 0u128;
+    if let Some(prediction) = prediction {
+        for element in prediction.elements() {
+            reads.clear();
+            for op in &element.ops {
+                match op.kind {
+                    OpKind::Write => stored = Affine::CONTENT.data(op),
+                    OpKind::Read => reads.push(stored),
+                }
+            }
+            predicted = compactor.absorb(predicted, &reads, element.order);
+        }
+    }
+
+    // The test phase resolves its data against the content the
+    // prediction phase left; a prediction-free scheme's checker compacts
+    // each read's expected data.
+    let initial = stored;
+    let mut states = vec![0u128];
+    let mut tested = 0u128;
+    let mut checked = Vec::new();
+    let mut mismatches = Differing::default();
+    for element in test.elements() {
+        reads.clear();
+        checked.clear();
+        for op in &element.ops {
+            let value = initial.data(op);
+            match op.kind {
+                OpKind::Write => stored = value,
+                OpKind::Read => {
+                    mismatches.add(stored, value, words);
+                    reads.push(stored.xor(op.pattern.to_bits()));
+                    checked.push(value.xor(op.pattern.to_bits()));
+                }
+            }
+        }
+        tested = compactor.absorb(tested, &reads, element.order);
+        if prediction.is_none() {
+            predicted = compactor.absorb(predicted, &checked, element.order);
+        }
+        states.push(tested);
+    }
+    states[0] = predicted;
+    let mut altered = Differing::default();
+    altered.add(stored, Affine::CONTENT, words);
+    let [mismatches, altered] = count_differing(&content, [&mismatches, &altered]);
+    let width = misr.width();
+    FaultFree {
+        trail: states
+            .into_iter()
+            .map(|state| Word::from_bits(state, width).expect("state is masked to the width"))
+            .collect(),
+        mismatches,
+        altered,
     }
 }
 
@@ -773,8 +1016,9 @@ fn slot(address: usize, words: usize, order: AddressOrder) -> u64 {
 mod tests {
     use super::*;
     use twm_core::scheme::{SchemeId, SchemeRegistry, TransparentScheme, TwmTa};
-    use twm_march::algorithms::{march_c_minus, march_u};
-    use twm_mem::{BitAddress, Fault, MemoryBuilder, Transition};
+    use twm_march::algorithms::{march_c_minus, march_u, mats_plus};
+    use twm_march::{DataPattern, DataSpec, MarchElement, MarchTest, Operation};
+    use twm_mem::{AddressSequence, BitAddress, Fault, MemoryBuilder, SplitMix64, Transition};
 
     fn transformed(width: usize) -> SchemeTransform {
         TwmTa::new(width)
@@ -960,5 +1204,240 @@ mod tests {
         let a = run(Fault::stuck_at(BitAddress::new(2, 1), true));
         let b = run(Fault::stuck_at(BitAddress::new(9, 6), false));
         assert_ne!(a, b);
+    }
+
+    /// The fault-free session op by op: every element's ops on every
+    /// word in sweep order, over a plain copy of the content.
+    fn word_by_word(
+        prediction: Option<&LoweredTest>,
+        test: &LoweredTest,
+        image: &BitStorage,
+        misr: &Misr,
+    ) -> FaultFree {
+        let content = image.to_words();
+        let words = content.len();
+        let mut stored = content.clone();
+        let mut predicted = misr.clone();
+        if let Some(prediction) = prediction {
+            for element in prediction.elements() {
+                for address in AddressSequence::new(words, element.order) {
+                    for op in &element.ops {
+                        match op.kind {
+                            OpKind::Write => stored[address] = op.value(content[address]),
+                            OpKind::Read => predicted.absorb(stored[address]),
+                        }
+                    }
+                }
+            }
+        }
+        let initial = stored.clone();
+        let mut tested = misr.clone();
+        let mut trail = vec![Word::zeros(image.width())];
+        let mut mismatches = 0usize;
+        for element in test.elements() {
+            for address in AddressSequence::new(words, element.order) {
+                for op in &element.ops {
+                    let value = op.value(initial[address]);
+                    match op.kind {
+                        OpKind::Write => stored[address] = value,
+                        OpKind::Read => {
+                            mismatches += usize::from(stored[address] != value);
+                            tested.absorb(stored[address] ^ op.pattern);
+                            if prediction.is_none() {
+                                predicted.absorb(value ^ op.pattern);
+                            }
+                        }
+                    }
+                }
+            }
+            trail.push(tested.signature());
+        }
+        trail[0] = predicted.signature();
+        let altered = stored
+            .iter()
+            .zip(&content)
+            .filter(|(after, before)| after != before)
+            .count();
+        FaultFree {
+            trail,
+            mismatches,
+            altered,
+        }
+    }
+
+    const WIDTHS: [usize; 6] = [1, 7, 32, 33, 64, 128];
+
+    /// All-zero content, or pseudo-random words.
+    fn image(words: usize, width: usize, seed: Option<u64>) -> BitStorage {
+        let mut image = BitStorage::new(words, width).unwrap();
+        if let Some(seed) = seed {
+            let mut rng = SplitMix64::new(seed);
+            for word in 0..words {
+                image.set_word_bits(word, rng.next_u128());
+            }
+        }
+        image
+    }
+
+    fn lowered(test: &MarchTest, width: usize) -> LoweredTest {
+        LoweredTest::new(test, width).unwrap()
+    }
+
+    /// Asserts that the closed form equals the op-by-op session.
+    fn assert_closed_form(
+        prediction: Option<&LoweredTest>,
+        test: &LoweredTest,
+        image: &BitStorage,
+    ) {
+        let misr = Misr::standard(image.width());
+        assert_eq!(
+            fault_free_session(prediction, test, image, &misr),
+            word_by_word(prediction, test, image, &misr),
+            "{} after {:?} on {}x{}",
+            test.name(),
+            prediction.map(LoweredTest::name),
+            image.words(),
+            image.width()
+        );
+    }
+
+    fn literal(pattern: DataPattern) -> DataSpec {
+        DataSpec::Literal(pattern)
+    }
+
+    fn transparent(pattern: DataPattern) -> DataSpec {
+        DataSpec::TransparentXor(pattern)
+    }
+
+    /// Literal tests, one that reads before it writes, and literal writes
+    /// followed by transparent reads, so the stored state and a read's
+    /// expected data cross between the content-carrying and the literal
+    /// forms.
+    fn literal_and_mixed_tests() -> Vec<MarchTest> {
+        let read_before_write = MarchTest::new(
+            "read before write",
+            vec![
+                MarchElement::ascending(vec![
+                    Operation::read(literal(DataPattern::Zeros)),
+                    Operation::write(literal(DataPattern::Ones)),
+                ]),
+                MarchElement::descending(vec![
+                    Operation::read(literal(DataPattern::Ones)),
+                    Operation::write(literal(DataPattern::Custom(0x5A5A))),
+                    Operation::read(literal(DataPattern::Custom(0x5A5A))),
+                ]),
+                MarchElement::any_order(vec![Operation::read(literal(DataPattern::Zeros))]),
+            ],
+        )
+        .unwrap();
+        let mixed = MarchTest::new(
+            "literal writes, transparent reads",
+            vec![
+                MarchElement::ascending(vec![Operation::write(literal(DataPattern::Custom(
+                    0x0F0F_3C3C,
+                )))]),
+                MarchElement::descending(vec![
+                    Operation::read(transparent(DataPattern::Zeros)),
+                    Operation::write(transparent(DataPattern::Ones)),
+                    Operation::read(transparent(DataPattern::Ones)),
+                    Operation::read(literal(DataPattern::Custom(0x0F0F_3C3C))),
+                ]),
+                MarchElement::ascending(vec![
+                    Operation::write(transparent(DataPattern::Custom(0x1234))),
+                    Operation::read(literal(DataPattern::Ones)),
+                    Operation::write(literal(DataPattern::Zeros)),
+                    Operation::read(transparent(DataPattern::Zeros)),
+                ]),
+            ],
+        )
+        .unwrap();
+        vec![march_c_minus(), mats_plus(), read_before_write, mixed]
+    }
+
+    #[test]
+    fn closed_form_matches_op_by_op_on_literal_and_mixed_tests() {
+        let tests = literal_and_mixed_tests();
+        for width in WIDTHS {
+            let lowered: Vec<LoweredTest> = tests.iter().map(|test| lowered(test, width)).collect();
+            for words in [1, 2, 3, 5, 17, 64, 300] {
+                for seed in [None, Some(words as u64 ^ width as u64)] {
+                    let image = image(words, width, seed);
+                    for test in &lowered {
+                        assert_closed_form(None, test, &image);
+                        // A prediction phase that writes too.
+                        for prediction in &lowered {
+                            assert_closed_form(Some(prediction), test, &image);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_op_by_op_on_transformed_tests() {
+        for width in WIDTHS.into_iter().filter(|&width| width > 1) {
+            let registry = SchemeRegistry::all(width).unwrap();
+            for scheme in registry.iter() {
+                let transform = scheme.transform(&march_c_minus()).unwrap();
+                let prediction = transform
+                    .signature_prediction()
+                    .map(|test| lowered(test, width));
+                let test = lowered(transform.transparent_test(), width);
+                for words in [1, 2, 40] {
+                    for seed in [None, Some(7)] {
+                        assert_closed_form(prediction.as_ref(), &test, &image(words, width, seed));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random test: 1–4 elements of 1–6 ops each, every op's kind,
+    /// transparency and pattern drawn.
+    fn random_test(rng: &mut SplitMix64) -> MarchTest {
+        let elements = (0..1 + rng.next_below(4))
+            .map(|_| {
+                let ops = (0..1 + rng.next_below(6))
+                    .map(|_| {
+                        let pattern = match rng.next_below(4) {
+                            0 => DataPattern::Zeros,
+                            1 => DataPattern::Ones,
+                            _ => DataPattern::Custom(rng.next_u128()),
+                        };
+                        let data = if rng.next_below(2) == 1 {
+                            transparent(pattern)
+                        } else {
+                            literal(pattern)
+                        };
+                        if rng.next_below(2) == 1 {
+                            Operation::read(data)
+                        } else {
+                            Operation::write(data)
+                        }
+                    })
+                    .collect();
+                match rng.next_below(3) {
+                    0 => MarchElement::ascending(ops),
+                    1 => MarchElement::descending(ops),
+                    _ => MarchElement::any_order(ops),
+                }
+            })
+            .collect();
+        MarchTest::new("random", elements).unwrap()
+    }
+
+    #[test]
+    fn closed_form_matches_op_by_op_on_random_tests() {
+        let mut rng = SplitMix64::new(0x00C1_05ED);
+        for _ in 0..400 {
+            let width = WIDTHS[rng.next_below(WIDTHS.len())];
+            let words = 1 + rng.next_below(300);
+            let test = lowered(&random_test(&mut rng), width);
+            let prediction =
+                (rng.next_below(2) == 1).then(|| lowered(&random_test(&mut rng), width));
+            let seed = (rng.next_below(2) == 1).then(|| rng.next_u64());
+            assert_closed_form(prediction.as_ref(), &test, &image(words, width, seed));
+        }
     }
 }

@@ -174,14 +174,15 @@ impl Misr {
     /// zero word. Branch-free (the feedback bit of a signature stream is
     /// unpredictable), and with no variable shift on the state's
     /// dependency chain.
-    fn times_x(&self, value: u128) -> u128 {
+    #[inline]
+    pub(crate) fn times_x(&self, value: u128) -> u128 {
         let top = 1u128 << (self.width - 1);
         let shifted = (value << 1) & (top | (top - 1));
         shifted ^ (self.polynomial & 0u128.wrapping_sub(u128::from(value & top != 0)))
     }
 
     /// `a · b mod P` by Horner's rule over the bits of `b`.
-    fn mul_mod(&self, a: u128, b: u128) -> u128 {
+    pub(crate) fn mul_mod(&self, a: u128, b: u128) -> u128 {
         let mut product = 0u128;
         for bit in (0..self.width).rev() {
             product = self.times_x(product);

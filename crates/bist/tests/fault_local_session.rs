@@ -3,16 +3,17 @@
 //! naive full session, [`run_scheme_session_staged`], reports for the
 //! whole memory — signature trail, exact mismatch count and content
 //! verdict — for every registered scheme (including the prediction-free
-//! TOMT), word widths 2–64, all-zero and random content, every fault
-//! class, multi-fault injections, remapped memories and constructed
-//! aliasing pairs whose errors cancel in the MISR.
+//! TOMT), word widths 2–64 (1–128 for the fault-free reference), all-zero
+//! and random content, every fault class, multi-fault injections,
+//! remapped memories and constructed aliasing pairs whose errors cancel in
+//! the MISR.
 
 use proptest::prelude::*;
 
 use twm_bist::{
     run_scheme_session_local, run_scheme_session_staged, BistError, Misr, SessionReference,
 };
-use twm_core::scheme::{SchemeRegistry, SchemeTransform};
+use twm_core::scheme::{SchemeId, SchemeRegistry, SchemeTransform};
 use twm_march::algorithms::{self, march_c_minus};
 use twm_march::{MarchTest, OpKind};
 use twm_mem::{
@@ -167,17 +168,37 @@ fn source_test(index: usize) -> MarchTest {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Fault-free references equal the naive session on a healthy memory.
+    /// Fault-free references equal the naive session on a healthy memory,
+    /// at every width 1–128 (Nicolaidis alone at width 1, where the other
+    /// schemes are undefined) and up to 300 words, so that an element's
+    /// reads over the whole memory often outnumber the register's bits.
     #[test]
     fn reference_matches_the_naive_fault_free_session(seed in any::<u64>(), test in 0usize..64) {
         let mut rng = SplitMix64::new(seed);
-        let case = Case::draw(&mut rng, &source_test(test));
-        let reference = case.reference();
-        let mut memory = FaultyMemory::fault_free(case.config);
+        let width = 1 + rng.next_below(128);
+        let words = if rng.next_below(4) == 0 {
+            1 + rng.next_below(300)
+        } else {
+            1 + rng.next_below(20)
+        };
+        let config = MemoryConfig::new(words, width).unwrap();
+        let schemes = if width == 1 {
+            vec![SchemeId::Nicolaidis]
+        } else {
+            SchemeId::all().to_vec()
+        };
+        let transform = schemes[rng.next_below(schemes.len())]
+            .scheme(width)
+            .unwrap()
+            .transform(&source_test(test))
+            .unwrap();
+        let seed = (rng.next_below(2) == 1).then(|| rng.next_u64());
+        let reference =
+            SessionReference::new(&transform, content(config, seed), Misr::standard(width)).unwrap();
+        let mut memory = FaultyMemory::fault_free(config);
         memory.load_image(reference.image()).unwrap();
         let naive =
-            run_scheme_session_staged(&case.transform, &mut memory, Misr::standard(case.width()))
-                .unwrap();
+            run_scheme_session_staged(&transform, &mut memory, Misr::standard(width)).unwrap();
         prop_assert_eq!(reference.trail(), naive.signature_trail().as_slice());
         prop_assert_eq!(reference.mismatches(), naive.outcome.mismatches);
         prop_assert_eq!(reference.content_preserved(), naive.outcome.content_preserved);

@@ -724,7 +724,7 @@ impl CoverageEngine {
     /// [`ContentPolicy::Zeros`]) — `contents_per_fault` does not multiply
     /// the sessions.
     ///
-    /// The fault-free session is simulated once per call
+    /// The fault-free session is derived once per call, in closed form
     /// ([`SessionReference`]); each fault then sweeps only its footprint
     /// words ([`run_scheme_session_local`]) on a pooled arena. The fault is
     /// detected exactly if some test-phase read mismatches, and by

@@ -6,7 +6,10 @@
 //! (the one repair verification re-runs), prepared once as a
 //! [`twm_repair::FaultLocalSession`] under the dictionary's content, and
 //! the MISR template. A cold build transforms the source under that one
-//! scheme only.
+//! scheme only and derives the fault-free session in closed form
+//! ([`twm_bist::SessionReference`]): transform and session together take
+//! ~0.05 ms for a 1K×32 TWM_TA × March C− shard, where simulating the
+//! session word by word took ~0.57 ms (2-vCPU Xeon).
 //!
 //! The cache also memoises one **base** [`CoverageEngine`] per
 //! `(config, content)` pair (kept for the life of the cache — there are

@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -385,6 +385,17 @@ fn batch_devices_obs() -> &'static Counter {
     DEVICES.get_or_init(|| twm_obs::global().counter("twm_fleet_batch_devices_total", &[]))
 }
 
+/// Locks one of the service's structures, recovering the lock if a
+/// request panicked while holding it, as [`crate::Dispatcher`] recovers
+/// its slot count. The panic already failed its own request; refusing
+/// every later request on the poisoned lock would fail them all. The
+/// recovered data are whole: the store and the cache do their work that
+/// can fail (a runtime build, a spill write) before they change a map,
+/// and a statistics merge only adds counts.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The in-process fleet diagnosis service.
 ///
 /// `handle` takes `&self` — the store, cache and statistics sit behind
@@ -512,12 +523,12 @@ impl FleetService {
                 universe,
             } => self.build_dictionary(scheme, source, config, content, &universe),
             Request::EvictDictionary { shard } => {
-                let existed = self.store.lock().expect("store lock").evict(shard);
-                self.cache.lock().expect("cache lock").invalidate(shard);
+                let existed = lock(&self.store).evict(shard);
+                lock(&self.cache).invalidate(shard);
                 Ok(Response::Evicted { shard, existed })
             }
             Request::ListShards => {
-                let store = self.store.lock().expect("store lock");
+                let store = lock(&self.store);
                 let shards = store
                     .keys()
                     .map(|shard| {
@@ -535,24 +546,22 @@ impl FleetService {
             }
             Request::DiagnoseBatch { reports } => self.diagnose_batch(&reports),
             Request::ExportShard { shard } => {
-                let bytes = self.store.lock().expect("store lock").export(shard)?;
+                let bytes = lock(&self.store).export(shard)?;
                 Ok(Response::Exported { shard, bytes })
             }
             Request::ImportShard { bytes } => {
-                let shard = self.store.lock().expect("store lock").import(&bytes)?;
+                let shard = lock(&self.store).import(&bytes)?;
                 self.registered(shard)
             }
             Request::Statistics => {
-                let mut statistics = self.stats.lock().expect("stats lock").clone();
+                let mut statistics = lock(&self.stats).clone();
                 // Only the cumulative view carries latency: batch-level
                 // statistics stay wall-clock-free so they remain
                 // bit-identical serial vs. concurrent.
                 statistics.latency = request_latency_snapshots();
                 Ok(Response::Statistics(statistics))
             }
-            Request::CacheMetrics => Ok(Response::CacheMetrics(
-                self.cache.lock().expect("cache lock").metrics(),
-            )),
+            Request::CacheMetrics => Ok(Response::CacheMetrics(lock(&self.cache).metrics())),
             Request::Metrics => {
                 // One snapshot feeds both renderings: the text a human
                 // scrapes and the structured report a client re-renders
@@ -569,16 +578,12 @@ impl FleetService {
         source: MarchTest,
         dictionary: Arc<SignatureDictionary>,
     ) -> Result<Response, FleetError> {
-        let shard = self
-            .store
-            .lock()
-            .expect("store lock")
-            .register(source, dictionary)?;
+        let shard = lock(&self.store).register(source, dictionary)?;
         self.registered(shard)
     }
 
     fn registered(&self, shard: ShardKey) -> Result<Response, FleetError> {
-        let store = self.store.lock().expect("store lock");
+        let store = lock(&self.store);
         let entry = store.get(shard).ok_or(FleetError::UnknownShard(shard))?;
         let stats = entry.dictionary.stats();
         Ok(Response::Registered {
@@ -612,7 +617,7 @@ impl FleetService {
         }
         let faults = builder.build();
         let engine = {
-            let mut cache = self.cache.lock().expect("cache lock");
+            let mut cache = lock(&self.cache);
             cache
                 .base_engine(config, content, &source)?
                 .with_scheme(scheme_impl, &source)?
@@ -638,8 +643,8 @@ impl FleetService {
         span.field("workers", self.pool.width());
         let mut runtimes: BTreeMap<ShardKey, Result<Arc<ShardRuntime>, String>> = BTreeMap::new();
         {
-            let mut store = self.store.lock().expect("store lock");
-            let mut cache = self.cache.lock().expect("cache lock");
+            let mut store = lock(&self.store);
+            let mut cache = lock(&self.cache);
             for &shard in &shards {
                 let Some(entry) = store.get(shard) else {
                     continue;
@@ -686,7 +691,7 @@ impl FleetService {
         for outcome in &outcomes {
             record(&mut statistics, &outcome.verdict);
         }
-        self.stats.lock().expect("stats lock").merge(&statistics);
+        lock(&self.stats).merge(&statistics);
         Ok(Response::Batch(BatchReport {
             outcomes,
             statistics,
@@ -897,5 +902,75 @@ mod tests {
         let unknown = diagnose_trail(&dictionary, &local, &report(&absent), true);
         assert_eq!(unknown, DeviceVerdict::UnknownTrail);
         assert_eq!(finds(), 1);
+    }
+
+    /// Panics while holding `mutex`, as a failing request would.
+    fn poison<T>(mutex: &Mutex<T>) {
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = mutex.lock();
+            panic!("a request panics while it holds the lock");
+        }));
+    }
+
+    #[test]
+    fn a_request_that_panics_under_a_lock_fails_no_later_request() {
+        let config = MemoryConfig::new(4, 4).unwrap();
+        let registry = SchemeRegistry::all(4).unwrap();
+        let engine = CoverageEngine::for_scheme(
+            registry.get(SchemeId::TwmTa).unwrap(),
+            &march_c_minus(),
+            config,
+        )
+        .unwrap()
+        .strategy(Strategy::Serial)
+        .build()
+        .unwrap();
+        let universe = UniverseBuilder::new(config).stuck_at().build();
+        let dictionary =
+            SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();
+        let faulty = dictionary.classes()[0].trail.clone();
+        let clean = dictionary.reference_trail().clone();
+        let service = FleetService::new(FleetConfig {
+            strategy: Strategy::Serial,
+            ..FleetConfig::default()
+        })
+        .unwrap();
+        let registered = service.handle(Request::RegisterDictionary {
+            source: march_c_minus(),
+            dictionary,
+        });
+        assert!(matches!(registered, Response::Registered { .. }));
+
+        poison(&service.store);
+        poison(&service.cache);
+        poison(&service.stats);
+        assert!(service.store.is_poisoned() && service.cache.is_poisoned());
+        assert!(service.stats.is_poisoned());
+
+        let Response::Shards(shards) = service.handle(Request::ListShards) else {
+            panic!("listing shards must still answer");
+        };
+        assert_eq!(shards.len(), 1);
+        let shard = shards[0].shard;
+        let device = |trail: &SignatureTrail| DeviceReport {
+            device: "d".into(),
+            shard,
+            trail: trail.clone(),
+            spares: 1,
+        };
+        let Response::Batch(batch) = service.handle(Request::DiagnoseBatch {
+            reports: vec![device(&clean), device(&faulty)],
+        }) else {
+            panic!("diagnosis must still answer");
+        };
+        assert_eq!(batch.outcomes[0].verdict, DeviceVerdict::Clean);
+        assert!(matches!(
+            batch.outcomes[1].verdict,
+            DeviceVerdict::Diagnosed(_)
+        ));
+        assert!(matches!(
+            service.handle(Request::Statistics),
+            Response::Statistics(_)
+        ));
     }
 }

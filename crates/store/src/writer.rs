@@ -5,7 +5,10 @@
 //! the final path once complete and fsynced, so a crash never leaves a
 //! partial file there, and a rewrite never truncates a file an open
 //! [`crate::PagedDictionary`] still reads (the reader keeps the old
-//! inode). Index entries append to the temp file as classes drain (their
+//! inode). On Unix the directory is fsynced after the rename, so the
+//! rename itself survives a crash.
+//!
+//! Index entries append to the temp file as classes drain (their
 //! region directly follows the metadata); payload records — positional
 //! [`crate::record`]s behind a varint length — stream to a second temp
 //! file because their region comes last and its page count is only known
@@ -94,6 +97,7 @@ where
     let result = write_store_inner(&staged, &payload, page_size, meta, undetected, classes)
         .and_then(|header| {
             std::fs::rename(&staged, path)?;
+            sync_directory(path)?;
             Ok(header)
         });
     let _ = std::fs::remove_file(&payload);
@@ -101,6 +105,24 @@ where
         let _ = std::fs::remove_file(&staged);
     }
     result
+}
+
+/// Makes a rename into `path`'s directory durable: until the directory
+/// itself is fsynced, a crash can lose the new entry and leave the old
+/// file, or none, at `path`. Only Unix opens a directory for syncing;
+/// elsewhere this does nothing.
+#[cfg(unix)]
+fn sync_directory(path: &Path) -> std::io::Result<()> {
+    let directory = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    File::open(directory)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_directory(_path: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 /// Appends one payload record — varint byte length, then the positional
@@ -306,4 +328,20 @@ where
     file.write_all(&page)?;
     file.sync_all()?;
     Ok(header)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[cfg(unix)]
+    #[test]
+    fn syncs_the_directory_of_relative_and_absolute_paths() {
+        sync_directory(Path::new("store.twmstore")).unwrap();
+        sync_directory(&std::env::temp_dir().join("store.twmstore")).unwrap();
+        let missing = std::env::temp_dir()
+            .join(format!("twm-no-such-dir-{}", std::process::id()))
+            .join("store.twmstore");
+        assert!(sync_directory(&missing).is_err());
+    }
 }

@@ -20,6 +20,10 @@
 //! * **fleet runtime cache** — diagnosing one device through a warm
 //!   shard runtime is at least 5× faster than through a cold one (a
 //!   fresh `FleetService`, dictionary registration and runtime build);
+//! * **closed-form reference** — the fault-free session of TWM_TA ×
+//!   March C− at 64K×32 as a `SessionReference`, derived in closed form,
+//!   is at least 10× faster than the naive `run_scheme_session_staged` on
+//!   a fault-free memory holding the same content;
 //! * **tracing overhead** — tracing into a `ProfilerSink` costs at most
 //!   5% over tracing off on the table-resolved report.
 //!
@@ -47,8 +51,8 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use twm::bist::{run_scheme_session_staged, Misr};
-use twm::core::{SchemeId, SchemeRegistry};
+use twm::bist::{run_scheme_session_staged, Misr, SessionReference, StagedSessionOutcome};
+use twm::core::{SchemeId, SchemeRegistry, SchemeTransform};
 use twm::coverage::{
     ContentPolicy, CoverageEngine, CoverageReport, EvaluationOptions, Strategy, UniverseBuilder,
 };
@@ -74,6 +78,9 @@ const TEST_LENGTH_CEILING: f64 = 1.5;
 const TRAIL_TABLE_SPEEDUP_FLOOR: f64 = 10.0;
 /// Minimum warm-cache speed-up over a cold runtime build, per device.
 const FLEET_SPEEDUP_FLOOR: f64 = 5.0;
+/// Minimum speed-up of a closed-form fault-free reference over the naive
+/// session on a fault-free memory.
+const REFERENCE_SPEEDUP_FLOOR: f64 = 10.0;
 /// Maximum cost of tracing into a profiler sink, in percent.
 const TRACE_OVERHEAD_CEILING_PCT: f64 = 5.0;
 
@@ -495,6 +502,68 @@ fn warm_runtime_cache_beats_a_cold_build() {
     assert!(
         speedup >= FLEET_SPEEDUP_FLOOR,
         "warm cache speed-up {speedup:.1}x is below {FLEET_SPEEDUP_FLOOR}x"
+    );
+}
+
+/// The reference floor's inputs: TWM_TA × March C− and a fault-free
+/// 64K×32 memory over random content.
+fn reference_workload() -> (SchemeTransform, FaultyMemory) {
+    let transform = SchemeRegistry::all(32)
+        .unwrap()
+        .transform(SchemeId::TwmTa, &march_c_minus())
+        .unwrap();
+    let mut memory = FaultyMemory::fault_free(MemoryConfig::new(65_536, 32).unwrap());
+    memory.fill_random(7);
+    (transform, memory)
+}
+
+/// The closed-form arm: a reference over the memory's content.
+fn closed_form_reference(transform: &SchemeTransform, memory: &FaultyMemory) -> SessionReference {
+    SessionReference::new(transform, memory.snapshot(), Misr::standard(32)).unwrap()
+}
+
+/// The naive arm: the whole session, op by op, on a copy of the memory.
+fn naive_reference(transform: &SchemeTransform, memory: &FaultyMemory) -> StagedSessionOutcome {
+    run_scheme_session_staged(transform, &mut memory.clone(), Misr::standard(32)).unwrap()
+}
+
+fn assert_reference_arms_agree(transform: &SchemeTransform, memory: &FaultyMemory) {
+    let reference = closed_form_reference(transform, memory);
+    let naive = naive_reference(transform, memory);
+    assert_eq!(
+        reference.trail(),
+        naive.signature_trail().as_slice(),
+        "closed-form and naive trails must stay identical"
+    );
+    assert_eq!(reference.mismatches(), naive.outcome.mismatches);
+    assert_eq!(
+        reference.content_preserved(),
+        naive.outcome.content_preserved
+    );
+}
+
+#[test]
+fn reference_floor_arms_agree() {
+    let _exclusive = exclusive();
+    let (transform, memory) = reference_workload();
+    assert_reference_arms_agree(&transform, &memory);
+}
+
+#[test]
+#[ignore = "release-mode timing; run with --release -- --ignored --test-threads=1"]
+fn closed_form_reference_beats_the_naive_session() {
+    let _exclusive = exclusive();
+    let (transform, memory) = reference_workload();
+    assert_reference_arms_agree(&transform, &memory);
+
+    let speedup = b_over_a(
+        || drop(closed_form_reference(&transform, &memory)),
+        || drop(naive_reference(&transform, &memory)),
+    );
+    println!("closed-form reference: {speedup:.1}x the naive session");
+    assert!(
+        speedup >= REFERENCE_SPEEDUP_FLOOR,
+        "closed-form reference speed-up {speedup:.1}x is below {REFERENCE_SPEEDUP_FLOOR}x"
     );
 }
 
