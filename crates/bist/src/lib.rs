@@ -17,6 +17,9 @@
 //!   configurable feedback polynomial.
 //! * [`flow`] — the transparent BIST session: prediction phase, test phase,
 //!   signature comparison and content-preservation check.
+//! * [`fault_local`] — [`FaultLocalSession`]: the session prepared once
+//!   under a content image, answering faulty-memory queries (trails,
+//!   repaired runs) by sweeping only the words a fault can reach.
 //! * [`controller`] — periodic testing in idle windows: how many idle
 //!   windows a test needs and how likely it is to complete without
 //!   interfering with normal operation.
@@ -52,6 +55,7 @@ pub mod controller;
 pub mod diagnosis;
 mod error;
 pub mod executor;
+pub mod fault_local;
 pub mod flow;
 pub mod lowered;
 pub mod misr;
@@ -63,6 +67,7 @@ pub use executor::{
     detect_lowered_at, execute, execute_lowered, execute_with, probe_lowered_at, ExecutionOptions,
     ExecutionResult, ReadRecord,
 };
+pub use fault_local::FaultLocalSession;
 pub use flow::{
     run_scheme_session, run_scheme_session_local, run_scheme_session_staged, LocalSessionOutcome,
     SessionOutcome, SessionReference, StagedSessionOutcome,

@@ -45,10 +45,10 @@ impl AliasingReport {
 mod tests {
     use crate::universe::UniverseBuilder;
     use crate::{ContentPolicy, CoverageEngine, CoverageEngineBuilder, CoverageError};
-    use twm_bist::Misr;
+    use twm_bist::{BistError, Misr};
     use twm_core::TwmTa;
     use twm_march::algorithms::march_c_minus;
-    use twm_mem::MemoryConfig;
+    use twm_mem::{BitAddress, Fault, MemError, MemoryConfig};
 
     /// A TWM_TA × March C− engine builder over `config`.
     fn twm_ta(config: MemoryConfig) -> CoverageEngineBuilder {
@@ -115,6 +115,38 @@ mod tests {
             .unwrap()
             .aliasing(&Misr::standard(4), &[]);
         assert!(matches!(result, Err(CoverageError::EmptyUniverse)));
+    }
+
+    /// A fault outside the memory fails its session's re-arm, a memory
+    /// error the session reports as a BIST error; a MISR of another width
+    /// fails the session's preparation, before any fault runs.
+    #[test]
+    fn bad_faults_and_misr_widths_are_reported_as_bist_errors() {
+        let config = MemoryConfig::new(4, 4).unwrap();
+        let engine = twm_ta(config).build().unwrap();
+        let outside = BitAddress::new(4, 0);
+        let mut faults = UniverseBuilder::new(config).stuck_at().build();
+        faults.push(Fault::stuck_at(outside, true));
+        let result = engine.aliasing(&Misr::standard(4), &faults);
+        assert!(
+            matches!(
+                result,
+                Err(CoverageError::Bist(BistError::Mem(MemError::FaultCellOutOfRange { cell })))
+                    if cell == outside
+            ),
+            "{result:?}"
+        );
+        let result = engine.aliasing(&Misr::standard(8), &faults[..1]);
+        assert!(
+            matches!(
+                result,
+                Err(CoverageError::Bist(BistError::WidthMismatch {
+                    misr: 8,
+                    memory: 4
+                }))
+            ),
+            "{result:?}"
+        );
     }
 
     /// An engine built from a bare test has no scheme session to run.

@@ -29,9 +29,10 @@
 //! Multi-fault injections ([`CoverageEngine::injection_detected`]) sweep
 //! the faults' footprint words on an arena, and signature-aliasing
 //! analysis ([`CoverageEngine::aliasing`]) runs the engine's scheme
-//! session fault-locally on one. Every verdict equals the naive reference
-//! [`crate::fault_detected`] — a fresh memory and a full sweep of the
-//! symbolic test — and every aliasing report equals a naive
+//! session fault-locally on a [`twm_bist::FaultLocalSession`]. Every
+//! verdict equals the naive reference [`crate::fault_detected`] — a fresh
+//! memory and a full sweep of the symbolic test — and every aliasing
+//! report equals a naive
 //! [`twm_bist::run_scheme_session`] per fault (property-tested in
 //! `tests/reference_equivalence.rs`).
 //!
@@ -67,7 +68,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use twm_bist::{detect_lowered_at, run_scheme_session_local, LoweredTest, Misr, SessionReference};
+use twm_bist::{detect_lowered_at, FaultLocalSession, LoweredTest, Misr};
 use twm_core::scheme::{SchemeTransform, TransparentScheme};
 use twm_march::MarchTest;
 use twm_mem::{BitStorage, Fault, FaultSet, FaultyMemory, MemoryConfig};
@@ -256,26 +257,19 @@ impl CoverageEngineBuilder {
 }
 
 /// The initial contents every fault-injection run starts from, as raw
-/// [`BitStorage`] images: one per content round for the random policy, none
-/// for the all-zero policy (a run zeroes its footprint words instead).
-/// Fault-local runs copy their footprint words from them
-/// ([`FaultyMemory::rearm_local`]).
-///
-/// Generated through [`FaultyMemory::fill_random`] itself so shared
-/// contents can never drift from what a per-fault fill would produce.
+/// [`BitStorage`] images ([`ContentPolicy::image`]): one per content round
+/// for the random policy, none for the all-zero policy (a run zeroes its
+/// footprint words instead). Fault-local runs copy their footprint words
+/// from them ([`FaultyMemory::rearm_local`]).
 pub(crate) fn prepared_contents(
     config: MemoryConfig,
     options: EvaluationOptions,
 ) -> Vec<BitStorage> {
-    let ContentPolicy::Random { seed } = options.content else {
+    if options.content == ContentPolicy::Zeros {
         return Vec::new();
-    };
-    let mut scratch = FaultyMemory::fault_free(config);
+    }
     (0..options.contents_per_fault.max(1))
-        .map(|round| {
-            scratch.fill_random(seed.wrapping_add(round as u64));
-            scratch.snapshot()
-        })
+        .map(|round| options.content.image(config, round))
         .collect()
 }
 
@@ -724,12 +718,13 @@ impl CoverageEngine {
     /// [`ContentPolicy::Zeros`]) — `contents_per_fault` does not multiply
     /// the sessions.
     ///
-    /// The fault-free session is derived once per call, in closed form
-    /// ([`SessionReference`]); each fault then sweeps only its footprint
-    /// words ([`run_scheme_session_local`]) on a pooled arena. The fault is
-    /// detected exactly if some test-phase read mismatches, and by
-    /// signature if the predicted signature differs from the test
-    /// signature; it aliases if only the first holds.
+    /// Each call prepares one [`FaultLocalSession`] over that content: the
+    /// fault-free session is derived in closed form, and each fault then
+    /// sweeps only its footprint words on the session's arena
+    /// ([`FaultLocalSession::run`]). The fault is detected exactly if some
+    /// test-phase read mismatches, and by signature if the predicted
+    /// signature differs from the test signature; it aliases if only the
+    /// first holds.
     ///
     /// # Errors
     ///
@@ -737,7 +732,8 @@ impl CoverageEngine {
     ///   a scheme ([`CoverageEngine::for_scheme`]).
     /// * [`CoverageError::EmptyUniverse`] for an empty universe.
     /// * [`CoverageError::Bist`] if `misr` is not as wide as the memory
-    ///   words, [`CoverageError::Mem`] if a fault does not fit the memory.
+    ///   words ([`twm_bist::BistError::WidthMismatch`]), or if a fault does
+    ///   not fit the memory ([`twm_bist::BistError::Mem`]).
     pub fn aliasing(
         &self,
         misr: &Misr,
@@ -750,28 +746,21 @@ impl CoverageEngine {
         if universe.is_empty() {
             return Err(CoverageError::EmptyUniverse);
         }
-        let image = match self.content_images.first() {
-            Some(image) => image.clone(),
-            None => BitStorage::new(self.config.words(), self.config.width())?,
-        };
-        let reference = SessionReference::new(transform, image, misr.clone())?;
-        self.with_arena(|memory| {
-            let mut report = AliasingReport::default();
-            for &fault in universe {
-                let footprint = FaultSet::from_faults([fault]).word_footprint();
-                memory.rearm_local(&[fault], Some(reference.image()), &footprint)?;
-                let outcome = run_scheme_session_local(&reference, memory, &footprint)?;
-                let exact = outcome.mismatches > 0;
-                let signature = outcome.trail.first() != outcome.trail.last();
-                report.total += 1;
-                report.detected_exact += usize::from(exact);
-                report.detected_signature += usize::from(signature);
-                if exact && !signature {
-                    report.aliased.push(fault);
-                }
+        let image = self.options.content.image(self.config, 0);
+        let session = FaultLocalSession::new(transform, image, misr.clone())?;
+        let mut report = AliasingReport::default();
+        for &fault in universe {
+            let outcome = session.run(&[fault])?;
+            let exact = outcome.mismatches > 0;
+            let signature = outcome.trail.first() != outcome.trail.last();
+            report.total += 1;
+            report.detected_exact += usize::from(exact);
+            report.detected_signature += usize::from(signature);
+            if exact && !signature {
+                report.aliased.push(fault);
             }
-            Ok(report)
-        })
+        }
+        Ok(report)
     }
 
     /// Whether a *set* of simultaneously injected faults is detected by the
@@ -819,12 +808,13 @@ impl CoverageEngine {
     /// Runs `run` on an arena memory checked out of the pool (a new one if
     /// the pool is empty) and checks the arena back in.
     ///
-    /// Pool invariant: an arena's content is only defined on the words its
-    /// current run re-armed. Every run restores just its footprint
-    /// ([`FaultyMemory::rearm_local`]) and leaves every other word as an
-    /// earlier run left it, which is sound because neither
-    /// [`twm_bist::detect_lowered_at`] nor [`run_scheme_session_local`]
-    /// reads or writes a word outside the footprint it sweeps.
+    /// Pool invariant: an arena is a zeroed memory whose content is only
+    /// defined on the words its current run re-armed. Every run restores
+    /// just its footprint ([`FaultyMemory::rearm_local`]) and leaves every
+    /// other word as an earlier run left it, which is sound because
+    /// [`twm_bist::detect_lowered_at`] reads and writes no word outside
+    /// the footprint it sweeps — the re-arm rule of
+    /// [`FaultLocalSession`], whose own pool serves `aliasing`.
     fn with_arena<T>(
         &self,
         run: impl FnOnce(&mut FaultyMemory) -> Result<T, CoverageError>,
@@ -951,6 +941,35 @@ mod tests {
             content: ContentPolicy::Zeros,
             contents_per_fault: 1,
         }
+    }
+
+    /// The policy's round-r image is the engine's round-r content, and the
+    /// content the naive reference fills a memory with in that round.
+    #[test]
+    fn policy_images_are_the_engine_contents() {
+        let config = MemoryConfig::new(9, 33).unwrap();
+        let content = ContentPolicy::Random { seed: u64::MAX - 1 };
+        let engine = CoverageEngine::builder(config)
+            .test(&march_c_minus())
+            .content(content)
+            .contents_per_fault(3)
+            .build()
+            .unwrap();
+        assert_eq!(engine.content_images.len(), 3);
+        for (round, image) in engine.content_images.iter().enumerate() {
+            assert_eq!(*image, content.image(config, round));
+            let mut memory = FaultyMemory::fault_free(config);
+            memory.fill_random((u64::MAX - 1).wrapping_add(round as u64));
+            assert_eq!(*image, memory.snapshot());
+        }
+        let zeros = CoverageEngine::builder(config)
+            .test(&march_c_minus())
+            .options(zeros())
+            .build()
+            .unwrap();
+        assert!(zeros.content_images.is_empty());
+        let image = ContentPolicy::Zeros.image(config, 2);
+        assert_eq!(image, FaultyMemory::fault_free(config).snapshot());
     }
 
     /// The table is built on the engine's first evaluation, once, and

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use twm_bist::{execute_with, ExecutionOptions};
 use twm_march::MarchTest;
-use twm_mem::{Fault, FaultSet, FaultyMemory, MemoryConfig};
+use twm_mem::{BitStorage, Fault, FaultSet, FaultyMemory, MemoryConfig};
 
 use crate::CoverageError;
 
@@ -41,6 +41,23 @@ pub enum ContentPolicy {
         /// Seed for the pseudo-random content.
         seed: u64,
     },
+}
+
+impl ContentPolicy {
+    /// The initial content of round `round` on a `config` memory, as a raw
+    /// storage image: all-zero, or the pseudo-random content of seed
+    /// `seed + round` ([`BitStorage::fill_random`], the bits
+    /// [`FaultyMemory::fill_random`] stores). Round 0 is the reference
+    /// content of dictionaries and aliasing analyses.
+    #[must_use]
+    pub fn image(self, config: MemoryConfig, round: usize) -> BitStorage {
+        let mut image = BitStorage::new(config.words(), config.width())
+            .expect("a memory shape is a valid storage shape");
+        if let ContentPolicy::Random { seed } = self {
+            image.fill_random(seed.wrapping_add(round as u64));
+        }
+        image
+    }
 }
 
 /// Options controlling the evaluation.

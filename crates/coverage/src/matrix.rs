@@ -17,7 +17,7 @@ use twm_mem::{Fault, FaultyMemory, MemoryConfig};
 
 use twm_bist::{execute_lowered, ExecutionOptions, LoweredTest};
 
-use crate::engine::{prepared_contents, Strategy};
+use crate::engine::Strategy;
 use crate::{ContentPolicy, CoverageEngine, CoverageError, CoverageReport, EvaluationOptions};
 
 /// Options for [`scheme_matrix`]: the shared content policy and execution
@@ -129,10 +129,10 @@ pub fn scheme_matrix(
         content: options.content,
         contents_per_fault: options.contents_per_fault,
     };
-    // One shared fault-free memory image for the session checks, generated
-    // exactly like the engines' contents so the dynamic transparency check
-    // runs on representative data.
-    let images = prepared_contents(config, evaluation);
+    // One shared fault-free memory image for the session checks, the
+    // engines' first content round, so the dynamic transparency check runs
+    // on representative data.
+    let image = options.content.image(config, 0);
 
     let mut rows = Vec::with_capacity(registry.len());
     for scheme in registry.iter() {
@@ -148,9 +148,7 @@ pub fn scheme_matrix(
         // Fault-free session on the matrix memory: count the operations a
         // full session performs and verify content preservation.
         let mut memory = FaultyMemory::fault_free(config);
-        if let Some(image) = images.first() {
-            memory.load_image(image)?;
-        }
+        memory.load_image(&image)?;
         let before = memory.content();
         let exec = ExecutionOptions {
             record_reads: false,

@@ -4,12 +4,13 @@
 //! A shard's runtime is everything batched diagnosis needs beyond the
 //! dictionary itself: the dictionary-scheme transform of the source test
 //! (the one repair verification re-runs), prepared once as a
-//! [`twm_repair::FaultLocalSession`] under the dictionary's content, and
-//! the MISR template. A cold build transforms the source under that one
-//! scheme only and derives the fault-free session in closed form
-//! ([`twm_bist::SessionReference`]): transform and session together take
-//! ~0.05 ms for a 1K×32 TWM_TA × March C− shard, where simulating the
-//! session word by word took ~0.57 ms (2-vCPU Xeon).
+//! [`twm_bist::FaultLocalSession`] over the dictionary content's image
+//! ([`ContentPolicy::image`], round 0), and the MISR template. A cold
+//! build transforms the source under that one scheme only, computes the
+//! image and derives the fault-free session from it in closed form
+//! (~0.04 ms in all for a 1K×32 TWM_TA × March C− shard, 2-vCPU Xeon). It
+//! builds no memory model: the session's arena memory is created, zeroed,
+//! by the runtime's first repair verification.
 //!
 //! The cache also memoises one **base** [`CoverageEngine`] per
 //! `(config, content)` pair (kept for the life of the cache — there are
@@ -21,13 +22,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use twm_bist::Misr;
+use twm_bist::{FaultLocalSession, Misr};
 use twm_core::scheme::SchemeTransform;
 use twm_coverage::{ContentPolicy, CoverageEngine, Strategy};
 use twm_march::MarchTest;
 use twm_mem::MemoryConfig;
 use twm_obs::Counter;
-use twm_repair::{FaultLocalSession, TrailLookup};
+use twm_repair::{RepairError, TrailLookup};
 
 use crate::shard::ShardKey;
 use crate::stats::CacheMetrics;
@@ -86,7 +87,9 @@ impl ShardRuntime {
             .scheme(config.width())?
             .transform(&entry.source)?;
         let misr = dictionary.misr_template().clone();
-        let local = FaultLocalSession::new(&probe, config, dictionary.content(), misr.clone())?;
+        let image = dictionary.content().image(config, 0);
+        let local =
+            FaultLocalSession::new(&probe, image, misr.clone()).map_err(RepairError::from)?;
         Ok(Self {
             dictionary,
             probe,

@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+use twm_bist::FaultLocalSession;
 use twm_core::scheme::SchemeId;
 use twm_coverage::{ContentPolicy, Strategy, UniverseBuilder, WorkerPool};
 use twm_march::MarchTest;
@@ -33,8 +34,8 @@ use twm_obs::{
     latency_bounds, Counter, Histogram, HistogramSnapshot, MetricsReport, MetricsServer,
 };
 use twm_repair::{
-    localise_class, DictionaryOptions, FaultLocalSession, LocatedDefect, RepairAllocator,
-    RepairPlan, SignatureDictionary, SignatureTrail, TrailLookup,
+    localise_class, DictionaryOptions, LocatedDefect, RepairAllocator, RepairError, RepairPlan,
+    SignatureDictionary, SignatureTrail, TrailLookup,
 };
 
 use crate::cache::{cache_obs, RuntimeCache, ShardRuntime};
@@ -54,7 +55,7 @@ pub struct FleetConfig {
     /// Whether diagnosed devices get their repair plan verified by
     /// simulation (apply the plan to the ambiguity class's representative
     /// injection and re-run the scheme session through the remap table,
-    /// fault-locally: see [`twm_repair::FaultLocalSession::verify`]).
+    /// fault-locally: see [`twm_bist::FaultLocalSession::run_repaired`]).
     pub verify_repairs: bool,
     /// When set, shards whose runtimes fall out of the LRU cache are
     /// demoted to paged spill files under this configuration — lookups
@@ -711,10 +712,10 @@ fn diagnose_device(runtime: &ShardRuntime, report: &DeviceReport, verify: bool) 
 /// re-verified by simulation on the class's representative injection, in
 /// a memory with the device's spare budget and the plan's remap table
 /// programmed. The session is fault-local
-/// ([`twm_repair::FaultLocalSession::verify`], prepared once per runtime):
-/// only the injection's footprint and the remapped words are swept. Its
-/// naive reference is [`twm_repair::verify_repair`] on the same repaired
-/// memory.
+/// ([`twm_bist::FaultLocalSession::run_repaired`], prepared once per
+/// runtime): only the injection's footprint and the remapped words are
+/// swept. Its naive reference is [`twm_repair::verify_repair`] on the
+/// same repaired memory.
 fn diagnose_trail<D: TrailLookup + ?Sized>(
     dictionary: &D,
     local: &FaultLocalSession,
@@ -738,11 +739,11 @@ fn diagnose_trail<D: TrailLookup + ?Sized>(
     let predicted_clean = if verify && plan.fully_repairs() && report.spares > 0 {
         // Fresh spares are numbered 0.. like the allocator's slots, so the
         // plan applies without translation.
-        match local.verify(&class.injections[0], report.spares, &plan) {
-            Ok(clean) => clean,
+        match local.run_repaired(&class.injections[0], report.spares, &plan.remaps()) {
+            Ok(outcome) => outcome.clean(),
             Err(error) => {
                 return DeviceVerdict::Failed {
-                    message: FleetError::from(error).to_string(),
+                    message: FleetError::from(RepairError::from(error)).to_string(),
                 }
             }
         }
@@ -857,8 +858,7 @@ mod tests {
             SignatureDictionary::build(&engine, &universe, &DictionaryOptions::default()).unwrap();
         let local = FaultLocalSession::new(
             engine.scheme_transform().unwrap(),
-            config,
-            ContentPolicy::Zeros,
+            ContentPolicy::Zeros.image(config, 0),
             inner.misr().clone(),
         )
         .unwrap();

@@ -1,8 +1,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    BitAddress, BitStorage, Fault, FaultSet, MemError, MemoryAccess, SplitMix64, Trace, TraceEntry,
-    TraceOp, Transition, Word,
+    BitAddress, BitStorage, Fault, FaultSet, MemError, MemoryAccess, Trace, TraceEntry, TraceOp,
+    Transition, Word,
 };
 
 /// Shape of a simulated memory: number of words and word width in bits.
@@ -189,14 +189,14 @@ impl FaultyMemory {
         self.faults.clear();
     }
 
-    /// Re-arms the memory with a new fault set over a content image,
-    /// copying only `words` back from it: what a fresh
-    /// [`FaultyMemory::with_faults`] followed by
-    /// [`FaultyMemory::load_image`] produces, for a memory that already
-    /// holds `image` everywhere outside `words`, in O(|words| + |faults|)
-    /// instead of O(memory). Counters and trace are cleared. An arena
-    /// reused across fault-local sweeps lists the words the previous run
-    /// could change: its faults' footprint and every word it wrote.
+    /// Re-arms an arena memory for a fault-local sweep: arms `faults`
+    /// (reusing the [`FaultSet`] allocation), restores `words` from `image`
+    /// (`None` = all-zero content) and clears the counters and the trace.
+    /// Content outside `words` is left as it is, possibly stale from an
+    /// earlier run, so a sweep that reads and writes only `words` — which
+    /// must cover the faults' footprint — behaves as on a fresh
+    /// [`FaultyMemory::with_faults`] loaded with
+    /// [`FaultyMemory::load_image`]. O(|words| + |faults|).
     ///
     /// # Errors
     ///
@@ -205,80 +205,40 @@ impl FaultyMemory {
     /// the image has another shape, or [`MemError::AddressOutOfRange`]
     /// for a listed word outside the memory; on error the memory is
     /// unchanged.
-    pub fn rearm_words<F: Into<FaultSet>>(
-        &mut self,
-        faults: F,
-        image: &BitStorage,
-        words: &[usize],
-    ) -> Result<(), MemError> {
-        let faults = faults.into();
-        faults.validate(self.config.words(), self.config.width())?;
-        self.check_words(Some(image), words)?;
-        self.faults = faults;
-        self.restore_words(Some(image), words);
-        Ok(())
-    }
-
-    /// [`FaultyMemory::rearm_words`] for an arena that sweeps only `words`
-    /// and never reads the rest: re-arms the memory with `faults`, reusing
-    /// its [`FaultSet`] allocation, and restores `words` from `image`
-    /// (`None` = all-zero content). Content outside `words` is left
-    /// as it is, so it may be stale from an earlier run; a fault-local
-    /// sweep (`twm_bist::detect_lowered_at`) over a footprint that
-    /// `words` covers reaches the same verdict as on a memory reset and
-    /// loaded in full. O(|words| + |faults|).
-    ///
-    /// # Errors
-    ///
-    /// The same as [`FaultyMemory::rearm_words`]; on error the memory is
-    /// unchanged.
     pub fn rearm_local(
         &mut self,
         faults: &[Fault],
         image: Option<&BitStorage>,
         words: &[usize],
     ) -> Result<(), MemError> {
+        let (count, width) = (self.config.words(), self.config.width());
         for fault in faults {
-            FaultSet::validate_fault(fault, self.config.words(), self.config.width())?;
+            FaultSet::validate_fault(fault, count, width)?;
         }
-        self.check_words(image, words)?;
+        if let Some(image) = image {
+            if image.words() != count {
+                return Err(MemError::LoadLengthMismatch {
+                    found: image.words(),
+                    expected: count,
+                });
+            }
+            if image.width() != width {
+                return Err(MemError::WidthMismatch {
+                    found: image.width(),
+                    expected: width,
+                });
+            }
+        }
+        if let Some(&address) = words.iter().find(|&&word| word >= count) {
+            return Err(MemError::AddressOutOfRange {
+                address,
+                words: count,
+            });
+        }
         self.faults.clear();
         for &fault in faults {
             self.faults.insert(fault);
         }
-        self.restore_words(image, words);
-        Ok(())
-    }
-
-    /// The shape and address checks of [`FaultyMemory::rearm_words`].
-    fn check_words(&self, image: Option<&BitStorage>, words: &[usize]) -> Result<(), MemError> {
-        if let Some(image) = image {
-            if image.words() != self.config.words() {
-                return Err(MemError::LoadLengthMismatch {
-                    found: image.words(),
-                    expected: self.config.words(),
-                });
-            }
-            if image.width() != self.config.width() {
-                return Err(MemError::WidthMismatch {
-                    found: image.width(),
-                    expected: self.config.width(),
-                });
-            }
-        }
-        if let Some(&address) = words.iter().find(|&&word| word >= self.config.words()) {
-            return Err(MemError::AddressOutOfRange {
-                address,
-                words: self.config.words(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Copies `words` back from `image` (zeroes them for `None`), clears
-    /// the counters and the trace, and enforces the armed faults' static
-    /// state — the run-state half of a re-arm, after [`Self::check_words`].
-    fn restore_words(&mut self, image: Option<&BitStorage>, words: &[usize]) {
         for &word in words {
             let bits = image.map_or(0, |image| image.word_bits(word));
             self.storage.set_word_bits(word, bits);
@@ -286,6 +246,7 @@ impl FaultyMemory {
         self.stats = AccessStats::default();
         self.trace = Trace::new();
         self.enforce_static_faults();
+        Ok(())
     }
 
     /// Access counters accumulated so far.
@@ -519,15 +480,11 @@ impl FaultyMemory {
     /// Fills the memory with deterministic pseudo-random content derived from
     /// `seed`, modelling the "arbitrary initial content" a transparent test
     /// must preserve.
+    ///
+    /// [`BitStorage::fill_random`] draws the content, so a memory filled
+    /// here holds the same bits as a content image filled with the seed.
     pub fn fill_random(&mut self, seed: u64) {
-        let mut rng = SplitMix64::new(seed);
-        let width = self.config.width();
-        for address in 0..self.config.words() {
-            let word = Word::from_bits(rng.next_u128(), width).expect("configured width is valid");
-            self.storage
-                .set_word(address, word)
-                .expect("address in range");
-        }
+        self.storage.fill_random(seed);
         self.enforce_static_faults();
     }
 
@@ -766,6 +723,23 @@ mod tests {
         assert_ne!(a.content(), c.content());
     }
 
+    /// A content image filled in place holds the bytes a memory filled
+    /// with the same seed snapshots, at every word width the fill packs
+    /// differently: one bit, odd widths that straddle `u64` blocks, one
+    /// and two full blocks.
+    #[test]
+    fn an_image_fill_equals_a_memory_fill_and_snapshot() {
+        for width in [1, 7, 32, 33, 64, 128] {
+            for seed in [0, 99] {
+                let mut memory = FaultyMemory::fault_free(config(37, width));
+                memory.fill_random(seed);
+                let mut image = BitStorage::new(37, width).unwrap();
+                image.fill_random(seed);
+                assert_eq!(image, memory.snapshot(), "width {width}, seed {seed}");
+            }
+        }
+    }
+
     /// Drives a memory through a representative access mix so reuse tests
     /// can compare observable behaviour, not just the initial state.
     fn exercise(mem: &mut FaultyMemory) -> (Vec<Word>, Vec<Word>) {
@@ -842,52 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn rearm_words_equals_a_full_reset_and_image_load() {
-        let c = config(6, 4);
-        let mut scratch = FaultyMemory::fault_free(c);
-        scratch.fill_random(21);
-        let image = scratch.snapshot();
-        let first = vec![
-            Fault::stuck_at(BitAddress::new(1, 2), true),
-            Fault::coupling_state(BitAddress::new(0, 0), BitAddress::new(3, 1), false, true),
-        ];
-        let second = vec![Fault::coupling_idempotent(
-            BitAddress::new(2, 0),
-            BitAddress::new(4, 3),
-            Transition::Rising,
-            true,
-        )];
-
-        // A run under `first` that writes only words 0, 1 and 3.
-        let mut arena = FaultyMemory::with_faults(c, first).unwrap();
-        arena.load_image(&image).unwrap();
-        for address in [0, 1, 3] {
-            arena.write_word(address, Word::ones(4)).unwrap();
-        }
-        arena
-            .rearm_words(second.clone(), &image, &[0, 1, 3])
-            .unwrap();
-        let mut fresh = FaultyMemory::with_faults(c, second).unwrap();
-        fresh.load_image(&image).unwrap();
-        assert_eq!(arena.content(), fresh.content());
-        assert_eq!(arena.faults(), fresh.faults());
-        assert_eq!(arena.stats(), AccessStats::default());
-        assert_eq!(exercise(&mut arena), exercise(&mut fresh));
-
-        // Bad faults, images and words are rejected and change nothing.
-        let before = arena.content();
-        let bad_fault = vec![Fault::stuck_at(BitAddress::new(9, 0), true)];
-        assert!(arena.rearm_words(bad_fault, &image, &[0]).is_err());
-        let small = FaultyMemory::fault_free(config(4, 4)).snapshot();
-        assert!(arena.rearm_words(FaultSet::new(), &small, &[0]).is_err());
-        let narrow = FaultyMemory::fault_free(config(6, 3)).snapshot();
-        assert!(arena.rearm_words(FaultSet::new(), &narrow, &[0]).is_err());
-        assert!(arena.rearm_words(FaultSet::new(), &image, &[0, 6]).is_err());
-        assert_eq!(arena.content(), before);
-        assert_eq!(arena.faults().len(), 1);
-    }
-
-    #[test]
     fn rearm_local_restores_only_the_listed_words() {
         let c = config(6, 4);
         let mut scratch = FaultyMemory::fault_free(c);
@@ -924,6 +852,8 @@ mod tests {
         assert!(arena.rearm_local(&bad_fault, Some(&image), &[0]).is_err());
         let small = FaultyMemory::fault_free(config(4, 4)).snapshot();
         assert!(arena.rearm_local(&[], Some(&small), &[0]).is_err());
+        let narrow = FaultyMemory::fault_free(config(6, 3)).snapshot();
+        assert!(arena.rearm_local(&[], Some(&narrow), &[0]).is_err());
         assert!(arena.rearm_local(&[], None, &[0, 6]).is_err());
         assert_eq!(arena.content(), before);
         assert_eq!(arena.faults().len(), 1);

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{MemError, Word};
+use crate::{MemError, SplitMix64, Word};
 
 /// Dense bit-level backing store for a word-oriented memory.
 ///
@@ -220,6 +220,17 @@ impl BitStorage {
             self.set_word(w, value)?;
         }
         Ok(())
+    }
+
+    /// Fills every word with deterministic pseudo-random bits from `seed`:
+    /// word `w` takes the low `width` bits of the `w`-th draw of
+    /// [`SplitMix64`]. This is the one pseudo-random content of the
+    /// workspace — [`crate::FaultyMemory::fill_random`] fills through it.
+    pub fn fill_random(&mut self, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        for word in 0..self.words {
+            self.set_word_bits(word, rng.next_u128());
+        }
     }
 
     /// Overwrites this store's bits with another store's, block by block —

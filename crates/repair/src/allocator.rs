@@ -18,7 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use twm_mem::{BitAddress, MemError, RepairableMemory};
+use twm_mem::{BitAddress, MemError, RemapEntry, RepairableMemory};
 
 use crate::localise::LocatedDefect;
 
@@ -66,6 +66,19 @@ impl RepairPlan {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.assignments.is_empty()
+    }
+
+    /// The remap entries [`RepairPlan::apply`] programs, in order (the
+    /// input of [`twm_bist::FaultLocalSession::run_repaired`]).
+    #[must_use]
+    pub fn remaps(&self) -> Vec<RemapEntry> {
+        self.assignments
+            .iter()
+            .map(|assignment| RemapEntry {
+                word: assignment.word,
+                spare: assignment.spare,
+            })
+            .collect()
     }
 
     /// Applies the plan to a repairable memory, programming one remap

@@ -21,12 +21,12 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use twm_bist::Misr;
+use twm_bist::{FaultLocalSession, Misr};
 use twm_core::scheme::SchemeId;
 use twm_coverage::{ContentPolicy, CoverageEngine, Strategy, WorkerPool};
-use twm_mem::{Fault, FaultyMemory, MemoryConfig, SplitMix64, Word};
+use twm_mem::{Fault, MemoryConfig, SplitMix64, Word};
 
-use crate::{FaultLocalSession, RepairError};
+use crate::RepairError;
 
 /// The ordered MISR signature trail of one session: the predicted
 /// signature followed by the cumulative test-phase signature after each
@@ -210,7 +210,8 @@ impl SignatureDictionary {
     /// injections gated by [`CoverageEngine::injection_detected`].
     ///
     /// Trails are computed fault-locally: the session is lowered and its
-    /// fault-free run simulated once ([`FaultLocalSession`]). A stuck-at or
+    /// fault-free run derived once, in closed form, over the content's
+    /// round-0 image ([`FaultLocalSession`]). A stuck-at or
     /// transition fault's trail is then read from the single-cell table
     /// ([`twm_bist::CellTrailTable`], built on the first such fault: one
     /// table multiplication per element, ~0.2–0.5 µs per fault of a
@@ -232,8 +233,9 @@ impl SignatureDictionary {
     ///   wrong width.
     /// * [`RepairError::Coverage`] for strategy resolution failures
     ///   (`Parallel { threads: 0 }`).
-    /// * [`RepairError::Mem`] / [`RepairError::Bist`] if an injection does
-    ///   not fit the memory or a session fails.
+    /// * [`RepairError::Bist`] if an injection does not fit the memory
+    ///   ([`twm_bist::BistError::Mem`]) or a session fails, and
+    ///   [`RepairError::Coverage`] if a sampled pair does not fit it.
     pub fn build(
         engine: &CoverageEngine,
         universe: &[Fault],
@@ -393,8 +395,8 @@ impl DictionaryStream {
 
         // The session lowered once, with the fault-free reference trail:
         // what a healthy session produces.
-        let session = FaultLocalSession::new(transform, config, content, misr.clone())?;
-        let fault_free = session.fault_free_trail();
+        let session = FaultLocalSession::new(transform, content.image(config, 0), misr.clone())?;
+        let fault_free = SignatureTrail::new(session.reference().trail().to_vec());
 
         // The injection list: the whole single-fault universe, then the
         // deterministic sample of exact-oracle-detectable fault pairs.
@@ -634,15 +636,6 @@ impl SignatureDictionary {
     }
 }
 
-/// Applies a reference content policy to a freshly built memory (round 0
-/// of the engine's prepared contents).
-pub(crate) fn apply_content(memory: &mut FaultyMemory, content: ContentPolicy) {
-    match content {
-        ContentPolicy::Zeros => {}
-        ContentPolicy::Random { seed } => memory.fill_random(seed),
-    }
-}
-
 /// Single faults per [`compute_trails`] job: enough for the single-cell
 /// table to amortise each word's terms over its faults, few enough to
 /// spread a universe of coupling faults over the workers.
@@ -652,7 +645,7 @@ const TRAIL_CHUNK: usize = 1024;
 /// single-fault injection, then of every multi-fault injection in
 /// `multi`, on a pool `threads` wide: single faults in chunks through
 /// [`FaultLocalSession::single_fault_trails`] (table lookups for stuck-at
-/// and transition faults), the rest through [`FaultLocalSession::trail`]
+/// and transition faults), the rest through [`FaultLocalSession::run`]
 /// — a sweep of the injection's footprint words, not a session over the
 /// whole memory (the naive reference is
 /// [`twm_bist::run_scheme_session_staged`] on a memory built with the
@@ -668,10 +661,10 @@ fn compute_trails(
     let chunks: Vec<&[Fault]> = universe.chunks(TRAIL_CHUNK).collect();
     let mut trails = Vec::with_capacity(universe.len() + multi.len());
     for chunk in pool.map(&chunks, |chunk| session.single_fault_trails(chunk)) {
-        trails.extend(chunk?);
+        trails.extend(chunk?.into_iter().map(SignatureTrail::new));
     }
-    for trail in pool.map(multi, |injection| session.trail(injection)) {
-        trails.push(trail?);
+    for outcome in pool.map(multi, |injection| session.run(injection)) {
+        trails.push(SignatureTrail::new(outcome?.trail));
     }
     Ok(trails)
 }
@@ -682,7 +675,7 @@ mod tests {
     use twm_bist::run_scheme_session_staged;
     use twm_core::scheme::SchemeRegistry;
     use twm_march::algorithms::march_c_minus;
-    use twm_mem::{BitAddress, FaultSet};
+    use twm_mem::{BitAddress, FaultSet, FaultyMemory};
 
     const SEED: u64 = 41;
 
@@ -821,7 +814,9 @@ mod tests {
         // lookup must return a class containing the injected fault.
         let mut memory =
             FaultyMemory::with_faults(engine.config(), FaultSet::from_faults([fault])).unwrap();
-        apply_content(&mut memory, engine.options().content);
+        memory
+            .load_image(&engine.options().content.image(engine.config(), 0))
+            .unwrap();
         let staged = run_scheme_session_staged(
             engine.scheme_transform().unwrap(),
             &mut memory,

@@ -24,11 +24,11 @@
 //!   [`twm_mem::RepairableMemory`] spare words to defective words,
 //!   emitting a [`RepairPlan`].
 //! * [`verify`] — [`verify_repair`]: the scheme session re-run through the
-//!   remap table, proving the signature comes back clean; and
-//!   [`FaultLocalSession`], the same session prepared once under a
-//!   reference content so dictionary trails and repair checks sweep only
-//!   an injection's footprint (and remapped) words, and single-cell
-//!   faults sweep none ([`FaultLocalSession::single_fault_trails`]).
+//!   remap table, proving the signature comes back clean. Dictionary
+//!   trails and fleet repair checks use the same session prepared once
+//!   under a reference content, [`twm_bist::FaultLocalSession`], which
+//!   sweeps only an injection's footprint (and remapped) words, and no
+//!   words at all for a single-cell fault.
 //!
 //! ## The whole loop
 //!
@@ -62,7 +62,7 @@
 //!     config,
 //!     vec![Fault::stuck_at(BitAddress::new(5, 2), true)],
 //! )?;
-//! memory.fill_random(9); // the engine's reference content
+//! memory.fill_random(9); // the engine's reference content: ContentPolicy::image round 0
 //!
 //! // Localise, allocate one of two spares, remap, re-verify.
 //! let session = DiagnosticSession::new(&registry, &march_c_minus())?
@@ -100,7 +100,7 @@ pub use localise::{
     LocalisationOutcome, LocatedDefect, TrailDiagnosis,
 };
 pub use lookup::TrailLookup;
-pub use verify::{verify_repair, FaultLocalSession, RepairVerification};
+pub use verify::{verify_repair, RepairVerification};
 
 use twm_mem::RepairableMemory;
 

@@ -606,7 +606,7 @@ pub fn localise_trail_normalised<D: TrailLookup + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dictionary::{apply_content, DictionaryOptions, SignatureDictionary};
+    use crate::dictionary::{DictionaryOptions, SignatureDictionary};
     use twm_core::scheme::SchemeId;
     use twm_coverage::{ContentPolicy, CoverageEngine, UniverseBuilder};
     use twm_march::algorithms::march_c_minus;
@@ -638,7 +638,9 @@ mod tests {
             FaultSet::from_faults(faults.iter().copied()),
         )
         .unwrap();
-        apply_content(&mut memory, engine.options().content);
+        memory
+            .load_image(&engine.options().content.image(engine.config(), 0))
+            .unwrap();
         memory
     }
 

@@ -21,12 +21,12 @@
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use twm_bist::{run_scheme_session_staged, Misr};
+use twm_bist::{run_scheme_session_staged, FaultLocalSession, Misr};
 use twm_core::scheme::{SchemeId, SchemeRegistry};
 use twm_coverage::{ContentPolicy, CoverageEngine};
 use twm_march::algorithms::march_c_minus;
 use twm_mem::{BitAddress, Fault, FaultSet, FaultyMemory, MemoryConfig, SplitMix64, Transition};
-use twm_repair::{DictionaryOptions, FaultLocalSession, SignatureDictionary, SignatureTrail};
+use twm_repair::{DictionaryOptions, SignatureDictionary, SignatureTrail};
 
 const WORDS: usize = 64 * 1024;
 const WIDTH: usize = 32;
@@ -163,8 +163,7 @@ fn full_64k_by_32_saf_tf_universe_streams_through_the_table() {
     let config = engine.config();
     let session = FaultLocalSession::new(
         engine.scheme_transform().unwrap(),
-        config,
-        ContentPolicy::Random { seed: SEED },
+        ContentPolicy::Random { seed: SEED }.image(config, 0),
         Misr::standard(WIDTH),
     )
     .unwrap();
@@ -173,7 +172,7 @@ fn full_64k_by_32_saf_tf_universe_streams_through_the_table() {
     // calls timed).
     let mut elapsed = Duration::ZERO;
     let (mut faults, mut detected) = (0usize, 0usize);
-    let fault_free = session.fault_free_trail();
+    let fault_free = session.reference().trail();
     for first in (0..WORDS).step_by(CHUNK_WORDS) {
         let chunk = saf_tf_chunk(first..first + CHUNK_WORDS);
         let start = Instant::now();
@@ -208,8 +207,8 @@ fn full_64k_by_32_saf_tf_universe_streams_through_the_table() {
         let start = Instant::now();
         swept = sample
             .iter()
-            .map(|fault| session.trail(&[*fault]).unwrap())
-            .collect::<Vec<SignatureTrail>>();
+            .map(|fault| session.run(&[*fault]).unwrap().trail)
+            .collect::<Vec<_>>();
         let sweep_s = start.elapsed().as_secs_f64() / sample.len() as f64;
         let start = Instant::now();
         let tabled: usize = chunks
@@ -242,7 +241,7 @@ fn full_64k_by_32_saf_tf_universe_streams_through_the_table() {
     for at in (0..NAIVE_SUBSET).map(|i| i * stride + i % 2) {
         assert_eq!(
             tabled[at],
-            naive_trail(&engine, sample[at]),
+            naive_trail(&engine, sample[at]).signatures(),
             "trail of {:?} differs from the naive session",
             sample[at]
         );

@@ -2,13 +2,13 @@
 //! naive references: every trail a [`SignatureDictionary`] indexes must be
 //! the trail [`run_scheme_session_staged`] produces on a memory built with
 //! the injection and the reference content, and
-//! [`FaultLocalSession::verify`] must return
-//! [`verify_repair`]`(..).clean()` on the same repaired memory — across
+//! [`FaultLocalSession::run_repaired`] must be clean exactly when
+//! [`verify_repair`]`(..).clean()` holds on the same repaired memory — across
 //! every registered scheme, all-zero and random content, single and
 //! multi-fault injections, allocator plans with 1–3 spares and plans that
 //! remap only part of a coupling fault's footprint.
 
-use twm_bist::{run_scheme_session_staged, Misr};
+use twm_bist::{run_scheme_session_staged, FaultLocalSession, Misr};
 use twm_core::scheme::{SchemeId, SchemeRegistry, SchemeTransform};
 use twm_coverage::{ContentPolicy, CoverageEngine, Strategy, UniverseBuilder};
 use twm_march::algorithms::{march_c_minus, march_u};
@@ -18,9 +18,8 @@ use twm_mem::{
     Transition,
 };
 use twm_repair::{
-    localise_trail, verify_repair, DefectEvidence, DictionaryOptions, FaultLocalSession,
-    LocatedDefect, RepairAllocator, RepairAssignment, RepairPlan, SignatureDictionary,
-    SignatureTrail,
+    localise_trail, verify_repair, DefectEvidence, DictionaryOptions, LocatedDefect,
+    RepairAllocator, RepairAssignment, RepairPlan, SignatureDictionary, SignatureTrail,
 };
 
 const CONTENTS: [ContentPolicy; 2] = [ContentPolicy::Zeros, ContentPolicy::Random { seed: 77 }];
@@ -216,14 +215,18 @@ fn verification_of_allocator_plans_matches_verify_repair() {
             )
             .unwrap();
             let session =
-                FaultLocalSession::new(transform, config, content, Misr::standard(4)).unwrap();
+                FaultLocalSession::new(transform, content.image(config, 0), Misr::standard(4))
+                    .unwrap();
             let mut clean = 0usize;
             for class in dictionary.classes() {
                 let diagnosis = localise_trail(&dictionary, &class.trail).unwrap();
                 for spares in 1..=3 {
                     let plan = RepairAllocator::default().allocate(&diagnosis.defects, spares);
                     let representative = &class.injections[0];
-                    let local = session.verify(representative, spares, &plan).unwrap();
+                    let local = session
+                        .run_repaired(representative, spares, &plan.remaps())
+                        .unwrap()
+                        .clean();
                     let naive =
                         naive_verify(transform, config, content, representative, spares, &plan);
                     assert_eq!(
@@ -251,18 +254,22 @@ fn verification_of_random_injections_matches_verify_repair() {
         let transform = scheme.transform(&march_c_minus()).unwrap();
         let content = CONTENTS[rng.next_below(2)];
         let session =
-            FaultLocalSession::new(&transform, config, content, Misr::standard(width)).unwrap();
+            FaultLocalSession::new(&transform, content.image(config, 0), Misr::standard(width))
+                .unwrap();
         let injection: Vec<Fault> = (0..1 + rng.next_below(3))
             .map(|_| random_fault(&mut rng, config))
             .collect();
         assert_eq!(
-            session.trail(&injection).unwrap(),
+            SignatureTrail::new(session.run(&injection).unwrap().trail),
             naive_trail(&transform, config, content, &injection)
         );
         for spares in 0..=3 {
             let plan = allocator_plan(&injection, spares);
             assert_eq!(
-                session.verify(&injection, spares, &plan).unwrap(),
+                session
+                    .run_repaired(&injection, spares, &plan.remaps())
+                    .unwrap()
+                    .clean(),
                 naive_verify(&transform, config, content, &injection, spares, &plan),
                 "{:?} {content:?} {injection:?} with {spares} spares",
                 scheme.id()
@@ -292,11 +299,15 @@ fn partial_repair_of_a_two_word_coupling_footprint_matches_verify_repair() {
         let transform = scheme.transform(&march_c_minus()).unwrap();
         for content in CONTENTS {
             let session =
-                FaultLocalSession::new(&transform, config, content, Misr::standard(8)).unwrap();
+                FaultLocalSession::new(&transform, content.image(config, 0), Misr::standard(8))
+                    .unwrap();
             for fault in faults {
                 for words in [&[2usize][..], &[6], &[2, 6]] {
                     let plan = plan_for(words, 2);
-                    let local = session.verify(&[fault], 2, &plan).unwrap();
+                    let local = session
+                        .run_repaired(&[fault], 2, &plan.remaps())
+                        .unwrap()
+                        .clean();
                     let naive = naive_verify(&transform, config, content, &[fault], 2, &plan);
                     assert_eq!(
                         local,
@@ -313,6 +324,76 @@ fn partial_repair_of_a_two_word_coupling_footprint_matches_verify_repair() {
     assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
 }
 
+/// One session answers an interleaved sequence on its one arena. A trail
+/// query for a stuck-at fault at word 5, pinned against the content,
+/// leaves that word altered; then a repaired run of an injection at word
+/// 1 remaps words 1 and 5, so it must restore word 5 from the image
+/// before the remap copies it into its spare; and so on, pair after
+/// pair. Every step equals the naive session — the trail, and the
+/// repaired run's signatures, mismatches and content verdict — under
+/// every registered scheme and both contents.
+#[test]
+fn one_arena_serves_interleaved_trail_queries_and_repaired_runs() {
+    let config = MemoryConfig::new(8, 4).unwrap();
+    let plan = plan_for(&[1, 5], 2);
+    let mut clean = [0usize; 2];
+    for scheme in SchemeRegistry::all(4).unwrap().iter() {
+        let transform = scheme.transform(&march_c_minus()).unwrap();
+        for content in CONTENTS {
+            let image = content.image(config, 0);
+            let session =
+                FaultLocalSession::new(&transform, image.clone(), Misr::standard(4)).unwrap();
+            for bit in 0..4 {
+                let next = (bit + 1) % 4;
+                let stuck = Fault::stuck_at(BitAddress::new(5, bit), !image.bit(5, bit).unwrap());
+                for injection in [
+                    Fault::stuck_at(BitAddress::new(1, bit), true),
+                    Fault::transition(BitAddress::new(1, bit), Transition::Falling),
+                    Fault::coupling_inversion(
+                        BitAddress::new(1, bit),
+                        BitAddress::new(1, next),
+                        Transition::Rising,
+                    ),
+                ] {
+                    let context =
+                        format!("{:?} {content:?} {stuck:?} then {injection:?}", scheme.id());
+                    assert_eq!(
+                        SignatureTrail::new(session.run(&[stuck]).unwrap().trail),
+                        naive_trail(&transform, config, content, &[stuck]),
+                        "{context}"
+                    );
+                    let local = session
+                        .run_repaired(&[injection], 2, &plan.remaps())
+                        .unwrap();
+                    let mut memory =
+                        RepairableMemory::new(faulty(config, content, &[injection]), 2).unwrap();
+                    plan.apply(&mut memory).unwrap();
+                    let naive = verify_repair(&transform, &mut memory, Misr::standard(4)).unwrap();
+                    assert_eq!(
+                        (
+                            local.trail[0],
+                            *local.trail.last().unwrap(),
+                            local.mismatches,
+                            local.content_preserved,
+                        ),
+                        (
+                            naive.outcome.predicted_signature,
+                            naive.outcome.test_signature,
+                            naive.outcome.mismatches,
+                            naive.outcome.content_preserved,
+                        ),
+                        "{context}"
+                    );
+                    assert_eq!(local.clean(), naive.clean(), "{context}");
+                    clean[usize::from(local.clean())] += 1;
+                }
+            }
+        }
+    }
+    // Every remapped run is clean: the remap hides each injection.
+    assert_eq!(clean[0], 0, "{clean:?}");
+}
+
 #[test]
 fn verification_reports_plans_that_need_missing_spares() {
     let config = MemoryConfig::new(4, 4).unwrap();
@@ -320,17 +401,27 @@ fn verification_reports_plans_that_need_missing_spares() {
         .unwrap()
         .transform(SchemeId::TwmTa, &march_c_minus())
         .unwrap();
-    let session =
-        FaultLocalSession::new(&transform, config, ContentPolicy::Zeros, Misr::standard(4))
-            .unwrap();
+    let session = FaultLocalSession::new(
+        &transform,
+        ContentPolicy::Zeros.image(config, 0),
+        Misr::standard(4),
+    )
+    .unwrap();
     let fault = Fault::stuck_at(BitAddress::new(1, 1), true);
-    assert!(session.verify(&[fault], 1, &plan_for(&[1, 2], 1)).is_err());
+    assert!(session
+        .run_repaired(&[fault], 1, &plan_for(&[1, 2], 1).remaps())
+        .is_err());
     let outside = Fault::stuck_at(BitAddress::new(4, 0), true);
-    assert!(session.trail(&[outside]).is_err());
+    assert!(session.run(&[outside]).is_err());
     // A failed query leaves the session usable.
-    assert!(session.verify(&[fault], 1, &plan_for(&[1], 1)).unwrap());
-    assert!(
-        FaultLocalSession::new(&transform, config, ContentPolicy::Zeros, Misr::standard(8))
-            .is_err()
-    );
+    assert!(session
+        .run_repaired(&[fault], 1, &plan_for(&[1], 1).remaps())
+        .unwrap()
+        .clean());
+    assert!(FaultLocalSession::new(
+        &transform,
+        ContentPolicy::Zeros.image(config, 0),
+        Misr::standard(8)
+    )
+    .is_err());
 }

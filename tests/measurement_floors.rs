@@ -51,7 +51,9 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use twm::bist::{run_scheme_session_staged, Misr, SessionReference, StagedSessionOutcome};
+use twm::bist::{
+    run_scheme_session_staged, FaultLocalSession, Misr, SessionReference, StagedSessionOutcome,
+};
 use twm::core::{SchemeId, SchemeRegistry, SchemeTransform};
 use twm::coverage::{
     ContentPolicy, CoverageEngine, CoverageReport, EvaluationOptions, Strategy, UniverseBuilder,
@@ -62,9 +64,9 @@ use twm::fleet::{
 };
 use twm::march::algorithms::march_c_minus;
 use twm::march::MarchTest;
-use twm::mem::{BitAddress, Fault, FaultyMemory, MemoryConfig, SplitMix64, Transition};
+use twm::mem::{BitAddress, Fault, FaultyMemory, MemoryConfig, SplitMix64, Transition, Word};
 use twm::obs::{trace, ProfilerSink};
-use twm::repair::{DictionaryOptions, FaultLocalSession, SignatureDictionary};
+use twm::repair::{DictionaryOptions, SignatureDictionary};
 
 /// Minimum table-resolved `report` speed-up over a sweep per fault.
 const PACKED_SPEEDUP_FLOOR: f64 = 5.0;
@@ -353,16 +355,17 @@ fn trail_table_workload() -> (FaultLocalSession, Vec<Fault>) {
         .unwrap()
         .transform(SchemeId::TwmTa, &march_c_minus())
         .unwrap();
-    let session = FaultLocalSession::new(&transform, config, content, Misr::standard(32)).unwrap();
+    let session =
+        FaultLocalSession::new(&transform, content.image(config, 0), Misr::standard(32)).unwrap();
     let universe = UniverseBuilder::new(config).stuck_at().transition().build();
     (session, universe)
 }
 
 /// The sweep arm: one fault-local sweep per fault.
-fn swept_trails(session: &FaultLocalSession, universe: &[Fault]) -> Vec<SignatureTrail> {
+fn swept_trails(session: &FaultLocalSession, universe: &[Fault]) -> Vec<Vec<Word>> {
     universe
         .iter()
-        .map(|fault| session.trail(&[*fault]).unwrap())
+        .map(|fault| session.run(&[*fault]).unwrap().trail)
         .collect()
 }
 
