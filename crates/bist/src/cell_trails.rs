@@ -274,26 +274,44 @@ impl CellTrailTable {
         }
     }
 
-    /// The trail of each fault as a single-fault injection, in order:
-    /// `Some` for a stuck-at or transition fault inside the memory, `None`
-    /// for every other fault (a coupling fault, or a cell outside the
-    /// memory), which the table does not answer.
+    /// Bytes of one packed trail: [`Word::packed_len`] bytes per
+    /// signature, signatures in session order.
+    #[must_use]
+    pub fn trail_bytes(&self) -> usize {
+        self.trail.len() * Word::packed_len(self.powers.width())
+    }
+
+    /// Writes the trail of each stuck-at or transition fault inside the
+    /// memory, as a single-fault injection, into the fault's slot of
+    /// `out` — slot `i` is the [`CellTrailTable::trail_bytes`] bytes at
+    /// `i · trail_bytes`, each signature [`Word::write_packed`] — and
+    /// returns the positions of every other fault (a coupling fault, or a
+    /// cell outside the memory), whose slots it leaves untouched.
     ///
     /// The faults are walked grouped by word, ascending, and each word's
     /// terms are computed once. They rest on `x^(words−1−w)` and `x^w`,
     /// whose exponents grow in opposite directions along the walk: each
     /// steps from its value at the neighbouring word (`x^(words−1−w)` in
     /// a backward pass over the words) by `x^Δ`, a few shifts or one
-    /// multiplication per power of two in `Δ`. Beyond the answers, a
-    /// batch holds one power per word it touches and one buffer of terms
-    /// and multipliers per class, whatever the memory size.
-    #[must_use]
-    pub fn trails(&self, faults: &[Fault]) -> Vec<Option<Vec<Word>>> {
+    /// multiplication per power of two in `Δ`. Beyond `out`, a batch holds
+    /// one power per word it touches and one buffer of terms and
+    /// multipliers per class, whatever the memory size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `faults.len() · trail_bytes` bytes long.
+    pub fn trails(&self, faults: &[Fault], out: &mut [u8]) -> Vec<usize> {
+        let stride = self.trail_bytes();
+        assert_eq!(out.len(), faults.len() * stride, "one trail slot per fault");
+        let mut unanswered = Vec::new();
         let mut queries: Vec<Query> = faults
             .iter()
             .enumerate()
             .filter_map(|(at, fault)| {
-                let (kind, cell) = self.decode(fault)?;
+                let Some((kind, cell)) = self.decode(fault) else {
+                    unanswered.push(at);
+                    return None;
+                };
                 Some(Query {
                     at,
                     word: cell.word,
@@ -312,7 +330,6 @@ impl CellTrailTable {
             *power = stepper.to(&self.powers, last - group[0].word as u64);
         }
 
-        let mut trails: Vec<Option<Vec<Word>>> = vec![None; faults.len()];
         let mut walk = Walk::new(self);
         let mut stepper = Stepper::default();
         for (group, ascending) in groups.iter().zip(ascending) {
@@ -320,10 +337,15 @@ impl CellTrailTable {
             walk.seek(self, [ascending, stepper.to(&self.powers, word as u64)]);
             let content = self.image.word_bits(word);
             for query in *group {
-                trails[query.at] = Some(self.answer(query, content, &walk));
+                self.answer(
+                    query,
+                    content,
+                    &walk,
+                    &mut out[query.at * stride..][..stride],
+                );
             }
         }
-        trails
+        unanswered
     }
 
     /// A fault's table kind and cell, if the table answers it.
@@ -338,9 +360,9 @@ impl CellTrailTable {
         (cell.word < self.image.words() && cell.bit < self.powers.width()).then_some((kind, cell))
     }
 
-    /// The trail of `query`, a fault of the word `walk` stands at, whose
-    /// content is `content`.
-    fn answer(&self, query: &Query, content: u128, walk: &Walk) -> Vec<Word> {
+    /// Writes the trail of `query`, a fault of the word `walk` stands at,
+    /// whose content is `content`, into `out`.
+    fn answer(&self, query: &Query, content: u128, walk: &Walk, out: &mut [u8]) {
         let width = self.powers.width();
         let bytes = width.div_ceil(8);
         // The fault's block of keys and codes: its kind, content bit and
@@ -361,14 +383,15 @@ impl CellTrailTable {
                 ^ coded_sum(&terms[stage.terms..][..stage.reads], &codes[stage.code..]);
             sum
         });
-        std::iter::once(predicted)
+        for ((error, fault_free), slot) in std::iter::once(predicted)
             .chain(tested)
             .zip(&self.trail)
-            .map(|(error, fault_free)| {
-                Word::from_bits(fault_free.to_bits() ^ error, width)
-                    .expect("the MISR width is valid")
-            })
-            .collect()
+            .zip(out.chunks_exact_mut(bytes))
+        {
+            Word::from_bits(fault_free.to_bits() ^ error, width)
+                .expect("the MISR width is valid")
+                .write_packed(slot);
+        }
     }
 }
 

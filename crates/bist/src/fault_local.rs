@@ -80,33 +80,47 @@ impl FaultLocalSession {
         outcome
     }
 
-    /// The trail of each fault as a single-fault injection, in order:
-    /// stuck-at and transition faults from the single-cell table, every
-    /// other fault through [`FaultLocalSession::run`].
+    /// Bytes of one packed trail ([`CellTrailTable::trail_bytes`]).
+    #[must_use]
+    pub fn trail_bytes(&self) -> usize {
+        self.reference.trail().len() * Word::packed_len(self.reference.image().width())
+    }
+
+    /// Writes the trail of each fault as a single-fault injection into
+    /// its slot of `out`, in order — slot `i` is the
+    /// [`FaultLocalSession::trail_bytes`] bytes at `i · trail_bytes`,
+    /// each signature [`Word::write_packed`]: stuck-at and transition
+    /// faults from the single-cell table, every other fault through
+    /// [`FaultLocalSession::run`].
     ///
     /// # Errors
     ///
     /// [`BistError::Mem`] if a fault does not fit the memory.
-    pub fn single_fault_trails(&self, faults: &[Fault]) -> Result<Vec<Vec<Word>>, BistError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `faults.len() · trail_bytes` bytes long.
+    pub fn single_fault_trails(&self, faults: &[Fault], out: &mut [u8]) -> Result<(), BistError> {
+        let stride = self.trail_bytes();
+        assert_eq!(out.len(), faults.len() * stride, "one trail slot per fault");
         let single_cell =
             |fault: &Fault| matches!(fault, Fault::StuckAt { .. } | Fault::TransitionFault { .. });
-        let answers = if faults.iter().any(single_cell) {
+        let unanswered = if faults.iter().any(single_cell) {
             self.cells
                 .get_or_init(|| CellTrailTable::new(&self.reference))
-                .trails(faults)
+                .trails(faults, out)
         } else {
-            vec![None; faults.len()]
+            (0..faults.len()).collect()
         };
-        answers
-            .into_iter()
-            .zip(faults)
-            .map(|(answer, fault)| match answer {
-                Some(trail) => Ok(trail),
-                None => self
-                    .run(std::slice::from_ref(fault))
-                    .map(|outcome| outcome.trail),
-            })
-            .collect()
+        let bytes = Word::packed_len(self.reference.image().width());
+        for at in unanswered {
+            let trail = self.run(std::slice::from_ref(&faults[at]))?.trail;
+            let slot = &mut out[at * stride..][..stride];
+            for (signature, packed) in trail.iter().zip(slot.chunks_exact_mut(bytes)) {
+                signature.write_packed(packed);
+            }
+        }
+        Ok(())
     }
 
     /// The session of a memory carrying `injection`, with `spares` fresh
@@ -207,8 +221,12 @@ mod tests {
             session.run(&[Fault::stuck_at(outside, true)]),
             Err(BistError::Mem(MemError::FaultCellOutOfRange { cell })) if cell == outside
         ));
+        let mut out = vec![0; session.trail_bytes()];
         assert!(matches!(
-            session.single_fault_trails(&[Fault::transition(outside, twm_mem::Transition::Rising)]),
+            session.single_fault_trails(
+                &[Fault::transition(outside, twm_mem::Transition::Rising)],
+                &mut out
+            ),
             Err(BistError::Mem(MemError::FaultCellOutOfRange { .. }))
         ));
         for (spares, remaps, expected) in [

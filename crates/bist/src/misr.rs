@@ -78,9 +78,18 @@ impl Misr {
 
     /// Creates a MISR with a default feedback polynomial for the width.
     ///
-    /// Widely used primitive polynomials are chosen for the common word
-    /// widths (4, 8, 16, 32, 64); other widths fall back to `x^w + x + 1`
-    /// style taps, which is sufficient for simulation purposes.
+    /// The register shifts left and adds the tap mask when bit `w − 1`
+    /// leaves, so a mask `m` stands for `P(x) = x^w + Σ x^i` over the set
+    /// bits `i` of `m`. Only widths 1–4 get an irreducible (and primitive)
+    /// `P`. The masks for 8, 16, 32 and 64 follow right-shift tap tables,
+    /// so in this convention they are **not** primitive: at 8 and 16 `P`
+    /// has no constant term (the shift is not invertible, and an error
+    /// equal to `P/x` vanishes at the next step), and at 32 and 64 it is
+    /// reducible. The fallback mask `(1 << (w − 1)) | 3` gives
+    /// `x^w + x^(w−1) + x + 1 = (x + 1)(x^(w−1) + 1)`, reducible at every
+    /// width. Signatures, dictionaries and store files are computed under
+    /// these masks, and every fast path is checked against the naive
+    /// session under the same ones.
     ///
     /// # Panics
     ///
@@ -92,11 +101,11 @@ impl Misr {
             1 => 0x1,
             2 => 0x3,
             3 => 0x3,
-            4 => 0x9,     // x^4 + x + 1 (taps at 3 and 0)
-            8 => 0x8E,    // x^8 + x^4 + x^3 + x^2 + 1
-            16 => 0xD008, // CRC-16-ish taps
-            32 => 0x8020_0003,
-            64 => 0x8000_0000_0000_001B,
+            4 => 0x9,                    // x^4 + x^3 + 1
+            8 => 0x8E,                   // x^8 + x^7 + x^3 + x^2 + x
+            16 => 0xD008,                // x^16 + x^15 + x^14 + x^12 + x^3
+            32 => 0x8020_0003,           // x^32 + x^31 + x^21 + x + 1
+            64 => 0x8000_0000_0000_001B, // x^64 + x^63 + x^4 + x^3 + x + 1
             w => (1u128 << (w - 1)) | 0x3,
         };
         Self::new(width, polynomial).expect("standard polynomial is valid")

@@ -16,7 +16,7 @@ use twm_bist::{
 use twm_core::scheme::{NicolaidisScheme, SchemeRegistry, SchemeTransform, TransparentScheme};
 use twm_march::algorithms::{march_c_minus, march_u};
 use twm_march::MarchTest;
-use twm_mem::{BitAddress, Fault, FaultyMemory, MemoryConfig, SplitMix64, Transition};
+use twm_mem::{BitAddress, Fault, FaultyMemory, MemoryConfig, SplitMix64, Transition, Word};
 
 /// Every scheme's transform of `source` at `width`.
 fn transforms(width: usize, source: &MarchTest) -> Vec<SchemeTransform> {
@@ -48,6 +48,24 @@ fn universe(config: MemoryConfig) -> Vec<Fault> {
     faults
 }
 
+/// The table's packed trails of `faults` unpacked, `None` where it
+/// leaves a fault unanswered.
+fn table_trails(table: &CellTrailTable, width: usize, faults: &[Fault]) -> Vec<Option<Vec<Word>>> {
+    let stride = table.trail_bytes();
+    let mut out = vec![0u8; faults.len() * stride];
+    let unanswered = table.trails(faults, &mut out);
+    (0..faults.len())
+        .map(|at| {
+            (!unanswered.contains(&at)).then(|| {
+                out[at * stride..][..stride]
+                    .chunks_exact(Word::packed_len(width))
+                    .map(|packed| Word::from_packed(packed, width).unwrap())
+                    .collect()
+            })
+        })
+        .collect()
+}
+
 fn memory(config: MemoryConfig, seed: Option<u64>, faults: &[Fault]) -> FaultyMemory {
     let mut memory = FaultyMemory::with_faults(config, faults.to_vec()).unwrap();
     if let Some(seed) = seed {
@@ -76,7 +94,7 @@ fn assert_table_matches(
     let table = CellTrailTable::new(&reference);
     let name = transform.transparent_test().name();
     let universe = universe(config);
-    let trails = table.trails(&universe);
+    let trails = table_trails(&table, config.width(), &universe);
     assert_eq!(trails.len(), universe.len());
     for (fault, trail) in universe.iter().zip(&trails) {
         let mut faulty = memory(config, seed, &[*fault]);
@@ -96,7 +114,7 @@ fn assert_table_matches(
             .map(|_| faults[rng.next_below(faults.len())])
             .collect();
     }
-    let trails = table.trails(&faults);
+    let trails = table_trails(&table, config.width(), &faults);
     assert_eq!(trails.len(), faults.len());
     for (fault, trail) in faults.iter().zip(trails) {
         let mut faulty = memory(config, seed, &[*fault]);
@@ -143,8 +161,8 @@ fn table_trails_equal_the_naive_session_for_every_scheme() {
     }
 }
 
-/// Coupling faults and cells outside the memory are left unanswered, and
-/// answers come back in input order.
+/// Coupling faults and cells outside the memory are left unanswered, their
+/// slots untouched, and answers come back in input order.
 #[test]
 fn unanswered_faults_are_none_and_order_is_kept() {
     let config = MemoryConfig::new(5, 8).unwrap();
@@ -166,12 +184,16 @@ fn unanswered_faults_are_none_and_order_is_kept() {
         Fault::transition(a, Transition::Falling),
         Fault::stuck_at(b, true),
     ];
-    let trails = table.trails(&faults);
+    let stride = table.trail_bytes();
+    let mut out = vec![0xA5; faults.len() * stride];
+    assert_eq!(table.trails(&faults, &mut out), [1, 2, 3]);
+    assert!(out[stride..4 * stride].iter().all(|&byte| byte == 0xA5));
+    let trails = table_trails(&table, 8, &faults);
     assert!(trails[1].is_none() && trails[2].is_none() && trails[3].is_none());
     assert_eq!(trails[0], trails[5]);
-    let single = |fault: Fault| table.trails(&[fault]).pop().unwrap();
+    let single = |fault: Fault| table_trails(&table, 8, &[fault]).pop().unwrap();
     assert_eq!(trails[0], single(faults[0]));
     assert_eq!(trails[4], single(faults[4]));
     assert_ne!(trails[0], trails[4]);
-    assert!(table.trails(&[]).is_empty());
+    assert!(table.trails(&[], &mut []).is_empty());
 }

@@ -16,7 +16,7 @@ use twm_fleet::{
 };
 use twm_march::algorithms::{march_c_minus, mats_plus};
 use twm_march::MarchTest;
-use twm_mem::{Fault, FaultSet, FaultyMemory, MemoryConfig};
+use twm_mem::{Fault, FaultSet, FaultyMemory, MemoryConfig, Word};
 use twm_repair::DictionaryOptions;
 
 const SEED: u64 = 0xF1EE7;
@@ -80,7 +80,8 @@ fn fleet_reports(devices: usize) -> Vec<DeviceReport> {
                 // A trail no indexed injection produces (wrong content
                 // seed drifts every signature).
                 2 => {
-                    let mut drifted = device_trail(scheme, &source, &[]).signatures().to_vec();
+                    let mut drifted: Vec<Word> =
+                        device_trail(scheme, &source, &[]).iter().collect();
                     for word in &mut drifted {
                         *word = word.with_bit(0, !word.bit(0));
                     }

@@ -303,3 +303,162 @@ fn a_failed_spill_leaves_the_shard_resident_and_is_counted() {
     assert!(!blocker.join("spill").exists());
     std::fs::remove_file(&blocker).unwrap();
 }
+
+/// A [`serde::Value`] tree sent as it is.
+struct Raw(serde::Value);
+
+impl serde::Serialize for Raw {
+    fn serialize(&self) -> serde::Value {
+        self.0.clone()
+    }
+}
+
+/// The field `name` of a record value.
+fn field<'a>(value: &'a mut serde::Value, name: &str) -> &'a mut serde::Value {
+    let serde::Value::Record(fields) = value else {
+        panic!("expected a record, found {}", value.kind());
+    };
+    &mut fields.iter_mut().find(|(key, _)| key == name).unwrap().1
+}
+
+/// Item `at` of a sequence value.
+fn item(value: &mut serde::Value, at: usize) -> &mut serde::Value {
+    let serde::Value::Seq(items) = value else {
+        panic!("expected a sequence, found {}", value.kind());
+    };
+    &mut items[at]
+}
+
+/// The signature words of a serialised `SignatureTrail`.
+fn trail_words(trail: &mut serde::Value) -> &mut Vec<serde::Value> {
+    let serde::Value::Seq(words) = item(trail, 0) else {
+        panic!("a trail wraps one sequence");
+    };
+    words
+}
+
+/// Sends one request frame and reads its response.
+fn exchange(stream: &mut std::net::TcpStream, request: &serde::Value) -> Response {
+    twm_fleet::tcp::write_frame(stream, &twm_fleet::wire::to_bytes(&Raw(request.clone()))).unwrap();
+    let payload = twm_fleet::tcp::read_frame(stream).unwrap().unwrap();
+    twm_fleet::wire::from_bytes(&payload).unwrap()
+}
+
+/// Dictionaries and trails arriving over the wire are checked like
+/// `SignatureDictionary::from_parts`' parts: a dictionary with an empty
+/// class (which once panicked the first device diagnosed against it),
+/// unsorted classes or a trail of the wrong width, registered or
+/// imported, and a device trail of mixed widths each get a typed
+/// `Response::Error`, and the service keeps answering.
+#[test]
+fn tampered_dictionaries_and_trails_get_typed_errors() {
+    let source = march_c_minus();
+    let dictionary = build_dictionary(SchemeId::TwmTa, &source);
+    assert!(dictionary.classes().len() >= 2);
+    let pristine = serde::to_value(&dictionary);
+
+    let mut empty_class = pristine.clone();
+    let dropped = dictionary.classes()[0].injections.len();
+    *field(item(field(&mut empty_class, "classes"), 0), "injections") =
+        serde::Value::Seq(Vec::new());
+    *field(&mut empty_class, "indexed") = serde::to_value(&(dictionary.stats().indexed - dropped));
+    let mut unsorted = pristine.clone();
+    let serde::Value::Seq(classes) = field(&mut unsorted, "classes") else {
+        panic!("classes are a sequence");
+    };
+    classes.swap(0, 1);
+    let mut wide = pristine.clone();
+    let class = item(field(&mut wide, "classes"), 0);
+    for word in trail_words(field(class, "trail")) {
+        *field(word, "width") = serde::to_value(&8u8);
+    }
+
+    let shard = ShardKey::new(config(), SchemeId::TwmTa, &source);
+    let service = Arc::new(FleetService::new(FleetConfig::default()).unwrap());
+    let front = TcpFront::bind("127.0.0.1:0", service).unwrap();
+    let addr = front.local_addr().unwrap();
+    let server = std::thread::spawn(move || front.accept_one());
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+
+    let register = |dictionary: serde::Value| {
+        serde::Value::Variant(
+            "RegisterDictionary".into(),
+            Box::new(serde::Value::Record(vec![
+                ("source".into(), serde::to_value(&source)),
+                ("dictionary".into(), dictionary),
+            ])),
+        )
+    };
+    for (name, tampered) in [
+        ("empty class", empty_class),
+        ("unsorted classes", unsorted),
+        ("wrong-width trail", wide),
+    ] {
+        let response = exchange(&mut stream, &register(tampered.clone()));
+        assert!(
+            matches!(response, Response::Error { .. }),
+            "{name}: registering answered {response:?}"
+        );
+        let persisted = serde::Value::Record(vec![
+            ("source".into(), serde::to_value(&source)),
+            ("dictionary".into(), tampered),
+        ]);
+        let import = serde::to_value(&Request::ImportShard {
+            bytes: twm_fleet::wire::to_bytes(&Raw(persisted)),
+        });
+        let response = exchange(&mut stream, &import);
+        assert!(
+            matches!(response, Response::Error { .. }),
+            "{name}: importing answered {response:?}"
+        );
+    }
+    assert_eq!(
+        exchange(&mut stream, &serde::to_value(&Request::ListShards)),
+        Response::Shards(Vec::new())
+    );
+
+    // The pristine dictionary registers; a device trail of mixed widths
+    // is refused, and the class-0 device is diagnosed.
+    assert!(matches!(
+        exchange(&mut stream, &register(pristine)),
+        Response::Registered { .. }
+    ));
+    let device = DeviceReport {
+        device: "class-0".into(),
+        shard,
+        trail: dictionary.classes()[0].trail.clone(),
+        spares: 2,
+    };
+    let mut mixed = serde::to_value(&Request::DiagnoseBatch {
+        reports: vec![device.clone()],
+    });
+    let serde::Value::Variant(_, batch) = &mut mixed else {
+        panic!("a request is a variant");
+    };
+    let report = item(field(batch, "reports"), 0);
+    *field(&mut trail_words(field(report, "trail"))[1], "width") = serde::to_value(&8u8);
+    assert!(matches!(
+        twm_fleet::wire::from_bytes::<Request>(&twm_fleet::wire::to_bytes(&Raw(mixed.clone()))),
+        Err(twm_fleet::FleetError::Wire(_))
+    ));
+    let response = exchange(&mut stream, &mixed);
+    assert!(
+        matches!(response, Response::Error { .. }),
+        "a mixed-width trail answered {response:?}"
+    );
+    let response = exchange(
+        &mut stream,
+        &serde::to_value(&Request::DiagnoseBatch {
+            reports: vec![device],
+        }),
+    );
+    let Response::Batch(batch) = response else {
+        panic!("expected a batch, found {response:?}");
+    };
+    assert!(matches!(
+        batch.outcomes[0].verdict,
+        DeviceVerdict::Diagnosed(_)
+    ));
+    drop(stream);
+    server.join().unwrap().unwrap();
+}

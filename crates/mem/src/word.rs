@@ -225,6 +225,47 @@ impl Word {
         })
     }
 
+    /// Bytes of a packed word of `width` bits: ⌈width/8⌉. Packed words
+    /// are most significant byte first, so packed words of one width
+    /// order bytewise as their bits do.
+    #[must_use]
+    pub const fn packed_len(width: usize) -> usize {
+        width.div_ceil(8)
+    }
+
+    /// Writes the word packed into `out` ([`Word::packed_len`] bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not [`Word::packed_len`]`(self.width())` bytes.
+    #[inline]
+    pub fn write_packed(self, out: &mut [u8]) {
+        assert_eq!(
+            out.len(),
+            Self::packed_len(self.width()),
+            "packed word length"
+        );
+        out.copy_from_slice(&self.bits.to_be_bytes()[16 - out.len()..]);
+    }
+
+    /// Reads a packed word of `width` bits from `bytes`, masking the bits
+    /// above `width` away as [`Word::from_bits`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::InvalidWidth`] if `width` is zero or greater
+    /// than [`MAX_WORD_WIDTH`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than 16 bytes.
+    #[inline]
+    pub fn from_packed(bytes: &[u8], width: usize) -> Result<Self, MemError> {
+        let mut raw = [0u8; 16];
+        raw[16 - bytes.len()..].copy_from_slice(bytes);
+        Self::from_bits(u128::from_be_bytes(raw), width)
+    }
+
     /// Renders the word as a fixed-width binary string, most-significant bit
     /// first (the order used in the paper's tables).
     #[must_use]
@@ -365,6 +406,27 @@ mod tests {
                 found: 4,
                 expected: 8
             })
+        );
+    }
+
+    #[test]
+    fn packed_words_round_trip_and_order_as_their_bits() {
+        let mut rng = crate::SplitMix64::new(0x9AC);
+        for width in 1..=MAX_WORD_WIDTH {
+            let len = Word::packed_len(width);
+            let a = Word::from_bits(rng.next_u128(), width).unwrap();
+            let b = Word::from_bits(rng.next_u128(), width).unwrap();
+            let (mut pa, mut pb) = (vec![0u8; len], vec![0u8; len]);
+            a.write_packed(&mut pa);
+            b.write_packed(&mut pb);
+            assert_eq!(Word::from_packed(&pa, width), Ok(a));
+            assert_eq!(pa.cmp(&pb), a.cmp(&b));
+        }
+        // Bits above the width are masked away.
+        assert_eq!(Word::from_packed(&[0xFF], 3), Ok(Word::ones(3)));
+        assert_eq!(
+            Word::from_packed(&[1], 0),
+            Err(MemError::InvalidWidth { width: 0 })
         );
     }
 

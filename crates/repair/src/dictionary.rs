@@ -13,18 +13,20 @@
 //!
 //! Builds run in parallel through the same [`Strategy`] machinery as the
 //! coverage engine and are **bit-identical for any worker-thread count**:
-//! every injection's trail is computed independently and the grouping pass
-//! is serial in universe order (property-tested in
-//! `tests/repair_properties.rs`).
+//! every injection's trail is computed independently into its slot of one
+//! flat buffer of packed trails, and the grouping is a stable sort of the
+//! injections' positions by those trails, so a class lists its injections
+//! in universe order (property-tested in `tests/repair_properties.rs`).
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use twm_bist::{FaultLocalSession, Misr};
 use twm_core::scheme::SchemeId;
 use twm_coverage::{ContentPolicy, CoverageEngine, Strategy, WorkerPool};
-use twm_mem::{Fault, MemoryConfig, SplitMix64, Word};
+use twm_mem::{Fault, MemError, MemoryConfig, SplitMix64, Word};
 
 use crate::RepairError;
 
@@ -32,32 +34,127 @@ use crate::RepairError;
 /// signature followed by the cumulative test-phase signature after each
 /// transparent-test element (see
 /// [`twm_bist::StagedSessionOutcome::signature_trail`]).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct SignatureTrail(Vec<Word>);
+///
+/// Every signature of a trail has one width. The trail stores that width
+/// and its signatures packed, [`Word::packed_len`] bytes each, most
+/// significant byte first — 48 bytes for the 12 signatures of a
+/// TWM_TA × March C− trail at width 32. Trails order, compare and
+/// serialise exactly as the `Vec<Word>` of their signatures: signature by
+/// signature (bits, then width), a shorter trail before its extensions.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct SignatureTrail {
+    /// Bits per signature; 0 for the empty trail.
+    width: u8,
+    /// The signatures, [`Word::write_packed`] back to back.
+    packed: Box<[u8]>,
+}
 
 impl SignatureTrail {
     /// Wraps a raw signature sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the signatures differ in width; use
+    /// [`SignatureTrail::from_words`] for a fallible constructor.
     #[must_use]
     pub fn new(signatures: Vec<Word>) -> Self {
-        Self(signatures)
+        Self::from_words(&signatures).expect("a trail's signatures share one width")
+    }
+
+    /// Packs a signature sequence.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::WidthMismatch`] if a signature's width differs from the
+    /// first one's.
+    pub fn from_words(signatures: &[Word]) -> Result<Self, MemError> {
+        let width = signatures.first().map_or(0, |first| first.width());
+        let bytes = Word::packed_len(width);
+        let mut packed = vec![0u8; signatures.len() * bytes];
+        for (signature, slot) in signatures.iter().zip(packed.chunks_exact_mut(bytes.max(1))) {
+            if signature.width() != width {
+                return Err(MemError::WidthMismatch {
+                    found: signature.width(),
+                    expected: width,
+                });
+            }
+            signature.write_packed(slot);
+        }
+        Ok(Self {
+            width: width as u8,
+            packed: packed.into_boxed_slice(),
+        })
+    }
+
+    /// A trail of `width`-bit signatures from their packed bytes (see the
+    /// [type docs](SignatureTrail)). Bits above `width` in a signature's
+    /// first byte are cleared, as [`Word::from_bits`] masks them.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::InvalidWidth`] if `width` is zero or above
+    /// [`twm_mem::MAX_WORD_WIDTH`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed` is not a whole number of signatures.
+    pub fn from_packed(width: usize, packed: &[u8]) -> Result<Self, MemError> {
+        Word::from_bits(0, width)?;
+        let bytes = Word::packed_len(width);
+        assert_eq!(packed.len() % bytes, 0, "a whole number of signatures");
+        let mut packed: Box<[u8]> = packed.into();
+        let high = (0xFFu16 >> (bytes * 8 - width)) as u8;
+        for signature in packed.chunks_exact_mut(bytes) {
+            signature[0] &= high;
+        }
+        Ok(Self {
+            width: if packed.is_empty() { 0 } else { width as u8 },
+            packed,
+        })
+    }
+
+    /// The signatures' width in bits; 0 for the empty trail.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        usize::from(self.width)
+    }
+
+    /// The signatures packed back to back (see the [type docs](SignatureTrail)).
+    #[must_use]
+    pub fn packed(&self) -> &[u8] {
+        &self.packed
+    }
+
+    /// Signature `index`, in session order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    #[must_use]
+    pub fn signature(&self, index: usize) -> Word {
+        let bytes = Word::packed_len(self.width());
+        Word::from_packed(&self.packed[index * bytes..][..bytes], self.width())
+            .expect("a non-empty trail has a valid width")
     }
 
     /// The signatures, in session order.
-    #[must_use]
-    pub fn signatures(&self) -> &[Word] {
-        &self.0
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Word> + '_ {
+        (0..self.len()).map(|index| self.signature(index))
     }
 
     /// Number of signatures in the trail.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.packed
+            .len()
+            .checked_div(Word::packed_len(self.width()))
+            .unwrap_or(0)
     }
 
     /// Whether the trail is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.packed.is_empty()
     }
 
     /// The signature-wise XOR of two trails of the same shape.
@@ -70,21 +167,94 @@ impl SignatureTrail {
     ///
     /// * [`RepairError::TrailShapeMismatch`] if the trails hold different
     ///   signature counts.
-    /// * [`RepairError::Mem`] if paired signatures differ in width.
+    /// * [`RepairError::Mem`] if their signatures differ in width.
     pub fn xor(&self, other: &SignatureTrail) -> Result<SignatureTrail, RepairError> {
-        if self.0.len() != other.0.len() {
+        if self.len() != other.len() {
             return Err(RepairError::TrailShapeMismatch {
-                left: self.0.len(),
-                right: other.0.len(),
+                left: self.len(),
+                right: other.len(),
             });
         }
-        let words = self
-            .0
-            .iter()
-            .zip(&other.0)
-            .map(|(&a, &b)| a.checked_xor(b))
-            .collect::<Result<Vec<Word>, _>>()?;
-        Ok(SignatureTrail::new(words))
+        if self.width != other.width {
+            return Err(RepairError::Mem(MemError::WidthMismatch {
+                found: other.width(),
+                expected: self.width(),
+            }));
+        }
+        Ok(Self {
+            width: self.width,
+            packed: self
+                .packed
+                .iter()
+                .zip(other.packed.iter())
+                .map(|(a, b)| a ^ b)
+                .collect(),
+        })
+    }
+}
+
+impl Ord for SignatureTrail {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.width == other.width || self.is_empty() || other.is_empty() {
+            // One stride: bytewise order is signature-wise order.
+            self.packed.cmp(&other.packed)
+        } else {
+            // The first signatures already differ, in bits or in width.
+            let (a, b) = (self.signature(0), other.signature(0));
+            a.to_bits()
+                .cmp(&b.to_bits())
+                .then(self.width.cmp(&other.width))
+        }
+    }
+}
+
+impl PartialOrd for SignatureTrail {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for SignatureTrail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SignatureTrail")
+            .field(&self.iter().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// The shape of the tuple struct `SignatureTrail(Vec<Word>)`.
+impl Serialize for SignatureTrail {
+    fn serialize(&self) -> Value {
+        Value::Seq(vec![Value::Seq(
+            self.iter().map(|signature| signature.serialize()).collect(),
+        )])
+    }
+}
+
+impl<'de> Deserialize<'de> for SignatureTrail {
+    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+        let invalid = |error: MemError| serde::Error::message(format!("SignatureTrail: {error}"));
+        let Value::Seq(fields) = value else {
+            return Err(serde::Error::unexpected("SignatureTrail", value));
+        };
+        let [Value::Seq(items)] = fields.as_slice() else {
+            return Err(serde::Error::unexpected("SignatureTrail", value));
+        };
+        let mut signatures = Vec::with_capacity(items.len());
+        for item in items {
+            let word = Word::deserialize(item)?;
+            // The derived `Word` decode takes any bits and width: keep
+            // only words `Word::from_bits` could have made.
+            if Word::from_bits(word.to_bits(), word.width()).map_err(invalid)? != word {
+                return Err(serde::Error::message(format!(
+                    "SignatureTrail: signature {:#x} exceeds its {} bits",
+                    word.to_bits(),
+                    word.width()
+                )));
+            }
+            signatures.push(word);
+        }
+        Self::from_words(&signatures).map_err(invalid)
     }
 }
 
@@ -179,8 +349,13 @@ impl Default for DictionaryOptions {
 ///
 /// Built once per `(scheme engine, fault universe)` pair; looked up by
 /// [`SignatureDictionary::lookup`] with an observed trail. See the
-/// [module docs](self).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [module docs](self). Resident, a TWM_TA × March C− SAF+TF dictionary
+/// at width 32 holds ~160–180 heap bytes per class: its packed trail, its
+/// injection lists and their exact-capacity vectors
+/// (`tests/dictionary_footprint.rs`). A deserialised dictionary passes
+/// [`SignatureDictionary::from_parts`]' checks, and its recorded
+/// `indexed` count must match its classes.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SignatureDictionary {
     scheme: SchemeId,
     test_name: String,
@@ -214,12 +389,17 @@ impl SignatureDictionary {
     /// round-0 image ([`FaultLocalSession`]). A stuck-at or
     /// transition fault's trail is then read from the single-cell table
     /// ([`twm_bist::CellTrailTable`], built on the first such fault: one
-    /// table multiplication per element, ~0.2–0.5 µs per fault of a
-    /// 32×32 or 64K×32 TWM_TA × March C− universe on a 2-vCPU Xeon,
-    /// against ~11–110 µs for a sweep); every other injection sweeps only
-    /// its footprint words on a reused arena memory and folds its read
-    /// errors into the fault-free trail. No injection costs work on the
-    /// other words. The naive reference is
+    /// table multiplication per element, ~0.15–0.2 µs per fault of a
+    /// 32×32 or 64K×32 TWM_TA × March C− universe on a 2-vCPU Xeon, in
+    /// batches of 4,096 or 131,072 faults alike, against ~11–110 µs for a
+    /// sweep); every other injection sweeps only its footprint words on a
+    /// reused arena memory and folds its read errors into the fault-free
+    /// trail. No injection costs work on the other words. Every trail is
+    /// written packed into one flat buffer, and the classes are grouped by
+    /// a stable sort of the injections' positions on those trails: a
+    /// serial 32×32 SAF+TF build (4,096 faults, 3,072 classes) takes
+    /// ~1.3–1.5 ms, of which ~0.75 ms are trails, ~0.3 ms the sort and
+    /// ~0.17 ms assembling the classes. The naive reference is
     /// [`twm_bist::run_scheme_session_staged`] on a memory built with the
     /// injection and the reference content; `tests/fault_local_verify.rs`
     /// checks every indexed trail against it.
@@ -251,8 +431,9 @@ impl SignatureDictionary {
     /// `misr` may be in any run state; it is reset to a template. `classes`
     /// must be strictly sorted by trail (the binary-search invariant
     /// [`SignatureDictionary::build`] guarantees), every trail must share
-    /// the fault-free trail's shape, and no class may sit on the fault-free
-    /// trail itself.
+    /// the fault-free trail's length and carry signatures of the memory's
+    /// width, every class must hold an injection, and no class may sit on
+    /// the fault-free trail itself.
     ///
     /// # Errors
     ///
@@ -276,6 +457,14 @@ impl SignatureDictionary {
                 memory: config.width(),
             });
         }
+        let misfit = |trail: &SignatureTrail| !trail.is_empty() && trail.width() != config.width();
+        if misfit(&fault_free) {
+            return Err(RepairError::InvalidDictionary(format!(
+                "the fault-free trail carries {}-bit signatures, the memory {}-bit words",
+                fault_free.width(),
+                config.width()
+            )));
+        }
         let mut indexed = 0usize;
         for (position, class) in classes.iter().enumerate() {
             if class.trail.len() != fault_free.len() {
@@ -283,6 +472,13 @@ impl SignatureDictionary {
                     "class {position} trail holds {} signatures, expected {}",
                     class.trail.len(),
                     fault_free.len()
+                )));
+            }
+            if misfit(&class.trail) {
+                return Err(RepairError::InvalidDictionary(format!(
+                    "class {position} trail carries {}-bit signatures, the memory {}-bit words",
+                    class.trail.width(),
+                    config.width()
                 )));
             }
             if class.trail == fault_free {
@@ -326,6 +522,46 @@ impl SignatureDictionary {
     }
 }
 
+/// A [`SignatureDictionary`]'s serialised fields, decoded before
+/// [`SignatureDictionary::from_parts`] checks them.
+#[derive(Deserialize)]
+struct DictionaryParts {
+    scheme: SchemeId,
+    test_name: String,
+    config: MemoryConfig,
+    content: ContentPolicy,
+    misr: Misr,
+    classes: Vec<AmbiguityClass>,
+    undetected: Vec<Vec<Fault>>,
+    fault_free: SignatureTrail,
+    indexed: usize,
+}
+
+impl<'de> Deserialize<'de> for SignatureDictionary {
+    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+        let parts = DictionaryParts::deserialize(value)?;
+        let recorded = parts.indexed;
+        let dictionary = Self::from_parts(
+            parts.scheme,
+            parts.test_name,
+            parts.config,
+            parts.content,
+            parts.misr,
+            parts.fault_free,
+            parts.classes,
+            parts.undetected,
+        )
+        .map_err(|error| serde::Error::message(format!("SignatureDictionary: {error}")))?;
+        if dictionary.indexed != recorded {
+            return Err(serde::Error::message(format!(
+                "SignatureDictionary: records {recorded} indexed injections, its classes hold {}",
+                dictionary.indexed
+            )));
+        }
+        Ok(dictionary)
+    }
+}
+
 /// A dictionary build that **streams** its ambiguity classes out in sorted
 /// trail order instead of collecting them — the construction half of the
 /// out-of-core path (`twm-store`'s `PagedDictionary::build_to_disk` writes
@@ -337,11 +573,10 @@ impl SignatureDictionary {
 /// stream into [`DictionaryStream::into_dictionary`] reproduces
 /// [`SignatureDictionary::build`] bit-for-bit.
 ///
-/// The trail computation and grouping still run in RAM (the universe is
-/// simulated and sorted in-process); what streaming removes is the second
-/// materialised copy of every class on the consumer side. An external-sort
-/// build for universes whose *trail map* outgrows RAM is a documented next
-/// rung in the ROADMAP.
+/// The trail computation and grouping run in RAM: every injection's
+/// trail is packed into one flat buffer, and the detected injections are
+/// sorted by it. A class is assembled only when it is drained, so the
+/// stream never holds every class at once.
 #[derive(Debug)]
 pub struct DictionaryStream {
     scheme: SchemeId,
@@ -353,7 +588,19 @@ pub struct DictionaryStream {
     undetected: Vec<Vec<Fault>>,
     indexed: usize,
     class_count: usize,
-    classes: std::collections::btree_map::IntoIter<SignatureTrail, Vec<Vec<Fault>>>,
+    /// Every injection's packed trail, `stride` bytes each, in injection
+    /// order.
+    trails: Vec<u8>,
+    stride: usize,
+    /// The injections; a drained class takes its own.
+    injections: Vec<Vec<Fault>>,
+    /// The detected injections' positions sorted by trail, in injection
+    /// order within a trail.
+    order: Vec<usize>,
+    /// Where the next class starts in `order`.
+    next: usize,
+    /// Classes not yet drained.
+    remaining: usize,
 }
 
 impl DictionaryStream {
@@ -396,7 +643,7 @@ impl DictionaryStream {
         // The session lowered once, with the fault-free reference trail:
         // what a healthy session produces.
         let session = FaultLocalSession::new(transform, content.image(config, 0), misr.clone())?;
-        let fault_free = SignatureTrail::new(session.reference().trail().to_vec());
+        let fault_free = SignatureTrail::from_words(session.reference().trail())?;
 
         // The injection list: the whole single-fault universe, then the
         // deterministic sample of exact-oracle-detectable fault pairs.
@@ -434,18 +681,22 @@ impl DictionaryStream {
         // preserve injection order, so the serial grouping below sees the
         // same sequence for any thread count.
         let trails = compute_trails(universe, &injections[universe.len()..], &session, threads)?;
+        let stride = session.trail_bytes();
+        let trail = |at: usize| &trails[at * stride..][..stride];
 
-        let mut by_trail: BTreeMap<SignatureTrail, Vec<Vec<Fault>>> = BTreeMap::new();
+        // The detected injections, sorted by trail: a stable sort, so a
+        // class lists its injections in universe order.
         let mut undetected = Vec::new();
-        let mut indexed = 0usize;
-        for (injection, trail) in injections.into_iter().zip(trails) {
-            if trail == fault_free {
-                undetected.push(injection);
+        let mut order = Vec::with_capacity(injections.len());
+        for (at, injection) in injections.iter_mut().enumerate() {
+            if trail(at) == fault_free.packed() {
+                undetected.push(std::mem::take(injection));
             } else {
-                by_trail.entry(trail).or_default().push(injection);
-                indexed += 1;
+                order.push(at);
             }
         }
+        order.sort_by(|&a, &b| trail(a).cmp(trail(b)));
+        let class_count = order.chunk_by(|&a, &b| trail(a) == trail(b)).count();
         let mut misr_template = misr;
         misr_template.reset();
         Ok(Self {
@@ -456,9 +707,14 @@ impl DictionaryStream {
             misr: misr_template,
             fault_free,
             undetected,
-            indexed,
-            class_count: by_trail.len(),
-            classes: by_trail.into_iter(),
+            indexed: order.len(),
+            class_count,
+            trails,
+            stride,
+            injections,
+            order,
+            next: 0,
+            remaining: class_count,
         })
     }
 
@@ -548,13 +804,28 @@ impl Iterator for DictionaryStream {
     type Item = AmbiguityClass;
 
     fn next(&mut self) -> Option<AmbiguityClass> {
-        self.classes
-            .next()
-            .map(|(trail, injections)| AmbiguityClass { trail, injections })
+        let trail = |at: usize| &self.trails[at * self.stride..][..self.stride];
+        let rest = &self.order[self.next..];
+        let key = trail(*rest.first()?);
+        let len = rest
+            .iter()
+            .position(|&at| trail(at) != key)
+            .unwrap_or(rest.len());
+        let class = AmbiguityClass {
+            trail: SignatureTrail::from_packed(self.config.width(), key)
+                .expect("the build's width is valid"),
+            injections: rest[..len]
+                .iter()
+                .map(|&at| std::mem::take(&mut self.injections[at]))
+                .collect(),
+        };
+        self.next += len;
+        self.remaining -= 1;
+        Some(class)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.classes.size_hint()
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -641,13 +912,14 @@ impl SignatureDictionary {
 /// spread a universe of coupling faults over the workers.
 const TRAIL_CHUNK: usize = 1024;
 
-/// Computes the signature trail of every fault of `universe` as a
+/// Computes the packed signature trail of every fault of `universe` as a
 /// single-fault injection, then of every multi-fault injection in
-/// `multi`, on a pool `threads` wide: single faults in chunks through
-/// [`FaultLocalSession::single_fault_trails`] (table lookups for stuck-at
-/// and transition faults), the rest through [`FaultLocalSession::run`]
-/// — a sweep of the injection's footprint words, not a session over the
-/// whole memory (the naive reference is
+/// `multi`, on a pool `threads` wide, into one buffer of
+/// [`FaultLocalSession::trail_bytes`] per injection: single faults in
+/// chunks through [`FaultLocalSession::single_fault_trails`] (table
+/// lookups for stuck-at and transition faults), the rest through
+/// [`FaultLocalSession::run`] — a sweep of the injection's footprint
+/// words, not a session over the whole memory (the naive reference is
 /// [`twm_bist::run_scheme_session_staged`] on a memory built with the
 /// injection and the content). The pool returns trails in injection
 /// order, so the result is identical for any thread count.
@@ -656,15 +928,19 @@ fn compute_trails(
     multi: &[Vec<Fault>],
     session: &FaultLocalSession,
     threads: usize,
-) -> Result<Vec<SignatureTrail>, RepairError> {
+) -> Result<Vec<u8>, RepairError> {
     let pool = WorkerPool::new(threads - 1);
+    let stride = session.trail_bytes();
     let chunks: Vec<&[Fault]> = universe.chunks(TRAIL_CHUNK).collect();
-    let mut trails = Vec::with_capacity(universe.len() + multi.len());
-    for chunk in pool.map(&chunks, |chunk| session.single_fault_trails(chunk)) {
-        trails.extend(chunk?.into_iter().map(SignatureTrail::new));
+    let mut trails = Vec::with_capacity((universe.len() + multi.len()) * stride);
+    for chunk in pool.map(&chunks, |chunk| {
+        let mut out = vec![0; chunk.len() * stride];
+        session.single_fault_trails(chunk, &mut out).map(|()| out)
+    }) {
+        trails.extend_from_slice(&chunk?);
     }
     for outcome in pool.map(multi, |injection| session.run(injection)) {
-        trails.push(SignatureTrail::new(outcome?.trail));
+        trails.extend_from_slice(SignatureTrail::from_words(&outcome?.trail)?.packed());
     }
     Ok(trails)
 }

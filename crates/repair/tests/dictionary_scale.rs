@@ -137,6 +137,14 @@ fn sampled_64k_by_32_dictionary_builds_within_a_minute() {
     }
 }
 
+/// The table's packed trails of `faults`, one
+/// [`FaultLocalSession::trail_bytes`] slot each.
+fn table_trails(session: &FaultLocalSession, faults: &[Fault]) -> Vec<u8> {
+    let mut out = vec![0; faults.len() * session.trail_bytes()];
+    session.single_fault_trails(faults, &mut out).unwrap();
+    out
+}
+
 /// The SAF+TF faults of words `words`, in `UniverseBuilder` order: every
 /// stuck-at fault, then every transition fault.
 fn saf_tf_chunk(words: std::ops::Range<usize>) -> Vec<Fault> {
@@ -172,14 +180,20 @@ fn full_64k_by_32_saf_tf_universe_streams_through_the_table() {
     // calls timed).
     let mut elapsed = Duration::ZERO;
     let (mut faults, mut detected) = (0usize, 0usize);
-    let fault_free = session.reference().trail();
+    let fault_free = SignatureTrail::from_words(session.reference().trail()).unwrap();
+    let trail_bytes = session.trail_bytes();
+    let mut trails = Vec::new();
     for first in (0..WORDS).step_by(CHUNK_WORDS) {
         let chunk = saf_tf_chunk(first..first + CHUNK_WORDS);
+        trails.resize(chunk.len() * trail_bytes, 0);
         let start = Instant::now();
-        let trails = session.single_fault_trails(&chunk).unwrap();
+        session.single_fault_trails(&chunk, &mut trails).unwrap();
         elapsed += start.elapsed();
-        faults += trails.len();
-        detected += trails.iter().filter(|trail| **trail != fault_free).count();
+        faults += chunk.len();
+        detected += trails
+            .chunks_exact(trail_bytes)
+            .filter(|trail| *trail != fault_free.packed())
+            .count();
     }
     println!(
         "64Kx32 TWM_TA x March C- SAF+TF universe: {faults} trails in {:.2} s \
@@ -213,7 +227,7 @@ fn full_64k_by_32_saf_tf_universe_streams_through_the_table() {
         let start = Instant::now();
         let tabled: usize = chunks
             .iter()
-            .map(|chunk| session.single_fault_trails(chunk).unwrap().len())
+            .map(|chunk| table_trails(&session, chunk).len() / trail_bytes)
             .sum();
         let table_s = start.elapsed().as_secs_f64() / tabled as f64;
         ratios.push((sweep_s / table_s, sweep_s, table_s));
@@ -221,8 +235,12 @@ fn full_64k_by_32_saf_tf_universe_streams_through_the_table() {
     ratios.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (speedup, sweep_s, table_s) = ratios[ratios.len() / 2];
     let start = Instant::now();
-    let tabled = session.single_fault_trails(&sample).unwrap();
+    let tabled = table_trails(&session, &sample);
     let sample_s = start.elapsed().as_secs_f64() / sample.len() as f64;
+    let swept: Vec<u8> = swept
+        .iter()
+        .flat_map(|trail| SignatureTrail::from_words(trail).unwrap().packed().to_vec())
+        .collect();
     assert_eq!(tabled, swept, "table and sweep trails differ");
     println!(
         "per fault: sweep {:.2} µs, table {:.3} µs over the universe ({speedup:.0}x, \
@@ -240,8 +258,8 @@ fn full_64k_by_32_saf_tf_universe_streams_through_the_table() {
     let stride = INJECTIONS / NAIVE_SUBSET;
     for at in (0..NAIVE_SUBSET).map(|i| i * stride + i % 2) {
         assert_eq!(
-            tabled[at],
-            naive_trail(&engine, sample[at]).signatures(),
+            &tabled[at * trail_bytes..][..trail_bytes],
+            naive_trail(&engine, sample[at]).packed(),
             "trail of {:?} differs from the naive session",
             sample[at]
         );

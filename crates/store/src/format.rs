@@ -16,7 +16,8 @@
 //!
 //! Trails are stored as little-endian signature words of
 //! [`trail_word_bytes`]`(width)` = ⌈width/8⌉ bytes each (the shared word
-//! width lives in the header). Consecutive trails in one dictionary
+//! width lives in the header): a `SignatureTrail`'s packed words, whose
+//! bytes run most significant first, with each word's bytes reversed. Consecutive trails in one dictionary
 //! differ late — per-stage trails share long runs — so each entry stores
 //! the length of the prefix it shares with the **previous entry of the
 //! same page** plus its suffix:
@@ -67,10 +68,11 @@ pub const MAX_PAGE_SIZE: usize = 1 << 24;
 /// Fixed byte size of an index entry before its suffix words.
 pub const ENTRY_FIXED: usize = 16;
 
-/// Bytes per trail signature word on disk for `width`-bit words.
+/// Bytes per trail signature word on disk for `width`-bit words: those
+/// of a packed word ([`twm_mem::Word::packed_len`]).
 #[must_use]
 pub fn trail_word_bytes(width: usize) -> usize {
-    width.div_ceil(8)
+    twm_mem::Word::packed_len(width)
 }
 
 /// The `prefix_words` sentinel marking end-of-entries within a page.

@@ -22,7 +22,7 @@ use twm_bist::Misr;
 use twm_core::scheme::SchemeId;
 use twm_coverage::{ContentPolicy, CoverageEngine};
 use twm_march::MarchTest;
-use twm_mem::{Fault, MemoryConfig, Word};
+use twm_mem::{Fault, MemoryConfig};
 use twm_repair::{
     AmbiguityClass, AmbiguityStats, DictionaryOptions, DictionaryStream, RepairError,
     SignatureDictionary, SignatureTrail, TrailLookup,
@@ -355,16 +355,12 @@ impl PagedDictionary {
         let trail_words = self.header.trail_words as usize;
         let width = self.header.width as usize;
         if trail.len() != trail_words
-            || trail.signatures().iter().any(|word| word.width() != width)
+            || (!trail.is_empty() && trail.width() != width)
             || self.header.index_pages == 0
         {
             return Ok(None);
         }
-        let target: Vec<u128> = trail
-            .signatures()
-            .iter()
-            .map(|word| word.to_bits())
-            .collect();
+        let target = trail.packed();
 
         let mut pager = self.lock_pager();
         // Binary search for the last index page whose first trail is <=
@@ -375,7 +371,7 @@ impl PagedDictionary {
         while low < high {
             let mid = low + (high - low) / 2;
             let page = pager.page(self.header.index_start() + mid)?;
-            if self.first_trail_cmp(&page, mid, &target)? == Ordering::Greater {
+            if self.first_trail_cmp(&page, mid, target)? == Ordering::Greater {
                 high = mid;
             } else {
                 low = mid + 1;
@@ -385,7 +381,7 @@ impl PagedDictionary {
         let Some((page_index, page)) = below else {
             return Ok(None); // target sorts before the first indexed trail
         };
-        let Some(entry) = self.find_in_page(&page, &target, page_index)? else {
+        let Some(entry) = self.find_in_page(&page, target, page_index)? else {
             return Ok(None);
         };
         let injections = self.read_injections(&mut pager, entry, page_index)?;
@@ -444,12 +440,12 @@ impl PagedDictionary {
     }
 
     /// How the first trail of an index page (page-relative index)
-    /// orders against `target`.
+    /// orders against `target`, a packed trail.
     fn first_trail_cmp(
         &self,
         page: &[u8],
         page_index: u32,
-        target: &[u128],
+        target: &[u8],
     ) -> Result<Ordering, StoreError> {
         let Some(entry) = self.entry_at(page, 0, page_index)? else {
             return Err(StoreError::Corrupt(format!(
@@ -460,18 +456,21 @@ impl PagedDictionary {
     }
 
     /// Compares `entry`'s stored suffix words with the same positions of
-    /// `target`, returning the order and the number of leading trail
-    /// words the entry shares with `target` (when it is not equal).
-    fn cmp_suffix(&self, page: &[u8], entry: &IndexEntry, target: &[u128]) -> (Ordering, usize) {
+    /// `target`, a packed trail, returning the order and the number of
+    /// leading trail words the entry shares with `target` (when it is not
+    /// equal).
+    fn cmp_suffix(&self, page: &[u8], entry: &IndexEntry, target: &[u8]) -> (Ordering, usize) {
         let word_bytes = trail_word_bytes(self.header.width as usize);
-        let mut word_at = entry.words_at;
-        for (position, &expected) in target.iter().enumerate().skip(entry.prefix) {
-            match read_word(page, word_at, word_bytes).cmp(&expected) {
-                Ordering::Equal => word_at += word_bytes,
+        let stored = page[entry.words_at..entry.end].chunks_exact(word_bytes);
+        let expected = target.chunks_exact(word_bytes).skip(entry.prefix);
+        for (position, (stored, expected)) in (entry.prefix..).zip(stored.zip(expected)) {
+            // Stored words are little-endian, packed ones big-endian.
+            match stored.iter().rev().cmp(expected) {
+                Ordering::Equal => {}
                 order => return (order, position),
             }
         }
-        (Ordering::Equal, target.len())
+        (Ordering::Equal, self.header.trail_words as usize)
     }
 
     /// Scans one sorted index page for `target` without rebuilding the
@@ -483,7 +482,7 @@ impl PagedDictionary {
     fn find_in_page(
         &self,
         page: &[u8],
-        target: &[u128],
+        target: &[u8],
         page_index: u32,
     ) -> Result<Option<IndexEntry>, StoreError> {
         let mut at = 0usize;
@@ -505,24 +504,23 @@ impl PagedDictionary {
     }
 
     /// Decodes the entry at `*at`, advancing the cursor and rebuilding
-    /// the trail into `current`. Returns `None` at end-of-page.
+    /// the packed trail into `current`. Returns `None` at end-of-page.
     fn decode_entry(
         &self,
         page: &[u8],
         at: &mut usize,
-        current: &mut Vec<u128>,
+        current: &mut Vec<u8>,
         page_index: u32,
     ) -> Result<Option<IndexEntry>, StoreError> {
         let Some(entry) = self.entry_at(page, *at, page_index)? else {
             return Ok(None);
         };
         let word_bytes = trail_word_bytes(self.header.width as usize);
-        current.truncate(entry.prefix);
-        current.extend(
-            (entry.words_at..entry.end)
-                .step_by(word_bytes)
-                .map(|word_at| read_word(page, word_at, word_bytes)),
-        );
+        current.truncate(entry.prefix * word_bytes);
+        // Stored words are little-endian, packed ones big-endian.
+        for word in page[entry.words_at..entry.end].chunks_exact(word_bytes) {
+            current.extend(word.iter().rev());
+        }
         *at = entry.end;
         Ok(Some(entry))
     }
@@ -682,13 +680,6 @@ struct IndexEntry {
     handle_offset: u32,
 }
 
-/// The `word_bytes`-wide little-endian trail word at `at`.
-fn read_word(page: &[u8], at: usize, word_bytes: usize) -> u128 {
-    let mut word = [0u8; 16];
-    word[..word_bytes].copy_from_slice(&page[at..at + word_bytes]);
-    u128::from_le_bytes(word)
-}
-
 /// Streaming iterator over every class of a [`PagedDictionary`], in
 /// trail order.
 #[derive(Debug)]
@@ -696,7 +687,8 @@ pub struct ClassIter<'a> {
     store: &'a PagedDictionary,
     page: u32,
     at: usize,
-    current: Vec<u128>,
+    /// The packed trail of the last decoded entry.
+    current: Vec<u8>,
     done: bool,
 }
 
@@ -730,13 +722,8 @@ impl Iterator for ClassIter<'_> {
                             return Some(Err(e));
                         }
                     };
-                    let signatures = match self
-                        .current
-                        .iter()
-                        .map(|&bits| Word::from_bits(bits, width))
-                        .collect::<Result<Vec<_>, _>>()
-                    {
-                        Ok(words) => words,
+                    let trail = match SignatureTrail::from_packed(width, &self.current) {
+                        Ok(trail) => trail,
                         Err(e) => {
                             self.done = true;
                             return Some(Err(StoreError::Corrupt(format!(
@@ -744,10 +731,7 @@ impl Iterator for ClassIter<'_> {
                             ))));
                         }
                     };
-                    return Some(Ok(AmbiguityClass {
-                        trail: SignatureTrail::new(signatures),
-                        injections,
-                    }));
+                    return Some(Ok(AmbiguityClass { trail, injections }));
                 }
                 Ok(None) => {
                     self.page += 1;
@@ -812,6 +796,7 @@ mod tests {
     use super::*;
     use twm_core::scheme::SchemeRegistry;
     use twm_march::algorithms::march_c_minus;
+    use twm_mem::Word;
     use twm_repair::localise_trail;
 
     fn engine(words: usize, width: usize) -> (CoverageEngine, Vec<Fault>) {
@@ -881,10 +866,10 @@ mod tests {
         // in RAM.
         for class in dictionary.classes() {
             assert_eq!(store.lookup(&class.trail).unwrap().as_ref(), Some(class));
-            let words = class.trail.signatures();
+            let words: Vec<Word> = class.trail.iter().collect();
             for position in [0, words.len() / 2, words.len() - 1] {
                 for flip in [1u128, 0b1000] {
-                    let mut near = words.to_vec();
+                    let mut near = words.clone();
                     near[position] = Word::from_bits(near[position].to_bits() ^ flip, 4).unwrap();
                     let near = SignatureTrail::new(near);
                     assert_eq!(

@@ -34,9 +34,12 @@ use crate::paged::StoreMeta;
 use crate::record::{encode_injections, write_varint};
 use crate::{wire, StoreError};
 
-/// Longest count of equal leading words.
-fn common_prefix(a: &[u128], b: &[u128]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+/// Longest count of equal leading `word_bytes`-byte words.
+fn common_prefix(a: &[u8], b: &[u8], word_bytes: usize) -> usize {
+    a.chunks_exact(word_bytes)
+        .zip(b.chunks_exact(word_bytes))
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// `path` with `suffix` appended to its file name.
@@ -194,8 +197,7 @@ where
     // every page full so pages are self-contained.
     let mut offset = 0usize;
     let mut index_pages = 0u32;
-    let mut words: Vec<u128> = Vec::with_capacity(trail_words);
-    let mut last_trail: Vec<u128> = Vec::with_capacity(trail_words);
+    let mut last_trail: Vec<u8> = Vec::with_capacity(trail_words * word_bytes);
     let mut entries = 0u64;
     let mut indexed = 0u64;
     let mut max_class_size = 0u64;
@@ -203,21 +205,22 @@ where
     page.fill(0);
     for class in classes {
         let class = class.borrow();
-        let signatures = class.trail.signatures();
-        if signatures.len() != trail_words {
+        let trail = &class.trail;
+        if trail.len() != trail_words {
             return Err(StoreError::Corrupt(format!(
                 "class trail holds {} signatures, expected {trail_words}",
-                signatures.len()
+                trail.len()
             )));
         }
-        if signatures.iter().any(|word| word.width() != width) {
+        if !trail.is_empty() && trail.width() != width {
             return Err(StoreError::Corrupt(format!(
-                "class trail carries a signature wider than {width} bits"
+                "class trail carries {}-bit signatures, expected {width}",
+                trail.width()
             )));
         }
-        words.clear();
-        words.extend(signatures.iter().map(|word| word.to_bits()));
-        if entries > 0 && words <= last_trail {
+        // One width, so bytewise order is trail order.
+        let words = trail.packed();
+        if entries > 0 && words <= last_trail.as_slice() {
             return Err(StoreError::UnsortedClasses);
         }
 
@@ -238,7 +241,7 @@ where
         let mut prefix = if offset == 0 {
             0
         } else {
-            common_prefix(&last_trail, &words)
+            common_prefix(&last_trail, words, word_bytes)
         };
         let mut entry_len = ENTRY_FIXED + (trail_words - prefix) * word_bytes;
         if offset + entry_len > capacity {
@@ -262,8 +265,12 @@ where
         page[offset + 8..offset + 12].copy_from_slice(&handle_page.to_le_bytes());
         page[offset + 12..offset + 16].copy_from_slice(&handle_offset.to_le_bytes());
         let mut at = offset + ENTRY_FIXED;
-        for &word in &words[prefix..] {
-            page[at..at + word_bytes].copy_from_slice(&word.to_le_bytes()[..word_bytes]);
+        // Stored words are little-endian, packed ones big-endian.
+        for word in words[prefix * word_bytes..].chunks_exact(word_bytes) {
+            page[at..at + word_bytes]
+                .iter_mut()
+                .zip(word.iter().rev())
+                .for_each(|(to, &from)| *to = from);
             at += word_bytes;
         }
         offset += entry_len;
@@ -274,7 +281,8 @@ where
         if injections == 1 {
             distinguishable += 1;
         }
-        std::mem::swap(&mut last_trail, &mut words);
+        last_trail.clear();
+        last_trail.extend_from_slice(words);
     }
     if offset > 0 {
         if offset + 2 <= capacity {

@@ -118,7 +118,6 @@ proptest! {
         for probe in 0..16u32 {
             let trail = SignatureTrail::new(
                 reference
-                    .signatures()
                     .iter()
                     .enumerate()
                     .map(|(at, word)| {

@@ -369,10 +369,21 @@ fn swept_trails(session: &FaultLocalSession, universe: &[Fault]) -> Vec<Vec<Word
         .collect()
 }
 
+/// The table arm: every fault's packed trail, in one buffer.
+fn tabled_trails(session: &FaultLocalSession, universe: &[Fault]) -> Vec<u8> {
+    let mut out = vec![0; universe.len() * session.trail_bytes()];
+    session.single_fault_trails(universe, &mut out).unwrap();
+    out
+}
+
 fn assert_trail_table_arms_agree(session: &FaultLocalSession, universe: &[Fault]) {
+    let swept: Vec<u8> = swept_trails(session, universe)
+        .iter()
+        .flat_map(|trail| SignatureTrail::from_words(trail).unwrap().packed().to_vec())
+        .collect();
     assert_eq!(
-        session.single_fault_trails(universe).unwrap(),
-        swept_trails(session, universe),
+        tabled_trails(session, universe),
+        swept,
         "table and swept trails must stay identical"
     );
 }
@@ -392,7 +403,7 @@ fn trail_table_beats_a_sweep_per_fault() {
     assert_trail_table_arms_agree(&session, &universe);
 
     let speedup = b_over_a(
-        || drop(session.single_fault_trails(&universe).unwrap()),
+        || drop(tabled_trails(&session, &universe)),
         || drop(swept_trails(&session, &universe)),
     );
     println!("single-cell trail table: {speedup:.1}x a sweep per fault");
